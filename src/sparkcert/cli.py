@@ -26,7 +26,6 @@ from .formats import (
     write_matrix_market,
 )
 from .generators import random_matrix, spiked_identity
-from .kernels import resolve_backend, warm_up
 from .report import INFINITY_TOKEN, build_report, render_text, report_to_json
 from .spark import (
     analyze_spark,
@@ -67,12 +66,6 @@ def _add_common_search_flags(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=1,
         help="threads for the subset scan (default 1)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "numba", "numpy"),
-        default=None,
-        help="scan backend (default: SPARK_CERT_BACKEND env var, else numba when available)",
     )
 
 
@@ -201,7 +194,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         compute_exact=args.exact,
         budget=args.budget,
         workers=args.workers,
-        backend=None if args.backend in (None, "auto") else args.backend,
     )
     source = "<stdin>" if args.file == "-" else args.file
     report = build_report(matrix, source, spark_report, tolerances)
@@ -220,7 +212,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         compute_exact=args.exact,
         budget=args.budget,
         workers=args.workers,
-        backend=None if args.backend in (None, "auto") else args.backend,
     )
     if spark_report.search_budget_hit:
         raise BudgetExceeded(spark_report.subsets_examined or 0)
@@ -271,11 +262,8 @@ def _parse_n_list(raw: str) -> list[int]:
 
 def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     ns = _parse_n_list(args.n_list)
-    backend = resolve_backend(None if args.backend in (None, "auto") else args.backend)
-    warm_up(backend)
     tolerances = ToleranceConfig()
     budget = args.budget if args.budget is not None else default_search_budget()
-    print(f"# backend: {backend}")
     header = (
         f"{'n':>4} {'rows':>5} {'cols':>5} {'exact_spark':>12} "
         f"{'index_bound':>12} {'coherence_bound':>16} {'subsets':>10} {'seconds':>8}"
@@ -284,7 +272,7 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     for n in ns:
         matrix = spiked_identity(n)
         start = time.perf_counter()
-        result = exact_spark(matrix, tolerances, budget, args.workers, backend)
+        result = exact_spark(matrix, tolerances, budget, args.workers)
         elapsed = time.perf_counter() - start
         exact_shown = (
             str(result.spark.value) if result.spark.is_finite else INFINITY_TOKEN

@@ -10,14 +10,14 @@ import numpy as np
 DEFAULT_ZERO_COLUMN_TOL = 1e-12
 DEFAULT_ZERO_ENTRY_TOL = 1e-9
 DEFAULT_RESIDUAL_TOL = 1e-9
-# Multiplied by sigma_max * max(rows, cols) to get the rank cutoff; the
-# default matches numpy.linalg.matrix_rank's tolerance choice.
+# Multiplied by sigma_max * max(rows, columns) of the matrix under test to
+# get the rank cutoff; in the exact search that is max(rows, size) for each
+# column subset. The default matches numpy.linalg.matrix_rank's choice.
 DEFAULT_RANK_TOL_FACTOR = float(np.finfo(np.float64).eps)
 DEFAULT_INDEX_SLACK = 0.0
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 BUDGET_ENV_VAR = "SPARK_CERT_BUDGET"
-BACKEND_ENV_VAR = "SPARK_CERT_BACKEND"
 
 
 @dataclass(frozen=True)

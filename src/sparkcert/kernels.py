@@ -1,162 +1,90 @@
-"""Subset-scan kernels behind the exhaustive spark search.
+"""The subset-scan kernel behind the exhaustive spark search.
 
-Two interchangeable backends walk a run of fixed-size column subsets in
-lexicographic order and report the first rank-deficient one: a numba
-nopython kernel (default when numba imports) and a pure-numpy twin.
-Select explicitly with the SPARK_CERT_BACKEND environment variable set to
-"numba" or "numpy". Both release the GIL during the heavy work, so the
-chunked scan in the spark module can thread over them.
+`scan_chunk` walks a run of fixed-size column subsets in lexicographic
+order and reports the first rank-deficient one. It works in batches: it
+gathers consecutive subsets into one (batch, rows, size) array and
+computes their singular values with one stacked `np.linalg.svd` call, so
+Python-level work is done per batch rather than per subset. The LAPACK
+work runs inside that one numpy call, which releases the GIL, so the
+chunked scan in the spark module can thread over the kernel.
+
+A batch is capped at GATHER_BYTES of gathered column data. Larger
+batches run no faster, because the small SVDs dominate, but each one
+adds its gather buffer and temporaries to the process's peak resident
+set.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from collections.abc import Iterator, Sequence
+from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .config import BACKEND_ENV_VAR
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:
-    numba = None
-    HAVE_NUMBA = False
+# Bytes of column data gathered per stacked SVD call.
+GATHER_BYTES = 64 * 1024
 
 
-def resolve_backend(name: str | None = None) -> str:
-    """Pick the scan backend: explicit name, else env var, else best available."""
-    requested = name if name is not None else os.environ.get(BACKEND_ENV_VAR)
-    if requested is None or requested.strip().lower() in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    requested = requested.strip().lower()
-    if requested == "numba":
-        if not HAVE_NUMBA:
-            raise ValueError("backend 'numba' requested but numba is not importable")
-        return "numba"
-    if requested == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown backend {requested!r}; expected 'numba' or 'numpy'")
-
-
-def unrank_combination(cols: int, size: int, rank: int) -> np.ndarray:
+def unrank_combination(cols: int, size: int, rank: int) -> tuple[int, ...]:
     """The rank-th (0-based) size-subset of {0..cols-1} in lexicographic order."""
     if not 0 <= rank < math.comb(cols, size):
         raise ValueError(f"rank {rank} outside [0, C({cols},{size}))")
-    idx = np.empty(size, dtype=np.int64)
+    idx = []
     x = 0
     for j in range(size):
         while math.comb(cols - 1 - x, size - 1 - j) <= rank:
             rank -= math.comb(cols - 1 - x, size - 1 - j)
             x += 1
-        idx[j] = x
+        idx.append(x)
         x += 1
-    return idx
+    return tuple(idx)
 
 
-def rank_of_combination(cols: int, idx: np.ndarray) -> int:
-    """Lexicographic 0-based rank of a strictly increasing subset of {0..cols-1}."""
-    size = len(idx)
-    rank = 0
-    prev = -1
-    for j, x in enumerate(idx):
-        for y in range(prev + 1, int(x)):
-            rank += math.comb(cols - 1 - y, size - 1 - j)
-        prev = int(x)
-    return rank
+def _subsets_from(start: tuple[int, ...], cols: int) -> Iterator[tuple[int, ...]]:
+    """`start` and every later subset of the same size, in lexicographic order.
 
-
-def _scan_chunk_numpy(
-    data: np.ndarray, idx: np.ndarray, count: int, tol_factor: float
-) -> tuple[int, np.ndarray]:
-    """Test `count` subsets starting at `idx`, advancing lexicographically.
-
-    Returns (position, indices) of the first subset whose columns are rank
-    deficient, or (-1, last index state) if none in the run. `idx` is
-    modified in place.
+    After `start` come the subsets that keep start[:p] and raise position
+    p, for p from the last position down to the first; those are exactly
+    start[:p] followed by each (size-p)-subset of {start[p]+1..cols-1}.
     """
-    rows, cols = data.shape
-    size = idx.shape[0]
-    dim = max(rows, size)
-    for step in range(count):
-        sub = data[:, idx]
-        s = np.linalg.svd(sub, compute_uv=False)
-        cutoff = tol_factor * s[0] * dim
-        if int(np.count_nonzero(s > cutoff)) < size:
-            return step, idx.copy()
-        # lexicographic successor
-        j = size - 1
-        while j >= 0 and idx[j] == cols - size + j:
-            j -= 1
-        if j < 0:
-            break
-        idx[j] += 1
-        for t in range(j + 1, size):
-            idx[t] = idx[t - 1] + 1
-    return -1, idx
-
-
-def _scan_chunk_jit_source(
-    data: np.ndarray, idx: np.ndarray, count: int, tol_factor: float
-) -> tuple[int, np.ndarray]:
-    rows = data.shape[0]
-    cols = data.shape[1]
-    size = idx.shape[0]
-    dim = rows if rows > size else size
-    sub = np.empty((rows, size), dtype=np.float64)
-    for step in range(count):
-        for j in range(size):
-            c = idx[j]
-            for i in range(rows):
-                sub[i, j] = data[i, c]
-        u, s, vt = np.linalg.svd(sub)
-        cutoff = tol_factor * s[0] * dim
-        r = 0
-        for t in range(s.shape[0]):
-            if s[t] > cutoff:
-                r += 1
-        if r < size:
-            return step, idx.copy()
-        j = size - 1
-        while j >= 0 and idx[j] == cols - size + j:
-            j -= 1
-        if j < 0:
-            break
-        idx[j] += 1
-        for t in range(j + 1, size):
-            idx[t] = idx[t - 1] + 1
-    return -1, idx
-
-
-if HAVE_NUMBA:
-    _scan_chunk_numba = numba.njit(cache=True, nogil=True)(_scan_chunk_jit_source)
-else:
-    _scan_chunk_numba = None
+    size = len(start)
+    return chain(
+        (start,),
+        *(
+            map(start[:p].__add__, combinations(range(start[p] + 1, cols), size - p))
+            for p in reversed(range(size))
+        ),
+    )
 
 
 def scan_chunk(
-    data: np.ndarray,
-    idx: np.ndarray,
-    count: int,
-    tol_factor: float,
-    backend: str,
-) -> tuple[int, np.ndarray]:
-    """Dispatch one subset run to the chosen backend."""
-    if backend == "numba":
-        if _scan_chunk_numba is None:
-            raise ValueError("numba backend unavailable")
-        return _scan_chunk_numba(data, idx, count, tol_factor)
-    if backend == "numpy":
-        return _scan_chunk_numpy(data, idx, count, tol_factor)
-    raise ValueError(f"unknown backend {backend!r}")
+    data: np.ndarray, start: Sequence[int], count: int, tol_factor: float
+) -> tuple[int, tuple[int, ...] | None]:
+    """Test `count` subsets from `start` on, in lexicographic order.
 
-
-def warm_up(backend: str) -> None:
-    """Trigger JIT compilation outside timed sections."""
-    if backend != "numba":
-        return
-    data = np.eye(2, dtype=np.float64)
-    idx = np.array([0, 1], dtype=np.int64)
-    scan_chunk(data, idx, 1, float(np.finfo(np.float64).eps), backend)
+    A subset is rank deficient when fewer than `size` of its singular
+    values exceed tol_factor * sigma_max * max(rows, size). Returns
+    (position, indices) of the first rank-deficient subset, or (-1, None)
+    if there is none in the run. `count` must not run past the last subset.
+    """
+    rows, cols = data.shape
+    size = len(start)
+    dim = max(rows, size)
+    per_batch = max(1, GATHER_BYTES // (rows * size * data.itemsize))
+    subsets = _subsets_from(tuple(int(i) for i in start), cols)
+    done = 0
+    while done < count:
+        batch = min(per_batch, count - done)
+        flat = np.fromiter(
+            chain.from_iterable(islice(subsets, batch)), dtype=np.intp, count=batch * size
+        )
+        idx = flat.reshape(batch, size)
+        s = np.linalg.svd(np.moveaxis(data[:, idx], 0, 1), compute_uv=False)
+        cutoff = tol_factor * s[:, :1] * dim
+        dependent = np.count_nonzero(s > cutoff, axis=1) < size
+        if dependent.any():
+            first = int(np.argmax(dependent))
+            return done + first, tuple(int(i) for i in idx[first])
+        done += batch
+    return -1, None

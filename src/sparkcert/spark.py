@@ -4,13 +4,23 @@ The spark of a matrix is the smallest number of columns that are linearly
 dependent, taken as infinite when every column subset is independent.
 Two cheap lower bounds come from the coherence profile; the exact value
 comes from a budgeted exhaustive subset search.
+
+The search tests sizes 1, 2, ... and, within a size, subsets in
+lexicographic order, through the batched SVD kernel in the kernels
+module. With one worker a size is one kernel run from its first subset;
+with more, it is cut into PARALLEL_CHUNK-sized runs that threads scan
+concurrently, each starting from its chunk's first subset by unranking.
+Either way the witness and the subset count are those of the serial
+order.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +33,7 @@ from .errors import (
     NotUnitDiagonal,
     TooFewColumns,
 )
-from .kernels import resolve_backend, scan_chunk, unrank_combination
+from .kernels import scan_chunk, unrank_combination
 from .matrix import DenseMatrix, column_submatrix, gram_matrix
 
 UNIT_DIAGONAL_TOL = 1e-12
@@ -118,45 +128,42 @@ def coherence_index_lower_bound(
     return 1 + index
 
 
-def _scan_size_serial(
-    data: np.ndarray,
-    size: int,
-    count: int,
-    tol_factor: float,
-    backend: str,
-) -> tuple[int | None, tuple[int, ...] | None]:
-    """Scan the first `count` size-subsets in order; return (hit rank, witness)."""
-    idx = np.arange(size, dtype=np.int64)
-    pos, hit = scan_chunk(data, idx, count, tol_factor, backend)
-    if pos < 0:
-        return None, None
-    return pos, tuple(int(i) for i in hit)
-
-
 def _scan_size_parallel(
     data: np.ndarray,
     size: int,
     count: int,
     tol_factor: float,
-    backend: str,
     workers: int,
-) -> tuple[int | None, tuple[int, ...] | None]:
-    cols = data.shape[1]
-    starts = list(range(0, count, PARALLEL_CHUNK))
+) -> tuple[int, tuple[int, ...] | None]:
+    """Scan the first `count` size-subsets as PARALLEL_CHUNK-sized jobs.
 
-    def job(start: int) -> tuple[int, int, np.ndarray]:
+    Returns (hit rank, witness) as scan_chunk does for one run. Results are
+    read in submission order, so the first hit seen is the
+    lexicographically smallest one. At most 2 * workers jobs are in
+    flight, so no job past that window has been submitted when a hit is
+    seen; queued jobs are then cancelled and only running ones waited for.
+    """
+    cols = data.shape[1]
+    starts = iter(range(0, count, PARALLEL_CHUNK))
+
+    def job(start: int) -> tuple[int, int, tuple[int, ...] | None]:
         chunk = min(PARALLEL_CHUNK, count - start)
         idx = unrank_combination(cols, size, start)
-        pos, hit = scan_chunk(data, idx, chunk, tol_factor, backend)
+        pos, hit = scan_chunk(data, idx, chunk, tol_factor)
         return start, pos, hit
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start, pos, hit in pool.map(job, starts):
-            # chunks arrive in submission order, so the first hit seen is
-            # the lexicographically smallest one
+        in_flight = deque(pool.submit(job, start) for start in islice(starts, 2 * workers))
+        while in_flight:
+            start, pos, hit = in_flight.popleft().result()
             if pos >= 0:
-                return start + pos, tuple(int(i) for i in hit)
-    return None, None
+                for future in in_flight:
+                    future.cancel()
+                return start + pos, hit
+            following = next(starts, None)
+            if following is not None:
+                in_flight.append(pool.submit(job, following))
+    return -1, None
 
 
 def exact_spark(
@@ -164,7 +171,6 @@ def exact_spark(
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
     budget: int | None = None,
     workers: int = 1,
-    backend: str | None = None,
 ) -> SparkSearchResult:
     """Exhaustive minimal dependent-subset search over sizes 1, 2, ...
 
@@ -180,7 +186,6 @@ def exact_spark(
         raise ValueError(f"budget must be positive, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    chosen = resolve_backend(backend)
     data = np.ascontiguousarray(matrix.data)
     cols = matrix.cols
     examined = 0
@@ -190,14 +195,14 @@ def exact_spark(
         if allowed < 1:
             raise BudgetExceeded(examined)
         if workers == 1 or allowed < 2 * PARALLEL_CHUNK:
-            hit_rank, witness = _scan_size_serial(
-                data, size, allowed, tolerances.rank_tol_factor, chosen
+            hit_rank, witness = scan_chunk(
+                data, tuple(range(size)), allowed, tolerances.rank_tol_factor
             )
         else:
             hit_rank, witness = _scan_size_parallel(
-                data, size, allowed, tolerances.rank_tol_factor, chosen, workers
+                data, size, allowed, tolerances.rank_tol_factor, workers
             )
-        if hit_rank is not None:
+        if witness is not None:
             return SparkSearchResult(
                 spark=SparkValue(kind="finite", value=size),
                 witness=witness,
@@ -215,7 +220,6 @@ def analyze_spark(
     compute_exact: bool = False,
     budget: int | None = None,
     workers: int = 1,
-    backend: str | None = None,
 ) -> SparkReport:
     """Assemble the full spark report for a matrix with at least two columns."""
     if matrix.cols < 2:
@@ -226,7 +230,7 @@ def analyze_spark(
     subsets_examined: int | None = None
     if compute_exact:
         try:
-            result = exact_spark(matrix, tolerances, budget, workers, backend)
+            result = exact_spark(matrix, tolerances, budget, workers)
             exact = result.spark
             witness = result.witness
             subsets_examined = result.subsets_examined

@@ -92,19 +92,6 @@ def test_analyze_usage_error_exits_1(capsys):
     assert code == 1
 
 
-def test_analyze_backend_flag(capsys, tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text(write_csv(spiked_identity(5).data))
-    code_np, out_np, _ = run(
-        capsys, "analyze", str(path), "--exact", "--json", "--backend", "numpy"
-    )
-    code_auto, out_auto, _ = run(
-        capsys, "analyze", str(path), "--exact", "--json", "--backend", "auto"
-    )
-    assert code_np == code_auto == 0
-    assert out_np == out_auto
-
-
 def test_analyze_stdin_matches_file(capsys, tmp_path, monkeypatch):
     import io
     import sys

@@ -6,19 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparkcert import random_matrix
-from sparkcert.kernels import (
-    HAVE_NUMBA,
-    rank_of_combination,
-    resolve_backend,
-    scan_chunk,
-    unrank_combination,
-    warm_up,
-)
+from sparkcert import BudgetExceeded, build_matrix, exact_spark, random_matrix
+from sparkcert import spark as spark_module
+from sparkcert.kernels import scan_chunk, unrank_combination
 
 EPS = float(np.finfo(np.float64).eps)
-
-BACKENDS = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
 
 
 def test_unrank_matches_itertools():
@@ -28,16 +20,6 @@ def test_unrank_matches_itertools():
             assert tuple(unrank_combination(cols, size, r)) == combo
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_rank_unrank_inverse(data):
-    cols = data.draw(st.integers(min_value=1, max_value=12))
-    size = data.draw(st.integers(min_value=1, max_value=cols))
-    rank = data.draw(st.integers(min_value=0, max_value=math.comb(cols, size) - 1))
-    idx = unrank_combination(cols, size, rank)
-    assert rank_of_combination(cols, idx) == rank
-
-
 def test_unrank_out_of_range():
     with pytest.raises(ValueError):
         unrank_combination(5, 2, 10)
@@ -45,59 +27,123 @@ def test_unrank_out_of_range():
         unrank_combination(5, 2, -1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_scan_finds_duplicate_pair(backend):
-    warm_up(backend)
+def test_scan_finds_duplicate_pair():
     data = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     idx = np.array([0, 1], dtype=np.int64)
-    pos, hit = scan_chunk(data, idx, 3, EPS, backend)
+    pos, hit = scan_chunk(data, idx, 3, EPS)
     # pairs in order: (0,1) independent, (0,2) dependent
     assert pos == 1
     assert tuple(hit) == (0, 2)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_scan_reports_no_hit(backend):
+def test_scan_reports_no_hit():
     data = np.eye(4)
     idx = np.array([0, 1], dtype=np.int64)
-    pos, _ = scan_chunk(data, idx, 6, EPS, backend)
+    pos, _ = scan_chunk(data, idx, 6, EPS)
     assert pos == -1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_scan_respects_count(backend):
+def test_scan_respects_count():
     data = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     idx = np.array([0, 1], dtype=np.int64)
-    pos, _ = scan_chunk(data, idx, 1, EPS, backend)
+    pos, _ = scan_chunk(data, idx, 1, EPS)
     assert pos == -1
 
 
-def test_backends_agree_on_scan_outcome():
-    if not HAVE_NUMBA:
-        pytest.skip("numba not importable")
-    for seed in range(5):
-        data = np.ascontiguousarray(random_matrix(4, 8, seed=seed).data)
-        for size in (2, 3, 4, 5):
-            total = math.comb(8, size)
-            idx_a = np.arange(size, dtype=np.int64)
-            idx_b = np.arange(size, dtype=np.int64)
-            res_a = scan_chunk(data, idx_a, total, EPS, "numpy")
-            res_b = scan_chunk(data, idx_b, total, EPS, "numba")
-            assert res_a[0] == res_b[0]
-            if res_a[0] >= 0:
-                assert np.array_equal(res_a[1], res_b[1])
+@pytest.mark.parametrize("gather_bytes", [1, 3 * 3 * 8 * 2, 64 * 1024])
+def test_scan_from_every_start_keeps_lexicographic_order(monkeypatch, gather_bytes):
+    # the one dependent triple is (2, 4, 6); a cap of 1 byte makes every
+    # subset its own batch, the next one makes batches of two
+    monkeypatch.setattr("sparkcert.kernels.GATHER_BYTES", gather_bytes)
+    data = random_matrix(3, 7, seed=1).data.copy()
+    data[:, 6] = data[:, 2] - 2.0 * data[:, 4]
+    subsets = list(combinations(range(7), 3))
+    hit_rank = subsets.index((2, 4, 6))
+    for start in range(len(subsets)):
+        pos, hit = scan_chunk(data, unrank_combination(7, 3, start), len(subsets) - start, EPS)
+        if start <= hit_rank:
+            assert (pos, hit) == (hit_rank - start, (2, 4, 6))
+        else:
+            assert (pos, hit) == (-1, None)
 
 
-def test_resolve_backend_env(monkeypatch):
-    monkeypatch.setenv("SPARK_CERT_BACKEND", "numpy")
-    assert resolve_backend() == "numpy"
-    monkeypatch.setenv("SPARK_CERT_BACKEND", "auto")
-    assert resolve_backend() in ("numba", "numpy")
-    monkeypatch.setenv("SPARK_CERT_BACKEND", "nonsense")
-    with pytest.raises(ValueError):
-        resolve_backend()
-    monkeypatch.delenv("SPARK_CERT_BACKEND")
-    assert resolve_backend("numpy") == "numpy"
-    if HAVE_NUMBA:
-        assert resolve_backend() == "numba"
-        assert resolve_backend("numba") == "numba"
+def _brute_force(data: np.ndarray):
+    """Spark, witness and subsets examined, one SVD per subset in itertools order."""
+    rows, cols = data.shape
+    examined = 0
+    for size in range(1, cols + 1):
+        for subset in combinations(range(cols), size):
+            examined += 1
+            s = np.linalg.svd(data[:, subset], compute_uv=False)
+            cutoff = EPS * s[0] * max(rows, size)
+            if np.count_nonzero(s > cutoff) < size:
+                return size, subset, examined
+    return None, None, examined
+
+
+@st.composite
+def search_matrices(draw):
+    rows = draw(st.integers(min_value=1, max_value=6))
+    cols = draw(st.integers(min_value=1, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        data = rng.integers(-3, 4, size=(rows, cols)).astype(np.float64)
+    else:
+        data = rng.standard_normal((rows, cols))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        # a duplicated column, or an integer combination of up to three others
+        target = draw(st.integers(min_value=0, max_value=cols - 1))
+        sources = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(sources), max_size=len(sources)))
+        data[:, target] = data[:, sources] @ np.array(weights, dtype=np.float64)
+    for j in range(cols):
+        if not data[:, j].any():
+            data[0, j] = 1.0
+    return build_matrix(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=search_matrices(), budget_cut=st.integers(min_value=1, max_value=200))
+def test_exact_spark_matches_brute_force(matrix, budget_cut):
+    spark, witness, examined = _brute_force(matrix.data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spark_module, "PARALLEL_CHUNK", 3)
+        for workers in (1, 2):
+            result = exact_spark(matrix, budget=10**9, workers=workers)
+            assert result.spark.value == spark
+            assert result.witness == witness
+            assert result.subsets_examined == examined
+
+            # a budget of exactly the subsets the answer needs still settles it
+            budget = min(budget_cut, examined)
+            if budget < examined:
+                with pytest.raises(BudgetExceeded) as info:
+                    exact_spark(matrix, budget=budget, workers=workers)
+                assert info.value.subsets_examined == budget
+            else:
+                assert exact_spark(matrix, budget=budget, workers=workers) == result
+
+
+def test_parallel_scan_stops_submitting_after_hit(monkeypatch):
+    # column 11 = column 0 + column 1: the only dependent triple is
+    # (0, 1, 11), rank 9 of C(12, 3) = 220, so in chunk 4 of 110
+    data = random_matrix(5, 12, seed=0).data.copy()
+    data[:, 11] = data[:, 0] + data[:, 1]
+    matrix = build_matrix(data)
+    chunk, workers = 2, 2
+    monkeypatch.setattr(spark_module, "PARALLEL_CHUNK", chunk)
+    calls = []
+    real_scan = spark_module.scan_chunk
+
+    def counting_scan(data, start, count, tol_factor):
+        calls.append(len(start))
+        return real_scan(data, start, count, tol_factor)
+
+    monkeypatch.setattr(spark_module, "scan_chunk", counting_scan)
+    result = exact_spark(matrix, workers=workers)
+    assert result.witness == (0, 1, 11)
+    assert result.subsets_examined == 12 + 66 + 10
+    hit_chunk = 9 // chunk
+    # chunks 0 .. hit_chunk + 2 * workers - 1 are the most ever submitted
+    assert calls.count(3) <= hit_chunk + 2 * workers
+    assert calls.count(2) == math.comb(12, 2) // chunk
