@@ -10,23 +10,21 @@ Exit codes: 0 success, 1 input error, 2 search budget exceeded,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from typing import Sequence
 
 from ._version import __version__
 from .config import ToleranceConfig, default_search_budget
-from .errors import BudgetExceeded, CliUsageError, SparkCertError
+from .errors import BudgetExceeded, CliUsageError, MatrixParseError, SparkCertError
 from .formats import (
-    format_float,
     parse_matrix_auto,
     parse_vector,
     write_csv,
     write_matrix_market,
 )
 from .generators import random_matrix, spiked_identity
-from .report import INFINITY_TOKEN, build_report, render_text, report_to_json
+from .report import INFINITY_TOKEN, build_report, render_text, report_to_json, show_number
 from .spark import (
     analyze_spark,
     coherence_index_lower_bound,
@@ -164,10 +162,13 @@ def build_parser() -> _Parser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 
 
 def _write_output(path: str | None, content: str) -> None:
@@ -274,19 +275,9 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         result = exact_spark(matrix, tolerances, budget, args.workers)
         elapsed = time.perf_counter() - start
-        exact_shown = (
-            str(result.spark.value) if result.spark.is_finite else INFINITY_TOKEN
-        )
-        index_bound = coherence_index_lower_bound(matrix, tolerances)
-        index_shown = (
-            INFINITY_TOKEN
-            if isinstance(index_bound, float) and math.isinf(index_bound)
-            else str(index_bound)
-        )
-        coherence_bound = mutual_coherence_lower_bound(matrix)
-        coherence_shown = (
-            "n/a" if coherence_bound is None else format_float(coherence_bound)
-        )
+        exact_shown = show_number(result.spark.value, missing=INFINITY_TOKEN)
+        index_shown = show_number(coherence_index_lower_bound(matrix, tolerances))
+        coherence_shown = show_number(mutual_coherence_lower_bound(matrix))
         print(
             f"{n:>4} {matrix.rows:>5} {matrix.cols:>5} {exact_shown:>12} "
             f"{index_shown:>12} {coherence_shown:>16} {result.subsets_examined:>10} "

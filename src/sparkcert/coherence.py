@@ -13,39 +13,34 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import NotUnderdetermined, TooFewColumns
-from .matrix import DenseMatrix, gram_matrix
+from .matrix import DenseMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceProfile:
     """Sorted pairwise coherences of a matrix plus derived summaries.
 
     coherences holds all cols*(cols-1)/2 off-diagonal Gram magnitudes in
     non-increasing order; prefix_sums[i] is the running sum of the first
-    i+1 of them; mutual_coherence is coherences[0]; coherence_index is the
-    smallest p with prefix_sums[p-1] >= 1 - index_slack, or None when even
-    the full sum falls short (only possible when the whole matrix is close
-    to orthogonal).
+    i+1 of them. Both are the matrix's read-only cached arrays, so
+    profiles do not compare by value. mutual_coherence is coherences[0];
+    coherence_index is the smallest p with prefix_sums[p-1] >= 1 -
+    index_slack, or None when even the full sum falls short (only possible
+    when the whole matrix is close to orthogonal).
     """
 
     pair_count: int
-    coherences: tuple[float, ...]
-    prefix_sums: tuple[float, ...]
+    coherences: np.ndarray
+    prefix_sums: np.ndarray
     mutual_coherence: float
     coherence_index: int | None
 
 
 def pairwise_coherences(matrix: DenseMatrix) -> np.ndarray:
-    """All off-diagonal coherences |a_k . a_j| / (|a_k| |a_j|), sorted non-increasing."""
+    """Off-diagonal coherences |a_k . a_j| / (|a_k| |a_j|), non-increasing; read-only, cached."""
     if matrix.cols < 2:
         raise TooFewColumns(f"need at least 2 columns, got {matrix.cols}")
-    g = gram_matrix(matrix)
-    iu = np.triu_indices(matrix.cols, k=1)
-    vals = np.abs(g[iu])
-    # Rounding can push a coherence a few ulps past 1 (e.g. duplicated
-    # columns); clamp so downstream thresholds see exact 1.
-    np.minimum(vals, 1.0, out=vals)
-    return np.sort(vals)[::-1]
+    return matrix.sorted_coherences[0]
 
 
 def smallest_qualifying_prefix(prefix_sums: np.ndarray, slack: float) -> int | None:
@@ -61,30 +56,16 @@ def coherence_profile(
     matrix: DenseMatrix,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> CoherenceProfile:
-    """Compute the full sorted-coherence profile of a matrix."""
+    """The coherence profile; only the index (it depends on index_slack) is new work."""
     vals = pairwise_coherences(matrix)
-    prefix = np.cumsum(vals)
-    index = smallest_qualifying_prefix(prefix, tolerances.index_slack)
+    prefix = matrix.sorted_coherences[1]
     return CoherenceProfile(
         pair_count=int(vals.size),
-        coherences=tuple(float(v) for v in vals),
-        prefix_sums=tuple(float(v) for v in prefix),
+        coherences=vals,
+        prefix_sums=prefix,
         mutual_coherence=float(vals[0]),
-        coherence_index=index,
+        coherence_index=smallest_qualifying_prefix(prefix, tolerances.index_slack),
     )
-
-
-def mutual_coherence(matrix: DenseMatrix) -> float:
-    """Largest pairwise coherence of the matrix."""
-    return float(pairwise_coherences(matrix)[0])
-
-
-def coherence_index(
-    matrix: DenseMatrix,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> int | None:
-    """Smallest p whose top-p coherence sum reaches 1, or None if none does."""
-    return coherence_profile(matrix, tolerances).coherence_index
 
 
 def top_coherence_sum(matrix: DenseMatrix, count: int | None = None) -> float:
@@ -102,7 +83,5 @@ def top_coherence_sum(matrix: DenseMatrix, count: int | None = None) -> float:
         count = matrix.rows
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    vals = pairwise_coherences(matrix)
-    prefix = np.cumsum(vals)
-    take = min(count, vals.size)
-    return float(prefix[take - 1])
+    prefix = matrix.sorted_coherences[1]
+    return float(prefix[min(count, prefix.size) - 1])

@@ -31,6 +31,10 @@ class ZeroColumn(SparkCertError):
         super().__init__(f"column {index} has norm below the zero-column tolerance")
 
 
+class NormOverflow(SparkCertError):
+    """A Euclidean norm (of a column or a residual) lies beyond the float64 range."""
+
+
 class IndexOutOfRange(SparkCertError):
     """A column index is outside [0, cols)."""
 

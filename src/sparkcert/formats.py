@@ -31,7 +31,10 @@ _MM_HEADER = re.compile(
 
 def _decode(text: str | bytes) -> str:
     if isinstance(text, bytes):
-        return text.decode("utf-8")
+        try:
+            return text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MatrixParseError(f"input is not valid UTF-8 (byte {exc.start})") from None
     return text
 
 
@@ -145,11 +148,7 @@ def parse_matrix_market(
 
     entries = body[1:]
     needed = rows * cols
-    if len(entries) < needed:
-        raise TruncatedData(
-            f"expected {needed} entries for a {rows}x{cols} matrix, found {len(entries)}"
-        )
-    if len(entries) > needed:
+    if len(entries) != needed:
         raise TruncatedData(
             f"expected {needed} entries for a {rows}x{cols} matrix, found {len(entries)}"
         )

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import InvalidN
-from .matrix import DenseMatrix, build_matrix
+from .matrix import DenseMatrix, build_matrix, euclidean_norm
 
 SPIKED_IDENTITY_TAG = "example31"
 
@@ -50,8 +50,6 @@ def random_matrix(
     rng = np.random.Generator(np.random.PCG64(seed))
     data = rng.standard_normal((rows, cols))
     for j in range(cols):
-        while math.sqrt(math.fsum(float(v) * float(v) for v in data[:, j])) <= (
-            tolerances.zero_column_tol
-        ):
+        while euclidean_norm(data[:, j]) <= tolerances.zero_column_tol:
             data[:, j] = rng.standard_normal(rows)
     return build_matrix(data, tolerances)

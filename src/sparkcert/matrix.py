@@ -8,18 +8,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import DimensionMismatch, IndexOutOfRange, NonFiniteEntry, ZeroColumn
+from .errors import DimensionMismatch, IndexOutOfRange, NonFiniteEntry, NormOverflow, ZeroColumn
 
 
-def _column_norm(col: np.ndarray) -> float:
-    # fsum gives a correctly rounded sum of squares; naive accumulation can
-    # be off by 1 ulp, which is enough to flip borderline coherence sums.
-    return math.sqrt(math.fsum(float(x) * float(x) for x in col))
+def euclidean_norm(values: np.ndarray) -> float:
+    """Euclidean norm from a correctly rounded sum of squares, safe from overflow.
+
+    Naive accumulation can be off by 1 ulp, enough to flip borderline
+    coherence sums. Scaling by an exact power of two first changes no bit
+    while no square leaves the float64 range. Raises NormOverflow when an
+    entry or the norm lies beyond that range.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    peak = float(np.max(np.abs(v), initial=0.0))
+    if not math.isfinite(peak):
+        raise NormOverflow("vector has an entry beyond the float64 range")
+    exponent = math.frexp(peak)[1]
+    y = np.ldexp(v, -exponent)
+    try:
+        return math.ldexp(math.sqrt(math.fsum((y * y).tolist())), exponent)
+    except OverflowError:
+        raise NormOverflow("Euclidean norm exceeds the float64 range") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,7 +42,8 @@ class DenseMatrix:
     """A finite float64 matrix with rows >= 1, cols >= 1, and no zero columns.
 
     data is C-contiguous and marked read-only; column_norms[j] is the exact
-    rounded Euclidean norm of column j.
+    rounded Euclidean norm of column j. As data cannot change, the sorted
+    coherences are cached on the instance (sorted_coherences).
     """
 
     data: np.ndarray
@@ -50,6 +66,24 @@ class DenseMatrix:
             raise IndexOutOfRange(f"column index {j} outside [0, {self.cols})")
         return self.data[:, j]
 
+    @cached_property
+    def sorted_coherences(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (coherences, prefix_sums), computed once, on first use.
+
+        coherences holds every |Gram| entry above the diagonal in
+        non-increasing order; prefix_sums holds their running sums.
+        """
+        g = gram_matrix(self)
+        vals = np.abs(g[np.triu_indices(self.cols, k=1)])
+        # Rounding can push a coherence a few ulps past 1 (e.g. duplicated
+        # columns); clamp so downstream thresholds see exact 1.
+        np.minimum(vals, 1.0, out=vals)
+        vals = -np.sort(-vals)  # a fresh array: no writable base behind it
+        prefix = np.cumsum(vals)
+        vals.setflags(write=False)
+        prefix.setflags(write=False)
+        return vals, prefix
+
 
 def build_matrix(
     values: Sequence[Sequence[float]] | np.ndarray,
@@ -59,7 +93,8 @@ def build_matrix(
 
     Raises DimensionMismatch for non-2-D or empty input, NonFiniteEntry if
     any entry is NaN or infinite, and ZeroColumn (with the 0-based column
-    index) if any column norm is <= zero_column_tol.
+    index) if any column norm is <= zero_column_tol. Raises NormOverflow
+    when a column norm lies beyond the float64 range.
     """
     arr = np.array(values, dtype=np.float64, order="C")
     if arr.ndim != 2:
@@ -69,7 +104,7 @@ def build_matrix(
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise NonFiniteEntry(f"entry ({bad[0]}, {bad[1]}) is not finite")
-    norms = tuple(_column_norm(arr[:, j]) for j in range(arr.shape[1]))
+    norms = tuple(euclidean_norm(arr[:, j]) for j in range(arr.shape[1]))
     for j, norm in enumerate(norms):
         if norm <= tolerances.zero_column_tol:
             raise ZeroColumn(j)
@@ -81,7 +116,7 @@ def normalize_columns(matrix: DenseMatrix) -> DenseMatrix:
     """Return a copy with every column scaled to unit Euclidean norm."""
     scaled = matrix.data / np.asarray(matrix.column_norms, dtype=np.float64)
     scaled = np.ascontiguousarray(scaled)
-    norms = tuple(_column_norm(scaled[:, j]) for j in range(scaled.shape[1]))
+    norms = tuple(euclidean_norm(scaled[:, j]) for j in range(scaled.shape[1]))
     scaled.setflags(write=False)
     return DenseMatrix(data=scaled, column_norms=norms)
 

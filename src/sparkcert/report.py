@@ -19,7 +19,7 @@ from .errors import ReportParseError
 from .formats import format_float
 from .matrix import DenseMatrix
 from .spark import SparkReport, SparkValue
-from .uniqueness import UniquenessCertificate, Verdict
+from .uniqueness import CRITERIA, UniquenessCertificate, Verdict
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "sparkcert"
@@ -75,7 +75,7 @@ def build_report(
     summary = CoherenceSummary(
         mutual_coherence=profile.mutual_coherence,
         coherence_index=profile.coherence_index,
-        top_coherences=profile.coherences[:TOP_COHERENCES_SHOWN],
+        top_coherences=tuple(profile.coherences[:TOP_COHERENCES_SHOWN].tolist()),
         top_coherence_sum=wide_sum,
     )
     return AnalysisReport(
@@ -198,8 +198,9 @@ def _req(tree: dict[str, Any], key: str) -> Any:
 
 
 def _as_float(value: Any, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ReportParseError(f"{key}: expected a number")
+    # math.isfinite raises OverflowError for an int beyond the float range
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ReportParseError(f"{key}: expected a finite number")
     return float(value)
 
 
@@ -230,11 +231,15 @@ def _parse_spark_value(tree: Any) -> SparkValue | None:
     raise ReportParseError(f"exact.kind: unknown kind {kind!r}")
 
 
+def _reject_constant(token: str) -> Any:
+    raise ReportParseError(f"invalid JSON: bare {token} (infinity is spelled {INFINITY_TOKEN!r})")
+
+
 def report_from_json(text: str) -> AnalysisReport:
     """Parse report JSON back into an AnalysisReport, bit-exact for doubles."""
     try:
-        tree = json.loads(text)
-    except json.JSONDecodeError as exc:
+        tree = json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
         raise ReportParseError(f"invalid JSON: {exc}") from None
     if not isinstance(tree, dict):
         raise ReportParseError("top level must be an object")
@@ -270,6 +275,9 @@ def report_from_json(text: str) -> AnalysisReport:
         cert_tree = _req(tree, "certificate")
         certificate = None
         if cert_tree is not None:
+            criteria = _req(cert_tree, "criteria_passed")
+            if not isinstance(criteria, list) or not CRITERIA.issuperset(criteria):
+                raise ReportParseError(f"criteria_passed: expected a list from {sorted(CRITERIA)}")
             certificate = UniquenessCertificate(
                 l0=_as_int(_req(cert_tree, "l0"), "l0"),
                 residual=_as_float(_req(cert_tree, "residual"), "residual"),
@@ -282,7 +290,7 @@ def report_from_json(text: str) -> AnalysisReport:
                 coherence_threshold=_as_opt_float(
                     _req(cert_tree, "coherence_threshold"), "coherence_threshold"
                 ),
-                criteria_passed=frozenset(_req(cert_tree, "criteria_passed")),
+                criteria_passed=frozenset(criteria),
                 verdict=Verdict(_req(cert_tree, "verdict")),
             )
 
@@ -337,11 +345,11 @@ def report_from_json(text: str) -> AnalysisReport:
         )
     except ReportParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ReportParseError(f"malformed report: {exc}") from None
 
 
-def _show_number(value: int | float | None, missing: str = "n/a") -> str:
+def show_number(value: int | float | None, missing: str = "n/a") -> str:
     if value is None:
         return missing
     if isinstance(value, float) and math.isinf(value):
@@ -358,18 +366,18 @@ def render_text(report: AnalysisReport) -> str:
     lines = [
         f"matrix: {report.matrix.rows} x {report.matrix.cols} "
         f"(source: {report.matrix.source})",
-        f"mutual coherence: {_show_number(coh.mutual_coherence)}",
-        f"coherence index: {_show_number(coh.coherence_index, missing=INFINITY_TOKEN)}",
+        f"mutual coherence: {show_number(coh.mutual_coherence)}",
+        f"coherence index: {show_number(coh.coherence_index, missing=INFINITY_TOKEN)}",
         "top coherences: " + ", ".join(format_float(v) for v in coh.top_coherences),
     ]
     if coh.top_coherence_sum is not None:
         lines.append(f"top-{report.matrix.rows} coherence sum: "
-                     f"{_show_number(coh.top_coherence_sum)}")
+                     f"{show_number(coh.top_coherence_sum)}")
     lines.append(
-        f"spark lower bound (mutual coherence): {_show_number(spk.mutual_coherence_bound)}"
+        f"spark lower bound (mutual coherence): {show_number(spk.mutual_coherence_bound)}"
     )
     lines.append(
-        f"spark lower bound (coherence index): {_show_number(spk.coherence_index_bound)}"
+        f"spark lower bound (coherence index): {show_number(spk.coherence_index_bound)}"
     )
     if spk.exact is not None:
         shown = str(spk.exact.value) if spk.exact.is_finite else INFINITY_TOKEN
@@ -388,10 +396,10 @@ def render_text(report: AnalysisReport) -> str:
     if cert is not None:
         lines.append(f"candidate support size: {cert.l0}")
         lines.append(f"candidate residual: {format_float(cert.residual)}")
-        lines.append(f"threshold (exact spark): {_show_number(cert.spark_threshold)}")
-        lines.append(f"threshold (coherence index): {_show_number(cert.index_threshold)}")
+        lines.append(f"threshold (exact spark): {show_number(cert.spark_threshold)}")
+        lines.append(f"threshold (coherence index): {show_number(cert.index_threshold)}")
         lines.append(
-            f"threshold (mutual coherence): {_show_number(cert.coherence_threshold)}"
+            f"threshold (mutual coherence): {show_number(cert.coherence_threshold)}"
         )
         lines.append("criteria passed: " + (", ".join(sorted(cert.criteria_passed)) or "none"))
         lines.append(f"verdict: {cert.verdict.value}")

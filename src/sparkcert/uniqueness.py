@@ -8,14 +8,12 @@ spark, the coherence-index bound, and the mutual-coherence bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
 import numpy as np
 
-from .coherence import coherence_profile
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, default_search_budget
 from .errors import (
     BudgetExceeded,
@@ -23,12 +21,13 @@ from .errors import (
     NonFiniteEntry,
     NoSolutionWithinKmax,
 )
-from .matrix import DenseMatrix
-from .spark import SparkValue
+from .matrix import DenseMatrix, euclidean_norm
+from .spark import SparkValue, coherence_index_lower_bound, mutual_coherence_lower_bound
 
 CRITERION_SPARK = "spark"
 CRITERION_INDEX = "coherence_index"
 CRITERION_COHERENCE = "mutual_coherence"
+CRITERIA = frozenset((CRITERION_SPARK, CRITERION_INDEX, CRITERION_COHERENCE))
 
 
 class Verdict(str, Enum):
@@ -70,11 +69,6 @@ def l0_norm(x: np.ndarray, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> 
     return int(np.count_nonzero(np.abs(arr) > tolerances.zero_entry_tol))
 
 
-def _residual_norm(matrix: DenseMatrix, x: np.ndarray, b: np.ndarray) -> float:
-    r = matrix.data @ x - b
-    return float(math.sqrt(math.fsum(float(v) * float(v) for v in r)))
-
-
 def certify(
     matrix: DenseMatrix,
     x: np.ndarray,
@@ -104,17 +98,11 @@ def certify(
         raise NonFiniteEntry("b contains NaN or infinity")
 
     sparsity = l0_norm(xv, tolerances)
-    residual = _residual_norm(matrix, xv, bv)
+    residual = euclidean_norm(matrix.data @ xv - bv)
 
-    profile = coherence_profile(matrix, tolerances)
-    if profile.coherence_index is None:
-        index_threshold = math.inf
-    else:
-        index_threshold = (1.0 + profile.coherence_index) / 2.0
-    if profile.mutual_coherence == 0.0:
-        coherence_threshold: float | None = None
-    else:
-        coherence_threshold = (1.0 + 1.0 / profile.mutual_coherence) / 2.0
+    index_threshold = coherence_index_lower_bound(matrix, tolerances) / 2.0
+    coherence_bound = mutual_coherence_lower_bound(matrix)
+    coherence_threshold = None if coherence_bound is None else coherence_bound / 2.0
 
     spark_threshold: float | None = None
     spark_passes = False
@@ -216,12 +204,11 @@ def sparsest_oracle(
     k_max = min(k_max, matrix.cols)
 
     examined = 0
-    b_norm = float(math.sqrt(math.fsum(float(v) * float(v) for v in bv)))
     for size in range(k_max + 1):
         found: list[OracleSolution] = []
         if size == 0:
             examined += 1
-            if b_norm <= tolerances.residual_tol:
+            if euclidean_norm(bv) <= tolerances.residual_tol:
                 found.append(OracleSolution(support=(), coefficients=()))
         else:
             for support in combinations(range(matrix.cols), size):
@@ -230,11 +217,7 @@ def sparsest_oracle(
                 examined += 1
                 sub = matrix.data[:, support]
                 coef, *_ = np.linalg.lstsq(sub, bv, rcond=None)
-                residual = sub @ coef - bv
-                res_norm = float(
-                    math.sqrt(math.fsum(float(v) * float(v) for v in residual))
-                )
-                if res_norm > tolerances.residual_tol:
+                if euclidean_norm(sub @ coef - bv) > tolerances.residual_tol:
                     continue
                 if np.any(np.abs(coef) <= tolerances.zero_entry_tol):
                     continue

@@ -3,9 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from sparkcert import parse_csv, parse_matrix_market, report_from_json, spiked_identity
+import sparkcert.coherence
+import sparkcert.matrix
+import sparkcert.spark
+from sparkcert import (
+    parse_csv,
+    parse_matrix_market,
+    random_matrix,
+    report_from_json,
+    spiked_identity,
+)
 from sparkcert.cli import main
-from sparkcert.formats import write_csv, write_matrix_market
+from sparkcert.formats import write_csv, write_matrix_market, write_vector
 
 
 def run(capsys, *argv):
@@ -71,6 +80,15 @@ def test_analyze_ragged_csv_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert "RaggedRows" in err
+
+
+def test_analyze_invalid_utf8_exits_1(capsys, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2\n\xff,3\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: MatrixParseError:")
 
 
 def test_analyze_missing_file_exits_1(capsys):
@@ -149,6 +167,54 @@ def test_certify_not_a_solution_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "certify", str(mp), "--x", str(xp), "--b", str(bp))
     assert code == 3
     assert "not_a_solution" in out
+
+
+def test_certify_residual_of_huge_entries_is_finite(capsys, tmp_path):
+    # the residual (1e200, 0) has a square that overflows unless scaled first
+    mp = tmp_path / "m.csv"
+    xp = tmp_path / "x.txt"
+    bp = tmp_path / "b.txt"
+    mp.write_text("1e200,1e200,0\n0,1e200,1e200\n")
+    xp.write_text("1\n0\n0\n")
+    bp.write_text("0\n0\n")
+    code, out, err = run(capsys, "certify", str(mp), "--x", str(xp), "--b", str(bp), "--json")
+    assert code == 3
+    report = report_from_json(out)
+    assert report.certificate.verdict.value == "not_a_solution"
+    assert report.certificate.residual == 1e200
+    assert report.spark.coherence_index_bound == 3
+
+
+def test_one_coherence_pass_per_command(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = sparkcert.matrix.gram_matrix
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    # patch every module that holds a reference, so no call goes uncounted
+    for module in (sparkcert.matrix, sparkcert.coherence, sparkcert.spark):
+        if hasattr(module, "gram_matrix"):
+            monkeypatch.setattr(module, "gram_matrix", counting)
+    m = random_matrix(6, 12, seed=7)
+    x = np.zeros(12)
+    x[[2, 9]] = (1.5, -0.5)
+    mp = tmp_path / "m.csv"
+    xp = tmp_path / "x.txt"
+    bp = tmp_path / "b.txt"
+    mp.write_text(write_csv(m.data))
+    xp.write_text(write_vector(x))
+    bp.write_text(write_vector(m.data @ x))
+    code, out, err = run(
+        capsys, "certify", str(mp), "--x", str(xp), "--b", str(bp), "--exact", "--json"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    calls.clear()
+    code, out, err = run(capsys, "analyze", str(mp), "--json")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_certify_budget_exits_2(capsys, tmp_path):

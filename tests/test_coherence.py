@@ -8,9 +8,7 @@ from sparkcert import (
     ToleranceConfig,
     TooFewColumns,
     build_matrix,
-    coherence_index,
     coherence_profile,
-    mutual_coherence,
     pairwise_coherences,
     random_matrix,
     spiked_identity,
@@ -27,8 +25,9 @@ def test_single_column_rejected():
 def test_orthogonal_columns(identity3):
     vals = pairwise_coherences(identity3)
     assert np.array_equal(vals, np.zeros(3))
-    assert mutual_coherence(identity3) == 0.0
-    assert coherence_index(identity3) is None
+    profile = coherence_profile(identity3)
+    assert profile.mutual_coherence == 0.0
+    assert profile.coherence_index is None
 
 
 def test_duplicated_column():
@@ -94,8 +93,25 @@ def test_index_is_minimal():
 def test_index_slack_loosens():
     m = build_matrix([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]])
     # coherences {0.6, 0.8, 0} -> top-1 sum 0.8 < 1, top-2 sum 1.4
-    assert coherence_index(m) == 2
-    assert coherence_index(m, ToleranceConfig(index_slack=0.25)) == 1
+    strict = coherence_profile(m)
+    loose = coherence_profile(m, ToleranceConfig(index_slack=0.25))
+    # both profiles read the one cached copy, yet each has its own index
+    assert loose.coherences is strict.coherences
+    assert strict.coherence_index == 2
+    assert loose.coherence_index == 1
+    assert coherence_profile(m).coherence_index == 2
+
+
+def test_cached_arrays_are_read_only():
+    m = random_matrix(4, 7, seed=2)
+    profile = coherence_profile(m)
+    assert pairwise_coherences(m) is profile.coherences
+    for arr in (profile.coherences, profile.prefix_sums):
+        assert arr.base is None  # no writable array behind the read-only one
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+        with pytest.raises(ValueError):
+            arr.sort()
 
 
 def test_permutation_invariance():

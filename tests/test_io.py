@@ -1,13 +1,18 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparkcert import (
+    MatrixParseError,
     NonFiniteEntry,
     RaggedRows,
     ReportParseError,
+    SparkCertError,
     SparkValue,
     TruncatedData,
     UnparseableNumber,
@@ -68,6 +73,12 @@ def test_parse_csv_propagates_validation():
 def test_parse_csv_bytes_input():
     m = parse_csv(b"2,0\n0,3\n")
     assert m.data[0, 0] == 2.0
+
+
+def test_parsers_reject_invalid_utf8():
+    for parse in (parse_csv, parse_matrix_market, parse_vector):
+        with pytest.raises(MatrixParseError):
+            parse(b"1,2\n\xff,3\n")
 
 
 def test_parse_vector_basic():
@@ -220,6 +231,89 @@ def test_report_parse_rejects_bad_input():
         report_from_json('{"schema_version": 1}')
     with pytest.raises(ReportParseError):
         report_from_json("[1, 2, 3]")
+    # the schema's only infinity is the string "infinity"
+    good = report_to_json(_full_report())
+    field = '"mutual_coherence": 0.80000000000000004'
+    assert field in good
+    for token in ("NaN", "Infinity", "-Infinity", "1e999"):
+        with pytest.raises(ReportParseError):
+            report_from_json(good.replace(field, f'"mutual_coherence": {token}'))
+
+
+_MM_HEADER = "%%MatrixMarket matrix array real general\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.binary(max_size=80),
+        st.text(max_size=80),
+        st.tuples(
+            st.sampled_from(["", _MM_HEADER, _MM_HEADER + "2 2\n", _MM_HEADER + "1 3\n"]),
+            st.text(alphabet="0123456789.,-+eE \n#%naif", max_size=80),
+        ).map("".join),
+    )
+)
+@example(b"1,2\n\xff,3\n")
+@example("1.5e308\n1.5e308\n")
+@example(_MM_HEADER + "2 1\n1.5e308\n1.5e308\n")
+@example(_MM_HEADER + "99999999999 99999999999\n1\n")
+@example("1e999\n")
+def test_parsers_raise_only_library_errors(raw):
+    for parse in (parse_csv, parse_matrix_market, parse_vector):
+        try:
+            parse(raw)
+        except SparkCertError:
+            pass
+
+
+_IDENTITY = build_matrix(np.eye(3))
+_REPORT_TREES = [
+    json.loads(report_to_json(report))
+    for report in (
+        _full_report(seed=3),
+        _full_report(with_certificate=False),
+        build_report(_IDENTITY, "id", analyze_spark(_IDENTITY)),
+    )
+]
+
+
+def _paths(tree, prefix=()):
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+_JUNK = st.sampled_from(
+    [math.nan, math.inf, -math.inf, "junk", "infinity", [], [1.5, "x"], {}, {"kind": "finite"},
+     None, True, -1, 10**400, 1e300]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_report_parse_raises_only_report_errors(data):
+    tree = copy.deepcopy(data.draw(st.sampled_from(_REPORT_TREES)))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        *path, key = data.draw(st.sampled_from(list(_paths(tree))))
+        container = tree
+        for step in path:
+            container = container[step]
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(data.draw(_JUNK))
+    # json.dumps spells nan and inf as the bare NaN and Infinity tokens
+    try:
+        report = report_from_json(json.dumps(tree))
+    except ReportParseError:
+        return
+    # whatever parses must serialize and render again
+    report_to_json(report)
+    render_text(report)
+
 
 
 def test_render_text_mentions_key_facts():

@@ -9,6 +9,8 @@ from sparkcert import (
     DimensionMismatch,
     IndexOutOfRange,
     NonFiniteEntry,
+    NormOverflow,
+    ToleranceConfig,
     ZeroColumn,
     build_matrix,
     column_submatrix,
@@ -17,6 +19,7 @@ from sparkcert import (
     numerical_rank,
     random_matrix,
 )
+from sparkcert.matrix import euclidean_norm
 
 
 def test_build_identity():
@@ -34,6 +37,32 @@ def test_build_rejects_zero_column():
 def test_build_rejects_tiny_column():
     with pytest.raises(ZeroColumn):
         build_matrix([[1.0, 1e-13], [0.0, 0.0]])
+
+
+def test_build_keeps_tiny_column_when_tolerance_is_zero():
+    # the squares of 1e-170 underflow to 0; scaled first, they do not
+    m = build_matrix([[1e-170, 1.0], [1e-170, 0.0]], ToleranceConfig(zero_column_tol=0.0))
+    assert m.column_norms[0] == pytest.approx(math.sqrt(2.0) * 1e-170, rel=1e-15)
+
+
+def test_build_rejects_norm_beyond_float64_range():
+    # every entry is finite, but the column norm 2.1e308 is not
+    with pytest.raises(NormOverflow):
+        build_matrix([[1.5e308, 1.0], [1.5e308, 0.0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    size=st.integers(min_value=1, max_value=39),
+    exponent=st.integers(min_value=-140, max_value=140),
+)
+def test_euclidean_norm_matches_unscaled_sum(seed, size, exponent):
+    # where no square overflows or underflows, scaling by a power of two
+    # changes no bit of the correctly rounded norm
+    v = np.random.default_rng(seed).standard_normal(size) * 10.0**exponent
+    reference = math.sqrt(math.fsum(float(x) * float(x) for x in v))
+    assert euclidean_norm(v) == reference
 
 
 def test_build_rejects_bad_shape():

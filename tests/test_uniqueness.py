@@ -11,6 +11,7 @@ from sparkcert import (
     Verdict,
     build_matrix,
     certify,
+    coherence_index_lower_bound,
     exact_spark,
     l0_norm,
     random_matrix,
@@ -54,6 +55,20 @@ def test_certify_not_a_solution():
     assert cert.verdict is Verdict.NOT_A_SOLUTION
     assert cert.criteria_passed == frozenset()
     assert cert.residual > 1e-9
+
+
+def test_certify_sound_at_extreme_magnitudes():
+    # column norms near 1.4e200, whose squares overflow unless scaled first
+    m = build_matrix([[1e200, 1e200, 0.0], [0.0, 1e200, 1e200]])
+    x = np.array([1.0, 0.0, 1.0])
+    b = m.data @ x
+    # (0, 1, 0) is a sparser solution, so x must not be certified unique
+    assert np.array_equal(m.data @ np.array([0.0, 1.0, 0.0]), b)
+    assert exact_spark(m).spark == SparkValue(kind="finite", value=3)
+    assert coherence_index_lower_bound(m) == 3
+    cert = certify(m, x, b)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert cert.criteria_passed == frozenset()
 
 
 def test_certify_zero_solution_passes():
