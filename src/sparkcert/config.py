@@ -25,6 +25,9 @@ class ToleranceConfig:
     """Numeric knobs for construction, rank tests, and certification.
 
     zero_column_tol: columns with norm <= this are rejected at build time.
+        The default is absolute, so a rejection depends on the scale of
+        the data; it stays, as every report embeds it. Pass 0 for scale
+        invariance (only exactly zero columns are rejected).
     zero_entry_tol: entries with |x| <= this count as zero for the l0 norm.
     residual_tol: max ||A x - b||_2 for x to count as a solution.
     rank_tol_factor: scale factor for the singular-value rank cutoff.

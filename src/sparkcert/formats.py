@@ -10,6 +10,8 @@ All error positions are reported 1-based.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterator, Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -38,18 +40,34 @@ def _decode(text: str | bytes) -> str:
     return text
 
 
-def _is_comment(line: str) -> bool:
-    return line.lstrip().startswith("#")
+def _lines(text: str, comment: str) -> Iterator[tuple[int, str]]:
+    """(1-based number, stripped line) of each line before the trailing blank ones.
+
+    Lines that start with `comment` once stripped are dropped.
+    """
+    body = text.rstrip()
+    for number, line in enumerate(body.split("\n") if body else (), 1):
+        line = line.strip()
+        if not line.startswith(comment):
+            yield number, line
 
 
-def _parse_number(token: str, line: int, col: int) -> float:
-    token = token.strip()
-    if not token:
-        raise UnparseableNumber(line, col)
+def _floats(tokens: Sequence[str], position: Callable[[int], tuple[int, int]]) -> np.ndarray:
+    """float() of each stripped token, as an array.
+
+    Raises UnparseableNumber at position(i), the (line, field) of the
+    first token that float() rejects. Tokens are stripped because float()
+    does not strip the separators \\x1c-\\x1f, as str.strip() does.
+    """
     try:
-        return float(token)
+        return np.fromiter(map(float, map(str.strip, tokens)), np.float64, len(tokens))
     except ValueError:
-        raise UnparseableNumber(line, col) from None
+        for i, token in enumerate(tokens):
+            try:
+                float(token.strip())
+            except ValueError:
+                raise UnparseableNumber(*position(i)) from None
+        raise
 
 
 def parse_csv(
@@ -57,23 +75,12 @@ def parse_csv(
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DenseMatrix:
     """Parse the CSV dialect into a validated DenseMatrix."""
-    lines = _decode(text).split("\n")
-    numbered = [(i + 1, line) for i, line in enumerate(lines)]
-    while numbered and numbered[-1][1].strip() == "":
-        numbered.pop()
-    rows: list[list[float]] = []
-    width: int | None = None
-    for lineno, line in numbered:
-        if _is_comment(line):
-            continue
+    rows: list[np.ndarray] = []
+    for lineno, line in _lines(_decode(text), "#"):
         fields = line.split(",")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
+        if rows and len(fields) != len(rows[0]):
             raise RaggedRows(lineno)
-        rows.append(
-            [_parse_number(f, lineno, c + 1) for c, f in enumerate(fields)]
-        )
+        rows.append(_floats(fields, lambda c: (lineno, c + 1)))
     if not rows:
         raise TruncatedData("no matrix rows found")
     return build_matrix(rows, tolerances)
@@ -81,18 +88,11 @@ def parse_csv(
 
 def parse_vector(text: str | bytes) -> np.ndarray:
     """Parse a one-number-per-line vector file."""
-    lines = _decode(text).split("\n")
-    numbered = [(i + 1, line) for i, line in enumerate(lines)]
-    while numbered and numbered[-1][1].strip() == "":
-        numbered.pop()
-    values: list[float] = []
-    for lineno, line in numbered:
-        if _is_comment(line):
-            continue
-        values.append(_parse_number(line, lineno, 1))
-    if not values:
+    text = _decode(text)
+    entries = [line for _, line in _lines(text, "#")]
+    if not entries:
         raise TruncatedData("no vector entries found")
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _floats(entries, lambda t: (next(islice(_lines(text, "#"), t, None))[0], 1))
     if not np.all(np.isfinite(arr)):
         bad = int(np.argwhere(~np.isfinite(arr))[0][0])
         raise NonFiniteEntry(f"vector entry {bad} is not finite")
@@ -104,10 +104,8 @@ def parse_matrix_market(
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DenseMatrix:
     """Parse a Matrix Market "array real general" file into a DenseMatrix."""
-    lines = _decode(text).split("\n")
-    if not lines:
-        raise TruncatedData("empty input")
-    header = _MM_HEADER.match(lines[0])
+    text = _decode(text)
+    header = _MM_HEADER.match(text.partition("\n")[0])
     if header is None:
         raise UnsupportedHeader(
             "line 1: expected '%%MatrixMarket matrix array real general'"
@@ -124,14 +122,14 @@ def parse_matrix_market(
     if symmetry != "general":
         raise UnsupportedHeader(f"unsupported symmetry {symmetry!r}; only 'general'")
 
-    body = [
-        (i + 1, line.strip())
-        for i, line in enumerate(lines)
-        if i > 0 and line.strip() != "" and not line.lstrip().startswith("%")
-    ]
-    if not body:
+    def body() -> Iterator[tuple[int, str]]:
+        # the header starts with '%', so it is dropped as a comment line
+        return ((lineno, line) for lineno, line in _lines(text, "%") if line)
+
+    lines = body()
+    size_lineno, size_line = next(lines, (0, ""))
+    if not size_line:
         raise TruncatedData("missing size line")
-    size_lineno, size_line = body[0]
     parts = size_line.split()
     if len(parts) != 2:
         raise MatrixParseError(
@@ -146,26 +144,23 @@ def parse_matrix_market(
     if rows < 1 or cols < 1:
         raise MatrixParseError(f"line {size_lineno}: dimensions must be positive")
 
-    entries = body[1:]
+    # Keep the entries alone: a (number, line) pair per entry nearly
+    # doubles the peak memory of a parse. Numbers are looked up on error.
+    entries = [line for _, line in lines]
     needed = rows * cols
     if len(entries) != needed:
         raise TruncatedData(
             f"expected {needed} entries for a {rows}x{cols} matrix, found {len(entries)}"
         )
-    data = np.empty((rows, cols), dtype=np.float64)
-    for t, (lineno, token) in enumerate(entries):
-        # column-major entry order
-        data[t % rows, t // rows] = _parse_number(token, lineno, 1)
-    return build_matrix(data, tolerances)
+    values = _floats(entries, lambda t: (next(islice(body(), t + 1, None))[0], 1))
+    # column-major entry order
+    return build_matrix(values.reshape(cols, rows).T, tolerances)
 
 
 def sniff_format(text: str | bytes) -> str:
     """Guess 'mm' when the first non-blank line is a Matrix Market header, else 'csv'."""
-    for line in _decode(text).split("\n"):
-        if line.strip() == "":
-            continue
-        return "mm" if line.lstrip().lower().startswith("%%matrixmarket") else "csv"
-    return "csv"
+    head = _decode(text).lstrip()[:14].lower()
+    return "mm" if head.startswith("%%matrixmarket") else "csv"
 
 
 def parse_matrix_auto(

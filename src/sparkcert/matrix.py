@@ -112,13 +112,26 @@ def build_matrix(
     return DenseMatrix(data=arr, column_norms=norms)
 
 
+def unit_columns(matrix: DenseMatrix, indices: Sequence[int] | slice = slice(None)) -> np.ndarray:
+    """The columns selected by `indices` (a list or a slice), each divided by its norm."""
+    norms = np.asarray(matrix.column_norms, dtype=np.float64)
+    return matrix.data[:, indices] / norms[indices]
+
+
 def normalize_columns(matrix: DenseMatrix) -> DenseMatrix:
     """Return a copy with every column scaled to unit Euclidean norm."""
-    scaled = matrix.data / np.asarray(matrix.column_norms, dtype=np.float64)
-    scaled = np.ascontiguousarray(scaled)
+    scaled = unit_columns(matrix)
     norms = tuple(euclidean_norm(scaled[:, j]) for j in range(scaled.shape[1]))
     scaled.setflags(write=False)
     return DenseMatrix(data=scaled, column_norms=norms)
+
+
+def unit_gram(unit: np.ndarray) -> np.ndarray:
+    """Gram matrix of unit-norm columns, symmetrized exactly, with a diagonal of exact 1s."""
+    g = unit.T @ unit
+    g = (g + g.T) / 2.0
+    np.fill_diagonal(g, 1.0)
+    return g
 
 
 def gram_matrix(matrix: DenseMatrix) -> np.ndarray:
@@ -127,12 +140,7 @@ def gram_matrix(matrix: DenseMatrix) -> np.ndarray:
     Entry (k, j) is the cosine of the angle between columns k and j; the
     diagonal is forced to exactly 1.
     """
-    norms = np.asarray(matrix.column_norms, dtype=np.float64)
-    unit = matrix.data / norms
-    g = unit.T @ unit
-    g = (g + g.T) / 2.0
-    np.fill_diagonal(g, 1.0)
-    return g
+    return unit_gram(unit_columns(matrix))
 
 
 def numerical_rank(

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Any
 
 from ._version import __version__
@@ -18,7 +21,7 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import ReportParseError
 from .formats import format_float
 from .matrix import DenseMatrix
-from .spark import SparkReport, SparkValue
+from .spark import SPARK_INFINITE, SparkReport, SparkValue
 from .uniqueness import CRITERIA, UniquenessCertificate, Verdict
 
 SCHEMA_VERSION = 1
@@ -120,115 +123,146 @@ def _emit(value: Any, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _maybe_infinite(value: int | float) -> int | float | str:
-    if isinstance(value, float) and math.isinf(value):
-        return INFINITY_TOKEN
+# Each report field has a codec: an (encode, decode) pair. encode maps the
+# field's value to its JSON value; decode(value, key) maps it back, raising
+# ReportParseError that names `key` when the value has the wrong type.
+Codec = tuple[Callable[[Any], Any], Callable[[Any, str], Any]]
+
+
+def _same(value: Any) -> Any:
     return value
 
 
-def _spark_value_tree(value: SparkValue | None) -> dict[str, Any] | None:
-    if value is None:
-        return None
-    if value.is_finite:
-        return {"kind": "finite", "value": value.value}
-    return {"kind": "infinite"}
+def _checked(
+    expected: str, accept: Callable[[Any], bool], convert: Callable[[Any], Any] = _same
+) -> Callable[[Any, str], Any]:
+    """A decoder that converts the values `accept` passes and rejects the rest."""
+
+    def decode(value: Any, key: str) -> Any:
+        if not accept(value):
+            raise ReportParseError(f"{key}: expected {expected}")
+        return convert(value)
+
+    return decode
 
 
-def _certificate_tree(cert: UniquenessCertificate | None) -> dict[str, Any] | None:
-    if cert is None:
-        return None
-    return {
-        "l0": cert.l0,
-        "residual": cert.residual,
-        "spark_threshold": cert.spark_threshold,
-        "index_threshold": _maybe_infinite(cert.index_threshold),
-        "coherence_threshold": cert.coherence_threshold,
-        "criteria_passed": sorted(cert.criteria_passed),
-        "verdict": cert.verdict.value,
-    }
+# bool is a subclass of int; math.isfinite raises OverflowError for an int
+# beyond the float range
+_INT: Codec = (_same, _checked(
+    "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)
+))
+_FLOAT: Codec = (_same, _checked(
+    "a finite number",
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    float,
+))
+_STR: Codec = (_same, _checked("a string", lambda v: isinstance(v, str)))
+_BOOL: Codec = (_same, _checked("true or false", lambda v: isinstance(v, bool)))
+_CRITERIA: Codec = (sorted, _checked(
+    f"a list from {sorted(CRITERIA)}",
+    lambda v: isinstance(v, list) and CRITERIA.issuperset(v),
+    frozenset,
+))
 
 
-def report_to_json(report: AnalysisReport) -> str:
-    """Serialize to the versioned JSON schema; inverse of report_from_json."""
-    tol = report.tolerances
-    coh = report.coherence
-    spk = report.spark
-    tree: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": report.tool_name, "version": report.tool_version},
-        "matrix": {
-            "rows": report.matrix.rows,
-            "cols": report.matrix.cols,
-            "source": report.matrix.source,
-        },
-        "seed": report.seed,
-        "tolerances": {
-            "zero_column_tol": tol.zero_column_tol,
-            "zero_entry_tol": tol.zero_entry_tol,
-            "residual_tol": tol.residual_tol,
-            "rank_tol_factor": tol.rank_tol_factor,
-            "index_slack": tol.index_slack,
-        },
-        "coherence": {
-            "mutual_coherence": coh.mutual_coherence,
-            "coherence_index": (
-                INFINITY_TOKEN if coh.coherence_index is None else coh.coherence_index
-            ),
-            "top_coherences": list(coh.top_coherences),
-            "top_coherence_sum": coh.top_coherence_sum,
-        },
-        "spark": {
-            "mutual_coherence_bound": spk.mutual_coherence_bound,
-            "coherence_index_bound": _maybe_infinite(spk.coherence_index_bound),
-            "exact": _spark_value_tree(spk.exact),
-            "witness": None if spk.witness is None else list(spk.witness),
-            "trivial_upper": spk.trivial_upper,
-            "search_budget_hit": spk.search_budget_hit,
-            "subsets_examined": spk.subsets_examined,
-        },
-        "certificate": _certificate_tree(report.certificate),
-    }
-    return _emit(tree, 0) + "\n"
+def _or(codec: Codec, token: Any, special: Any) -> Codec:
+    """The codec, with the JSON value `token` standing for `special`."""
+    encode, decode = codec
+    return (
+        lambda value: token if value == special else encode(value),
+        lambda value, key: special if value == token else decode(value, key),
+    )
 
 
-def _req(tree: dict[str, Any], key: str) -> Any:
+def _optional(codec: Codec) -> Codec:
+    return _or(codec, None, None)
+
+
+def _list_of(codec: Codec) -> Codec:
+    """A tuple, as a JSON list of the codec's values."""
+    encode, decode = codec
+    check = _checked("a list", lambda v: isinstance(v, list))
+    return (
+        lambda value: [encode(item) for item in value],
+        lambda value, key: tuple(decode(item, key) for item in check(value, key)),
+    )
+
+
+def _req(tree: Any, key: str) -> Any:
+    if not isinstance(tree, dict):
+        raise ReportParseError(f"expected an object holding {key!r}")
     if key not in tree:
         raise ReportParseError(f"missing key {key!r}")
     return tree[key]
 
 
-def _as_float(value: Any, key: str) -> float:
-    # math.isfinite raises OverflowError for an int beyond the float range
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ReportParseError(f"{key}: expected a finite number")
-    return float(value)
+def _encode_fields(fields: dict[str, Codec], obj: Any) -> dict[str, Any]:
+    return {name: encode(getattr(obj, name)) for name, (encode, _) in fields.items()}
 
 
-def _as_opt_float(value: Any, key: str) -> float | None:
-    return None if value is None else _as_float(value, key)
+def _decode_fields(fields: dict[str, Codec], tree: Any) -> dict[str, Any]:
+    return {name: decode(_req(tree, name), name) for name, (_, decode) in fields.items()}
 
 
-def _as_int(value: Any, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ReportParseError(f"{key}: expected an integer")
-    return value
+def _record(cls: type, fields: dict[str, Codec]) -> Codec:
+    """A dataclass, as a JSON object keyed by its field names."""
+    return partial(_encode_fields, fields), lambda tree, key: cls(**_decode_fields(fields, tree))
 
 
-def _as_float_or_infinity(value: Any, key: str) -> float:
-    if value == INFINITY_TOKEN:
-        return math.inf
-    return _as_float(value, key)
+# A finite exact spark; the infinite one is {"kind": "infinite"}, nothing more.
+_FINITE_SPARK = _record(SparkValue, {
+    "kind": (_same, _checked("'finite', or 'infinite' alone", lambda v: v == "finite")),
+    "value": _INT,
+})
 
 
-def _parse_spark_value(tree: Any) -> SparkValue | None:
-    if tree is None:
-        return None
-    kind = _req(tree, "kind")
-    if kind == "finite":
-        return SparkValue(kind="finite", value=_as_int(_req(tree, "value"), "exact.value"))
-    if kind == "infinite":
-        return SparkValue(kind="infinite")
-    raise ReportParseError(f"exact.kind: unknown kind {kind!r}")
+# The report after "tool", in schema order: the AnalysisReport fields
+# except the tool's, each section keyed by its dataclass's field names.
+_SECTIONS: dict[str, Codec] = {
+    "matrix": _record(MatrixMeta, {"rows": _INT, "cols": _INT, "source": _STR}),
+    "seed": _optional(_INT),
+    "tolerances": _record(ToleranceConfig, {
+        "zero_column_tol": _FLOAT,
+        "zero_entry_tol": _FLOAT,
+        "residual_tol": _FLOAT,
+        "rank_tol_factor": _FLOAT,
+        "index_slack": _FLOAT,
+    }),
+    "coherence": _record(CoherenceSummary, {
+        "mutual_coherence": _FLOAT,
+        "coherence_index": _or(_INT, INFINITY_TOKEN, None),
+        "top_coherences": _list_of(_FLOAT),
+        "top_coherence_sum": _optional(_FLOAT),
+    }),
+    "spark": _record(SparkReport, {
+        "mutual_coherence_bound": _optional(_FLOAT),
+        "coherence_index_bound": _or(_INT, INFINITY_TOKEN, math.inf),
+        "exact": _optional(_or(_FINITE_SPARK, {"kind": "infinite"}, SPARK_INFINITE)),
+        "witness": _optional(_list_of(_INT)),
+        "trivial_upper": _optional(_INT),
+        "search_budget_hit": _BOOL,
+        "subsets_examined": _optional(_INT),
+    }),
+    "certificate": _optional(_record(UniquenessCertificate, {
+        "l0": _INT,
+        "residual": _FLOAT,
+        "spark_threshold": _optional(_FLOAT),
+        "index_threshold": _or(_FLOAT, INFINITY_TOKEN, math.inf),
+        "coherence_threshold": _optional(_FLOAT),
+        "criteria_passed": _CRITERIA,
+        "verdict": (attrgetter("value"), lambda value, key: Verdict(value)),
+    })),
+}
+
+
+def report_to_json(report: AnalysisReport) -> str:
+    """Serialize to the versioned JSON schema; inverse of report_from_json."""
+    tree = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": report.tool_name, "version": report.tool_version},
+        **_encode_fields(_SECTIONS, report),
+    }
+    return _emit(tree, 0) + "\n"
 
 
 def _reject_constant(token: str) -> Any:
@@ -241,111 +275,17 @@ def report_from_json(text: str) -> AnalysisReport:
         tree = json.loads(text, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
         raise ReportParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(tree, dict):
-        raise ReportParseError("top level must be an object")
     version = _req(tree, "schema_version")
     if version != SCHEMA_VERSION:
         raise ReportParseError(f"unsupported schema_version {version!r}")
     try:
         tool = _req(tree, "tool")
-        m = _req(tree, "matrix")
-        tol = _req(tree, "tolerances")
-        coh = _req(tree, "coherence")
-        spk = _req(tree, "spark")
-
-        raw_index = _req(coh, "coherence_index")
-        coherence_index = None if raw_index == INFINITY_TOKEN else _as_int(
-            raw_index, "coherence_index"
-        )
-
-        raw_bound = _req(spk, "coherence_index_bound")
-        index_bound: int | float
-        if raw_bound == INFINITY_TOKEN:
-            index_bound = math.inf
-        else:
-            index_bound = _as_int(raw_bound, "coherence_index_bound")
-
-        raw_witness = _req(spk, "witness")
-        witness = (
-            None
-            if raw_witness is None
-            else tuple(_as_int(w, "witness") for w in raw_witness)
-        )
-
-        cert_tree = _req(tree, "certificate")
-        certificate = None
-        if cert_tree is not None:
-            criteria = _req(cert_tree, "criteria_passed")
-            if not isinstance(criteria, list) or not CRITERIA.issuperset(criteria):
-                raise ReportParseError(f"criteria_passed: expected a list from {sorted(CRITERIA)}")
-            certificate = UniquenessCertificate(
-                l0=_as_int(_req(cert_tree, "l0"), "l0"),
-                residual=_as_float(_req(cert_tree, "residual"), "residual"),
-                spark_threshold=_as_opt_float(
-                    _req(cert_tree, "spark_threshold"), "spark_threshold"
-                ),
-                index_threshold=_as_float_or_infinity(
-                    _req(cert_tree, "index_threshold"), "index_threshold"
-                ),
-                coherence_threshold=_as_opt_float(
-                    _req(cert_tree, "coherence_threshold"), "coherence_threshold"
-                ),
-                criteria_passed=frozenset(criteria),
-                verdict=Verdict(_req(cert_tree, "verdict")),
-            )
-
-        raw_trivial = _req(spk, "trivial_upper")
-        raw_examined = _req(spk, "subsets_examined")
-        raw_seed = _req(tree, "seed")
-        raw_wide_sum = _req(coh, "top_coherence_sum")
         return AnalysisReport(
-            matrix=MatrixMeta(
-                rows=_as_int(_req(m, "rows"), "rows"),
-                cols=_as_int(_req(m, "cols"), "cols"),
-                source=str(_req(m, "source")),
-            ),
-            seed=None if raw_seed is None else _as_int(raw_seed, "seed"),
-            tolerances=ToleranceConfig(
-                zero_column_tol=_as_float(_req(tol, "zero_column_tol"), "zero_column_tol"),
-                zero_entry_tol=_as_float(_req(tol, "zero_entry_tol"), "zero_entry_tol"),
-                residual_tol=_as_float(_req(tol, "residual_tol"), "residual_tol"),
-                rank_tol_factor=_as_float(_req(tol, "rank_tol_factor"), "rank_tol_factor"),
-                index_slack=_as_float(_req(tol, "index_slack"), "index_slack"),
-            ),
-            coherence=CoherenceSummary(
-                mutual_coherence=_as_float(
-                    _req(coh, "mutual_coherence"), "mutual_coherence"
-                ),
-                coherence_index=coherence_index,
-                top_coherences=tuple(
-                    _as_float(v, "top_coherences") for v in _req(coh, "top_coherences")
-                ),
-                top_coherence_sum=(
-                    None if raw_wide_sum is None else _as_float(raw_wide_sum, "top_coherence_sum")
-                ),
-            ),
-            spark=SparkReport(
-                mutual_coherence_bound=_as_opt_float(
-                    _req(spk, "mutual_coherence_bound"), "mutual_coherence_bound"
-                ),
-                coherence_index_bound=index_bound,
-                exact=_parse_spark_value(_req(spk, "exact")),
-                witness=witness,
-                trivial_upper=(
-                    None if raw_trivial is None else _as_int(raw_trivial, "trivial_upper")
-                ),
-                search_budget_hit=bool(_req(spk, "search_budget_hit")),
-                subsets_examined=(
-                    None if raw_examined is None else _as_int(raw_examined, "subsets_examined")
-                ),
-            ),
-            certificate=certificate,
-            tool_name=str(_req(tool, "name")),
-            tool_version=str(_req(tool, "version")),
+            **_decode_fields(_SECTIONS, tree),
+            tool_name=_STR[1](_req(tool, "name"), "tool.name"),
+            tool_version=_STR[1](_req(tool, "version"), "tool.version"),
         )
-    except ReportParseError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ReportParseError(f"malformed report: {exc}") from None
 
 

@@ -34,7 +34,7 @@ from .errors import (
     TooFewColumns,
 )
 from .kernels import scan_chunk, unrank_combination
-from .matrix import DenseMatrix, column_submatrix, gram_matrix
+from .matrix import DenseMatrix, column_submatrix, unit_columns, unit_gram
 
 UNIT_DIAGONAL_TOL = 1e-12
 
@@ -186,7 +186,10 @@ def exact_spark(
         raise ValueError(f"budget must be positive, got {budget}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    data = np.ascontiguousarray(matrix.data)
+    # Rank is invariant under positive column scaling, and the cutoff is
+    # relative to the largest singular value: on raw columns a short
+    # column next to a long one would count as zero.
+    data = unit_columns(matrix)
     cols = matrix.cols
     examined = 0
     for size in range(1, cols + 1):
@@ -273,6 +276,4 @@ def gram_minor(matrix: DenseMatrix, indices: tuple[int, ...]) -> np.ndarray:
     if len(indices) < 1:
         raise DimensionMismatch("at least one column index is required")
     column_submatrix(matrix, indices)  # validates ordering and range
-    g = gram_matrix(matrix)
-    sel = np.asarray(indices, dtype=np.int64)
-    return np.ascontiguousarray(g[np.ix_(sel, sel)])
+    return unit_gram(unit_columns(matrix, list(indices)))

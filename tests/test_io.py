@@ -238,6 +238,19 @@ def test_report_parse_rejects_bad_input():
     for token in ("NaN", "Infinity", "-Infinity", "1e999"):
         with pytest.raises(ReportParseError):
             report_from_json(good.replace(field, f'"mutual_coherence": {token}'))
+    # values of the wrong type
+    tree = json.loads(good)
+    for section, key, value in (
+        ("spark", "search_budget_hit", "junk"),
+        ("matrix", "source", 5),
+        ("spark", "witness", {}),
+        ("coherence", "top_coherences", {}),
+        ("tool", "name", [1]),
+    ):
+        bad = copy.deepcopy(tree)
+        bad[section][key] = value
+        with pytest.raises(ReportParseError):
+            report_from_json(json.dumps(bad))
 
 
 _MM_HEADER = "%%MatrixMarket matrix array real general\n"
@@ -265,6 +278,82 @@ def test_parsers_raise_only_library_errors(raw):
             parse(raw)
         except SparkCertError:
             pass
+
+
+_GOOD_TOKEN = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e6).map(repr),
+    st.floats(min_value=-1e6, max_value=-1e-3).map(repr),
+    st.sampled_from(["1e3", "+2", ".5", "5.", "-7", "2E-2", " 3 ", "\t4"]),
+)
+_BAD_TOKEN = st.sampled_from(["x", "1..2", "--1", "1e", "e5", "0x1A", "1 2", "", " ", "\t"])
+# (token, whether float() accepts it); one cell in six is bad
+_CELL = st.tuples(st.integers(0, 5), _GOOD_TOKEN, _BAD_TOKEN).map(
+    lambda t: (t[1], True) if t[0] else (t[2], False)
+)
+
+
+def _expect(parse, text, error, values):
+    if error is None:
+        result = parse(text)
+        assert np.array_equal(getattr(result, "data", result), values)
+        return
+    kind, line, col = error
+    with pytest.raises(kind) as exc:
+        parse(text)
+    if kind is RaggedRows:
+        assert exc.value.line == line
+    if kind is UnparseableNumber:
+        assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parsers_report_first_error_in_file_order(data):
+    width = data.draw(st.integers(min_value=1, max_value=4))
+    row = st.lists(_CELL, min_size=width, max_size=width) | st.lists(_CELL, min_size=1, max_size=5)
+    # None is a comment line; a row of one blank cell is a blank line
+    lines = data.draw(st.lists(st.none() | row, min_size=1, max_size=6))
+    trailing = data.draw(st.sampled_from(["", "\n", "\n\n \n"]))
+
+    # CSV and vector read the same text, up to its trailing blank lines
+    text_lines = ["  # note" if cells is None else ",".join(t for t, _ in cells) for cells in lines]
+    while text_lines and not text_lines[-1].strip():
+        text_lines.pop()
+    rows = [(n, cells) for n, cells in enumerate(lines[: len(text_lines)], 1) if cells is not None]
+    csv_error = vector_error = None if rows else (TruncatedData, None, None)
+    for n, cells in rows:
+        bad = [c for c, (_, ok) in enumerate(cells, 1) if not ok]
+        if csv_error is None and len(cells) != len(rows[0][1]):
+            csv_error = (RaggedRows, n, None)
+        if csv_error is None and bad:
+            csv_error = (UnparseableNumber, n, bad[0])
+        if vector_error is None and (len(cells) != 1 or bad):
+            vector_error = (UnparseableNumber, n, 1)
+    values = [[float(t) for t, ok in cells if ok] for _, cells in rows]
+    text = "\n".join(text_lines) + trailing
+    _expect(parse_csv, text, csv_error, values)
+    _expect(parse_vector, text, vector_error, [v for row in values for v in row])
+
+    # Matrix Market: one cell per line after the header and size lines;
+    # blank lines are skipped wherever they are
+    mm_lines, entries = [], []
+    for cells in lines:
+        for token, ok in [("% note", True)] if cells is None else cells:
+            mm_lines.append(token)
+            if cells is not None and token.strip():
+                entries.append((len(mm_lines) + 2, token, ok))
+    n = len(entries)
+    r = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0] or [1]))
+    c = max(n // r, 1) + data.draw(st.sampled_from([0, 0, 0, 1]))
+    bad = [line for line, _, ok in entries if not ok]
+    mm_error = (
+        (TruncatedData, None, None) if r * c != n
+        else (UnparseableNumber, bad[0], 1) if bad
+        else None
+    )
+    mm_values = np.array([float(t) for _, t, _ in entries]).reshape(c, r).T if mm_error is None else None
+    mm_text = "\n".join([_MM_HEADER.strip(), f"{r} {c}", *mm_lines]) + trailing
+    _expect(parse_matrix_market, mm_text, mm_error, mm_values)
 
 
 _IDENTITY = build_matrix(np.eye(3))

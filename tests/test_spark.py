@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
+import sparkcert
 from sparkcert import (
     BudgetExceeded,
     NotSquare,
     NotUnitDiagonal,
     SparkValue,
+    ToleranceConfig,
     TooFewColumns,
     analyze_spark,
     build_matrix,
     coherence_index_lower_bound,
     exact_spark,
+    gram_matrix,
     gram_minor,
     is_diagonally_dominant,
     mutual_coherence_lower_bound,
@@ -110,6 +113,18 @@ def test_exact_spark_permutation_and_scaling_invariance():
         assert exact_spark(perm).spark == base
         scaled = build_matrix(m.data * np.linspace(0.5, 4.0, 7))
         assert exact_spark(scaled).spark == base
+    # column scalings from 1e-150 to 1e150 keep the answer and the bound chain
+    keep_short = ToleranceConfig(zero_column_tol=0.0)
+    for seed in range(20):
+        m = random_matrix(4, 8, seed=seed)
+        scales = 10.0 ** np.random.default_rng(seed).uniform(-150, 150, size=8)
+        if seed == 0:
+            scales = np.array([1e-150, 1e150] * 4)
+        extreme = build_matrix(m.data * scales, keep_short)
+        result = exact_spark(extreme, keep_short)
+        assert result == exact_spark(m)
+        index_bound = coherence_index_lower_bound(extreme, keep_short)
+        assert result.spark.value >= index_bound >= mutual_coherence_lower_bound(extreme)
 
 
 def test_serial_parallel_identical_small():
@@ -215,6 +230,25 @@ def test_spiked_gram_minor_not_dominant():
     assert not is_diagonally_dominant(g)
     row_sums = np.abs(g).sum(axis=1) - 1.0
     assert np.allclose(sorted(row_sums), [0.6, 0.8, 1.4])
+
+
+def test_gram_minor_uses_only_the_selected_columns(monkeypatch):
+    cases = []
+    for seed in range(40):
+        m = random_matrix(2 + seed % 11, 3 + seed % 17, seed=seed)
+        cases.append((m, gram_matrix(m), np.random.default_rng(seed)))
+    calls = []
+    for module in (sparkcert.matrix, sparkcert.spark):
+        if hasattr(module, "gram_matrix"):
+            monkeypatch.setattr(module, "gram_matrix", calls.append)
+    for m, full, rng in cases:
+        size = int(rng.integers(1, m.cols + 1))
+        indices = tuple(sorted(int(j) for j in rng.choice(m.cols, size=size, replace=False)))
+        minor = gram_minor(m, indices)
+        assert np.array_equal(minor, minor.T)
+        assert np.all(np.diag(minor) == 1.0)
+        assert np.max(np.abs(minor - full[np.ix_(indices, indices)])) <= 1e-15
+    assert calls == []
 
 
 def test_dominant_minor_has_full_rank():
