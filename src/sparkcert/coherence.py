@@ -2,7 +2,9 @@
 
 The coherence index of a matrix is the smallest count p such that the p
 largest pairwise coherences sum to at least 1. It drives a sharper spark
-lower bound than mutual coherence alone.
+lower bound than mutual coherence alone. The computed sums are tested
+against 1 less the rounding they may carry, so the index never exceeds
+the one exact arithmetic would give.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ class CoherenceProfile:
     i+1 of them. Both are the matrix's read-only cached arrays, so
     profiles do not compare by value. mutual_coherence is coherences[0];
     coherence_index is the smallest p with prefix_sums[p-1] >= 1 -
-    index_slack, or None when even the full sum falls short (only possible
-    when the whole matrix is close to orthogonal).
+    index_slack - p * coherence_rounding(rows), or None when even the full
+    sum falls short (only possible when the whole matrix is close to
+    orthogonal).
     """
 
     pair_count: int
@@ -43,13 +46,33 @@ def pairwise_coherences(matrix: DenseMatrix) -> np.ndarray:
     return matrix.sorted_coherences[0]
 
 
-def smallest_qualifying_prefix(prefix_sums: np.ndarray, slack: float) -> int | None:
-    """Smallest p (1-based) with prefix_sums[p-1] >= 1 - slack, else None."""
+def smallest_qualifying_prefix(
+    prefix_sums: np.ndarray, slack: float, rounding: float
+) -> int | None:
+    """Smallest p (1-based) with prefix_sums[p-1] + p * rounding >= 1 - slack, else None."""
     target = 1.0 - slack
-    pos = int(np.searchsorted(prefix_sums, target, side="left"))
-    if pos >= len(prefix_sums):
+    # The allowance only lowers the bar, so the answer is at most `last`,
+    # the first p that clears it without one; any earlier p lies within
+    # last * rounding of it (doubled to absorb the rounding of the test)
+    # and only those few sums are tested, not every pair.
+    last = min(int(np.searchsorted(prefix_sums, target, side="left")) + 1, len(prefix_sums))
+    first = int(np.searchsorted(prefix_sums, target - 2.0 * last * rounding, side="left")) + 1
+    p = np.arange(first, last + 1)
+    qualifies = prefix_sums[first - 1 : last] + p * rounding >= target
+    if not qualifies.any():
         return None
-    return pos + 1
+    return int(p[np.argmax(qualifies)])
+
+
+def coherence_rounding(rows: int) -> float:
+    """Bound on how far a computed coherence can fall below the exact one.
+
+    Each coherence is a length-rows dot product of computed unit columns,
+    which is off by at most about (rows + 8) * eps, and a prefix sum adds
+    up to 2 * eps per term; twice (rows + 8) * eps covers both. Without it
+    a duplicated column can read 1 - eps and leave the index undefined.
+    """
+    return 2.0 * (rows + 8) * float(np.finfo(np.float64).eps)
 
 
 def coherence_profile(
@@ -64,7 +87,9 @@ def coherence_profile(
         coherences=vals,
         prefix_sums=prefix,
         mutual_coherence=float(vals[0]),
-        coherence_index=smallest_qualifying_prefix(prefix, tolerances.index_slack),
+        coherence_index=smallest_qualifying_prefix(
+            prefix, tolerances.index_slack, coherence_rounding(matrix.rows)
+        ),
     )
 
 

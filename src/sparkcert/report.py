@@ -151,7 +151,9 @@ def _checked(
 _INT: Codec = (_same, _checked(
     "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)
 ))
-_FLOAT: Codec = (_same, _checked(
+# float() on the way out too, so an integer-valued field (a tolerance of 0)
+# is written as 0.0, as report_from_json reads it back
+_FLOAT: Codec = (float, _checked(
     "a finite number",
     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
     float,

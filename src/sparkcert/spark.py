@@ -6,10 +6,11 @@ Two cheap lower bounds come from the coherence profile; the exact value
 comes from a budgeted exhaustive subset search.
 
 The search tests sizes 1, 2, ... and, within a size, subsets in
-lexicographic order, through the batched SVD kernel in the kernels
-module. With one worker a size is one kernel run from its first subset;
-with more, it is cut into PARALLEL_CHUNK-sized runs that threads scan
-concurrently, each starting from its chunk's first subset by unranking.
+lexicographic order, through the batched Cholesky-then-SVD kernel in the
+kernels module. With one worker a size is one kernel run from its first
+subset; with more, it is cut into PARALLEL_CHUNK-sized runs that threads
+scan concurrently, each starting from its chunk's first subset by
+unranking.
 Either way the witness and the subset count are those of the serial
 order.
 """
@@ -130,6 +131,7 @@ def coherence_index_lower_bound(
 
 def _scan_size_parallel(
     data: np.ndarray,
+    gram: np.ndarray,
     size: int,
     count: int,
     tol_factor: float,
@@ -149,7 +151,7 @@ def _scan_size_parallel(
     def job(start: int) -> tuple[int, int, tuple[int, ...] | None]:
         chunk = min(PARALLEL_CHUNK, count - start)
         idx = unrank_combination(cols, size, start)
-        pos, hit = scan_chunk(data, idx, chunk, tol_factor)
+        pos, hit = scan_chunk(data, gram, idx, chunk, tol_factor)
         return start, pos, hit
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -190,6 +192,7 @@ def exact_spark(
     # relative to the largest singular value: on raw columns a short
     # column next to a long one would count as zero.
     data = unit_columns(matrix)
+    gram = unit_gram(data)
     cols = matrix.cols
     examined = 0
     for size in range(1, cols + 1):
@@ -199,11 +202,11 @@ def exact_spark(
             raise BudgetExceeded(examined)
         if workers == 1 or allowed < 2 * PARALLEL_CHUNK:
             hit_rank, witness = scan_chunk(
-                data, tuple(range(size)), allowed, tolerances.rank_tol_factor
+                data, gram, tuple(range(size)), allowed, tolerances.rank_tol_factor
             )
         else:
             hit_rank, witness = _scan_size_parallel(
-                data, size, allowed, tolerances.rank_tol_factor, workers
+                data, gram, size, allowed, tolerances.rank_tol_factor, workers
             )
         if witness is not None:
             return SparkSearchResult(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sparkcert import (
     NotUnderdetermined,
@@ -14,6 +16,7 @@ from sparkcert import (
     spiked_identity,
     top_coherence_sum,
 )
+from sparkcert.coherence import smallest_qualifying_prefix
 
 
 def test_single_column_rejected():
@@ -147,3 +150,21 @@ def test_top_coherence_sum_lower_bound_sweep():
     for seed in range(50):
         m = random_matrix(3, 7, seed=seed)
         assert top_coherence_sum(m) >= 1.0 - 1e-12
+
+
+@given(
+    coherences=st.lists(
+        st.sampled_from([0.0, 3e-16, 1e-15, 0.1, 1 / 3, 0.5, 1.0 - 4.4e-16, 1.0]),
+        min_size=1,
+        max_size=30,
+    ),
+    slack=st.sampled_from([0.0, 1e-14, 0.25]),
+    rounding=st.sampled_from([0.0, 1e-15, 1e-14, 1e-3]),
+)
+def test_index_matches_a_test_of_every_prefix(coherences, slack, rounding):
+    prefix = np.cumsum(sorted(coherences, reverse=True))
+    qualifying = [
+        p for p in range(1, len(prefix) + 1) if prefix[p - 1] + p * rounding >= 1.0 - slack
+    ]
+    expected = qualifying[0] if qualifying else None
+    assert smallest_qualifying_prefix(prefix, slack, rounding) == expected

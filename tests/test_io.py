@@ -14,6 +14,7 @@ from sparkcert import (
     ReportParseError,
     SparkCertError,
     SparkValue,
+    ToleranceConfig,
     TruncatedData,
     UnparseableNumber,
     UnsupportedHeader,
@@ -207,6 +208,16 @@ def test_report_json_round_trip_infinite_values():
     assert parsed == report
     assert parsed.spark.exact == SparkValue(kind="infinite")
     assert parsed.coherence.coherence_index is None
+
+
+def test_report_json_round_trip_integer_tolerances():
+    tolerances = ToleranceConfig(zero_column_tol=0, residual_tol=1, index_slack=0)
+    m = build_matrix(spiked_identity(4).data, tolerances)
+    report = build_report(m, "ints", analyze_spark(m, tolerances, compute_exact=True), tolerances)
+    text = report_to_json(report)
+    assert '"zero_column_tol": 0.0' in text
+    assert '"residual_tol": 1.0' in text
+    assert report_to_json(report_from_json(text)) == text
 
 
 def test_report_json_is_valid_json():

@@ -6,11 +6,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparkcert import BudgetExceeded, build_matrix, exact_spark, random_matrix
+from sparkcert import (
+    BudgetExceeded,
+    ToleranceConfig,
+    build_matrix,
+    exact_spark,
+    random_matrix,
+    spiked_identity,
+)
 from sparkcert import spark as spark_module
+from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
 from sparkcert.kernels import scan_chunk, unrank_combination
+from sparkcert.matrix import unit_columns, unit_gram
 
 EPS = float(np.finfo(np.float64).eps)
+
+
+def _unit(data):
+    """Unit-norm columns of `data` and their unit Gram matrix, as exact_spark scans them."""
+    unit = unit_columns(build_matrix(data))
+    return unit, unit_gram(unit)
 
 
 def test_unrank_matches_itertools():
@@ -28,25 +43,25 @@ def test_unrank_out_of_range():
 
 
 def test_scan_finds_duplicate_pair():
-    data = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    data, gram = _unit(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
     idx = np.array([0, 1], dtype=np.int64)
-    pos, hit = scan_chunk(data, idx, 3, EPS)
+    pos, hit = scan_chunk(data, gram, idx, 3, EPS)
     # pairs in order: (0,1) independent, (0,2) dependent
     assert pos == 1
     assert tuple(hit) == (0, 2)
 
 
 def test_scan_reports_no_hit():
-    data = np.eye(4)
+    data, gram = _unit(np.eye(4))
     idx = np.array([0, 1], dtype=np.int64)
-    pos, _ = scan_chunk(data, idx, 6, EPS)
+    pos, _ = scan_chunk(data, gram, idx, 6, EPS)
     assert pos == -1
 
 
 def test_scan_respects_count():
-    data = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    data, gram = _unit(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
     idx = np.array([0, 1], dtype=np.int64)
-    pos, _ = scan_chunk(data, idx, 1, EPS)
+    pos, _ = scan_chunk(data, gram, idx, 1, EPS)
     assert pos == -1
 
 
@@ -57,17 +72,19 @@ def test_scan_from_every_start_keeps_lexicographic_order(monkeypatch, gather_byt
     monkeypatch.setattr("sparkcert.kernels.GATHER_BYTES", gather_bytes)
     data = random_matrix(3, 7, seed=1).data.copy()
     data[:, 6] = data[:, 2] - 2.0 * data[:, 4]
+    data, gram = _unit(data)
     subsets = list(combinations(range(7), 3))
     hit_rank = subsets.index((2, 4, 6))
     for start in range(len(subsets)):
-        pos, hit = scan_chunk(data, unrank_combination(7, 3, start), len(subsets) - start, EPS)
+        start_idx = unrank_combination(7, 3, start)
+        pos, hit = scan_chunk(data, gram, start_idx, len(subsets) - start, EPS)
         if start <= hit_rank:
             assert (pos, hit) == (hit_rank - start, (2, 4, 6))
         else:
             assert (pos, hit) == (-1, None)
 
 
-def _brute_force(data: np.ndarray):
+def _brute_force(data: np.ndarray, tol_factor: float = EPS):
     """Spark, witness and subsets examined, one SVD per subset in itertools order."""
     rows, cols = data.shape
     examined = 0
@@ -75,7 +92,7 @@ def _brute_force(data: np.ndarray):
         for subset in combinations(range(cols), size):
             examined += 1
             s = np.linalg.svd(data[:, subset], compute_uv=False)
-            cutoff = EPS * s[0] * max(rows, size)
+            cutoff = tol_factor * s[0] * max(rows, size)
             if np.count_nonzero(s > cutoff) < size:
                 return size, subset, examined
     return None, None, examined
@@ -91,25 +108,40 @@ def search_matrices(draw):
     else:
         data = rng.standard_normal((rows, cols))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        # a duplicated column, or an integer combination of up to three others
+        # a duplicated column, or an integer combination of up to three
+        # others, exact or off by noise of 10**-k: near-dependent subsets
+        # put the Cholesky filter's shift on either side of their smallest
+        # eigenvalue
         target = draw(st.integers(min_value=0, max_value=cols - 1))
         sources = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=3, unique=True))
         weights = draw(st.lists(st.integers(-2, 2), min_size=len(sources), max_size=len(sources)))
         data[:, target] = data[:, sources] @ np.array(weights, dtype=np.float64)
+        if draw(st.booleans()):
+            noise = 10.0 ** -draw(st.integers(min_value=1, max_value=17))
+            data[:, target] += noise * rng.standard_normal(rows)
     for j in range(cols):
-        if not data[:, j].any():
+        if np.linalg.norm(data[:, j]) <= DEFAULT_ZERO_COLUMN_TOL:
             data[0, j] = 1.0
     return build_matrix(data)
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrix=search_matrices(), budget_cut=st.integers(min_value=1, max_value=200))
-def test_exact_spark_matches_brute_force(matrix, budget_cut):
-    spark, witness, examined = _brute_force(matrix.data)
+@given(
+    matrix=search_matrices(),
+    budget_cut=st.integers(min_value=1, max_value=200),
+    # the default cutoff, and coarser ones on both sides of the sigma
+    # ratio a Cholesky pass proves: above it every batch goes to the SVD
+    tol_factor=st.one_of(st.just(EPS), st.integers(-9, -1).map(lambda e: 10.0**e)),
+)
+def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
+    # the reference scans the unit columns, as exact_spark does: with noise
+    # near eps, raw and unit columns can fall on either side of the cutoff
+    tolerances = ToleranceConfig(rank_tol_factor=tol_factor)
+    spark, witness, examined = _brute_force(unit_columns(matrix), tol_factor)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spark_module, "PARALLEL_CHUNK", 3)
         for workers in (1, 2):
-            result = exact_spark(matrix, budget=10**9, workers=workers)
+            result = exact_spark(matrix, tolerances, budget=10**9, workers=workers)
             assert result.spark.value == spark
             assert result.witness == witness
             assert result.subsets_examined == examined
@@ -118,10 +150,10 @@ def test_exact_spark_matches_brute_force(matrix, budget_cut):
             budget = min(budget_cut, examined)
             if budget < examined:
                 with pytest.raises(BudgetExceeded) as info:
-                    exact_spark(matrix, budget=budget, workers=workers)
+                    exact_spark(matrix, tolerances, budget=budget, workers=workers)
                 assert info.value.subsets_examined == budget
             else:
-                assert exact_spark(matrix, budget=budget, workers=workers) == result
+                assert exact_spark(matrix, tolerances, budget=budget, workers=workers) == result
 
 
 def test_parallel_scan_stops_submitting_after_hit(monkeypatch):
@@ -135,9 +167,9 @@ def test_parallel_scan_stops_submitting_after_hit(monkeypatch):
     calls = []
     real_scan = spark_module.scan_chunk
 
-    def counting_scan(data, start, count, tol_factor):
+    def counting_scan(data, gram, start, count, tol_factor):
         calls.append(len(start))
-        return real_scan(data, start, count, tol_factor)
+        return real_scan(data, gram, start, count, tol_factor)
 
     monkeypatch.setattr(spark_module, "scan_chunk", counting_scan)
     result = exact_spark(matrix, workers=workers)
@@ -147,3 +179,37 @@ def test_parallel_scan_stops_submitting_after_hit(monkeypatch):
     # chunks 0 .. hit_chunk + 2 * workers - 1 are the most ever submitted
     assert calls.count(3) <= hit_chunk + 2 * workers
     assert calls.count(2) == math.comb(12, 2) // chunk
+
+
+def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    # every proper column subset of the spiked identity is well conditioned
+    data, gram = _unit(spiked_identity(8).data)
+    for size in range(1, 9):
+        assert scan_chunk(data, gram, tuple(range(size)), math.comb(9, size), EPS) == (-1, None)
+    assert calls == []
+
+    # the one dependent subset reaches the SVD, with the rest of its batch
+    result = exact_spark(spiked_identity(8))
+    assert result.witness == tuple(range(9))
+    assert result.subsets_examined == 2**9 - 1
+    assert calls == [(1, 8, 9)]
+
+    # a dependent triple amid independent ones: the SVD decides its batch alone
+    calls.clear()
+    raw = random_matrix(3, 7, seed=1).data.copy()
+    raw[:, 6] = raw[:, 2] - 2.0 * raw[:, 4]
+    data, gram = _unit(raw)
+    subsets = list(combinations(range(7), 3))
+    assert scan_chunk(data, gram, (0, 1, 2), len(subsets), EPS) == (
+        subsets.index((2, 4, 6)),
+        (2, 4, 6),
+    )
+    assert calls == [(len(subsets), 3, 3)]

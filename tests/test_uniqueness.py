@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparkcert import (
     BudgetExceeded,
@@ -234,3 +236,56 @@ def test_oracle_confirms_certified_uniqueness():
             assert np.allclose(result.solutions[0].to_vector(10), x, atol=1e-9)
             hits += 1
     assert hits > 0
+
+
+@st.composite
+def planted_systems(draw):
+    """A small matrix with planted dependencies and an x of random support."""
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=2, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        data = rng.integers(-3, 4, size=(rows, cols)).astype(np.float64)
+    else:
+        data = rng.standard_normal((rows, cols))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        # a duplicated column, or an integer combination of up to three others
+        target = draw(st.integers(min_value=0, max_value=cols - 1))
+        sources = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(-2, 2), min_size=len(sources), max_size=len(sources)))
+        data[:, target] = data[:, sources] @ np.array(weights, dtype=np.float64)
+    for j in range(cols):
+        if not data[:, j].any():
+            data[0, j] = 1.0
+    support = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=cols, unique=True))
+    x = np.zeros(cols)
+    x[support] = draw(
+        st.lists(
+            st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]),
+            min_size=len(support),
+            max_size=len(support),
+        )
+    )
+    return build_matrix(data), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=planted_systems())
+# duplicated columns whose computed coherence is 1 - 2 eps and 1 - 4 eps: the
+# first left the coherence index undefined (bound inf), the second also
+# lifted 1 + 1/mu to 2.0000000000000004, above the spark of 2
+@example(system=(build_matrix([[7.0, 7.0], [3.0, 3.0]]), np.array([1.0, 0.0])))
+@example(system=(build_matrix([[3.0, 3.0], [3.0, 3.0], [1.0, 1.0]]), np.array([1.0, 0.0])))
+def test_no_unique_verdict_when_oracle_finds_another_sparsest_solution(system):
+    m, x = system
+    b = m.data @ x
+    sparsity = l0_norm(x)
+    support = tuple(int(j) for j in np.flatnonzero(x))
+    found = sparsest_oracle(m, b, k_max=sparsity)
+    rivals = [s for s in found.solutions if s.support != support]
+    if not rivals:
+        return
+    unique = {Verdict.UNIQUE_BY_SPARK, Verdict.UNIQUE_BY_INDEX, Verdict.UNIQUE_BY_COHERENCE}
+    for exact in (None, exact_spark(m).spark):
+        cert = certify(m, x, b, exact=exact)
+        assert cert.verdict not in unique, (rivals, cert)
