@@ -267,7 +267,8 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else default_search_budget()
     header = (
         f"{'n':>4} {'rows':>5} {'cols':>5} {'exact_spark':>12} "
-        f"{'index_bound':>12} {'coherence_bound':>16} {'subsets':>10} {'seconds':>8}"
+        f"{'index_bound':>12} {'coherence_bound':>16} {'subsets':>10} {'seconds':>8} "
+        f"{'settled_by':>11}"
     )
     print(header)
     for n in ns:
@@ -281,7 +282,7 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
         print(
             f"{n:>4} {matrix.rows:>5} {matrix.cols:>5} {exact_shown:>12} "
             f"{index_shown:>12} {coherence_shown:>16} {result.subsets_examined:>10} "
-            f"{elapsed:>8.3f}"
+            f"{elapsed:>8.3f} {result.settled_by:>11}"
         )
     return 0
 

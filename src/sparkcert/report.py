@@ -21,10 +21,13 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import ReportParseError
 from .formats import format_float
 from .matrix import DenseMatrix
-from .spark import SPARK_INFINITE, SparkReport, SparkValue
+from .spark import SETTLED_BY, SPARK_INFINITE, SparkReport, SparkValue
 from .uniqueness import CRITERIA, UniquenessCertificate, Verdict
 
-SCHEMA_VERSION = 1
+# 2: the spark section gained settled_by, subsets_examined stopped counting
+# the sizes the coherence profile proves independent, and the mutual
+# coherence bound allows for the rounding of the mutual coherence.
+SCHEMA_VERSION = 2
 TOOL_NAME = "sparkcert"
 TOP_COHERENCES_SHOWN = 10
 
@@ -244,6 +247,9 @@ _SECTIONS: dict[str, Codec] = {
         "trivial_upper": _optional(_INT),
         "search_budget_hit": _BOOL,
         "subsets_examined": _optional(_INT),
+        "settled_by": _optional((_same, _checked(
+            f"one of {list(SETTLED_BY)}", lambda v: v in SETTLED_BY
+        ))),
     }),
     "certificate": _optional(_record(UniquenessCertificate, {
         "l0": _INT,
@@ -332,6 +338,8 @@ def render_text(report: AnalysisReport) -> str:
         lines.append("exact spark: not settled (search budget exhausted)")
     if spk.subsets_examined is not None:
         lines.append(f"subsets examined: {spk.subsets_examined}")
+    if spk.settled_by is not None:
+        lines.append(f"settled by: {spk.settled_by}")
     if spk.trivial_upper is not None:
         lines.append(f"trivial upper bound: {spk.trivial_upper}")
     cert = report.certificate

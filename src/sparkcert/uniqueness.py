@@ -14,7 +14,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .coherence import coherence_profile, coherence_rounding
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, default_search_budget
 from .errors import (
     BudgetExceeded,
@@ -47,10 +46,10 @@ class UniquenessCertificate:
     None otherwise (with an infinite exact spark the criterion passes
     outright and the threshold stays None); index_threshold is
     (1 + coherence_index)/2, or inf when the index is absent;
-    coherence_threshold is (1 + 1/(mutual coherence))/2, or None when
-    the mutual coherence is 0; its criterion is tested with the mutual
-    coherence raised by coherence_rounding(rows) (at most 1), so a
-    threshold that rounding lifted to just above l0 does not pass.
+    coherence_threshold is half of spark.mutual_coherence_lower_bound,
+    which raises the mutual coherence by coherence_rounding(rows) (to at
+    most 1) so that rounding cannot lift it above the spark, or None when
+    the mutual coherence is 0.
     criteria_passed names every criterion whose strict inequality held;
     verdict reports the strongest of them.
     """
@@ -133,13 +132,8 @@ def certify(
         passed.add(CRITERION_SPARK)
     if sparsity < index_threshold:
         passed.add(CRITERION_INDEX)
-    # The test takes the largest mutual coherence the computed one can stand
-    # for, so that rounding (a duplicated column read as 1 - eps) cannot
-    # lift the threshold past an l0 it should not pass.
-    if coherence_threshold is not None:
-        mu = coherence_profile(matrix).mutual_coherence + coherence_rounding(matrix.rows)
-        if sparsity < (1.0 + 1.0 / min(mu, 1.0)) / 2.0:
-            passed.add(CRITERION_COHERENCE)
+    if coherence_threshold is not None and sparsity < coherence_threshold:
+        passed.add(CRITERION_COHERENCE)
 
     if CRITERION_SPARK in passed:
         verdict = Verdict.UNIQUE_BY_SPARK

@@ -98,8 +98,9 @@ def test_analyze_missing_file_exits_1(capsys):
 
 
 def test_analyze_tiny_budget_exits_2(capsys, tmp_path):
+    # 4 x 9: rows < cols - 1, so the search is a scan of 211 subsets
     path = tmp_path / "m.csv"
-    path.write_text(write_csv(spiked_identity(8).data))
+    path.write_text(write_csv(random_matrix(4, 9, seed=0).data))
     code, out, err = run(capsys, "analyze", str(path), "--exact", "--budget", "10")
     assert code == 2
     assert "search budget exhausted" in out
@@ -218,13 +219,13 @@ def test_one_coherence_pass_per_command(capsys, tmp_path, monkeypatch):
 
 
 def test_certify_budget_exits_2(capsys, tmp_path):
-    m = spiked_identity(8)
+    m = random_matrix(4, 9, seed=0)
     mp = tmp_path / "m.csv"
     xp = tmp_path / "x.txt"
     bp = tmp_path / "b.txt"
     mp.write_text(write_csv(m.data))
     xp.write_text("\n".join(["0"] * 9) + "\n")
-    bp.write_text("\n".join(["0"] * 8) + "\n")
+    bp.write_text("\n".join(["0"] * 4) + "\n")
     code, out, err = run(
         capsys, "certify", str(mp), "--x", str(xp), "--b", str(bp),
         "--exact", "--budget", "3",
@@ -247,6 +248,7 @@ def test_bench_table(capsys):
         assert int(r[3]) == n + 1
         assert int(r[4]) == 3
         assert float(r[5]) == pytest.approx(2.25, abs=1e-12)
+        assert r[8] == "null_vector"
 
 
 def test_bench_bad_n_list(capsys):
@@ -272,5 +274,6 @@ def test_pipe_gen_to_analyze(capsys, monkeypatch):
     assert code == 0
     tree = json.loads(out)
     assert tree["spark"]["coherence_index_bound"] == 3
-    assert tree["spark"]["mutual_coherence_bound"] == 2.25
+    assert tree["spark"]["mutual_coherence_bound"] == pytest.approx(2.25, abs=1e-12)
     assert tree["spark"]["exact"] == {"kind": "finite", "value": 11}
+    assert tree["spark"]["settled_by"] == "null_vector"

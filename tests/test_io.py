@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -220,10 +221,33 @@ def test_report_json_round_trip_integer_tolerances():
     assert report_to_json(report_from_json(text)) == text
 
 
+def test_report_json_round_trip_settled_by():
+    cases = {
+        "null_vector": spiked_identity(5),
+        "full_rank": build_matrix(np.eye(4)),
+        "search": random_matrix(4, 9, seed=0),
+    }
+    for settled_by, m in cases.items():
+        spark_report = analyze_spark(m, compute_exact=True)
+        assert spark_report.settled_by == settled_by
+        assert f"settled by: {settled_by}\n" in render_text(build_report(m, "m", spark_report))
+        # null beside an exact spark too: the decoder checks no other field
+        for spk in (spark_report, dataclasses.replace(spark_report, settled_by=None)):
+            report = build_report(m, "m", spk)
+            text = report_to_json(report)
+            assert report_from_json(text) == report
+            assert report_to_json(report_from_json(text)) == text
+    report = build_report(cases["search"], "m", analyze_spark(cases["search"]))
+    assert report.spark.settled_by is None
+    assert '"settled_by": null' in report_to_json(report)
+    assert "settled by" not in render_text(report)
+
+
 def test_report_json_is_valid_json():
     tree = json.loads(report_to_json(_full_report()))
-    assert tree["schema_version"] == 1
+    assert tree["schema_version"] == 2
     assert tree["spark"]["exact"]["kind"] == "finite"
+    assert tree["spark"]["settled_by"] == "null_vector"
     assert tree["coherence"]["mutual_coherence"] == 0.8
 
 
@@ -237,9 +261,11 @@ def test_report_parse_rejects_bad_input():
     with pytest.raises(ReportParseError):
         report_from_json("not json at all")
     with pytest.raises(ReportParseError):
-        report_from_json('{"schema_version": 2}')
-    with pytest.raises(ReportParseError):
-        report_from_json('{"schema_version": 1}')
+        report_from_json('{"schema_version": 3}')
+    with pytest.raises(ReportParseError, match="unsupported schema_version 1"):
+        report_from_json(report_to_json(_full_report()).replace(
+            '"schema_version": 2', '"schema_version": 1'
+        ))
     with pytest.raises(ReportParseError):
         report_from_json("[1, 2, 3]")
     # the schema's only infinity is the string "infinity"
@@ -253,6 +279,7 @@ def test_report_parse_rejects_bad_input():
     tree = json.loads(good)
     for section, key, value in (
         ("spark", "search_budget_hit", "junk"),
+        ("spark", "settled_by", "guess"),
         ("matrix", "source", 5),
         ("spark", "witness", {}),
         ("coherence", "top_coherences", {}),

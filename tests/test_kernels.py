@@ -99,9 +99,10 @@ def _brute_force(data: np.ndarray, tol_factor: float = EPS):
 
 
 @st.composite
-def search_matrices(draw):
+def search_matrices(draw, tall=False):
+    """Small matrices with near-dependent columns; `tall` keeps cols <= rows + 1."""
     rows = draw(st.integers(min_value=1, max_value=6))
-    cols = draw(st.integers(min_value=1, max_value=12))
+    cols = draw(st.integers(min_value=1, max_value=rows + 1 if tall else 12))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     if draw(st.booleans()):
         data = rng.integers(-3, 4, size=(rows, cols)).astype(np.float64)
@@ -125,29 +126,39 @@ def search_matrices(draw):
     return build_matrix(data)
 
 
+# the default cutoff, and coarser ones on both sides of the sigma ratio a
+# Cholesky pass proves: above it every batch goes to the SVD
+TOL_FACTORS = st.one_of(st.just(EPS), st.integers(-9, -1).map(lambda e: 10.0**e))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     matrix=search_matrices(),
     budget_cut=st.integers(min_value=1, max_value=200),
-    # the default cutoff, and coarser ones on both sides of the sigma
-    # ratio a Cholesky pass proves: above it every batch goes to the SVD
-    tol_factor=st.one_of(st.just(EPS), st.integers(-9, -1).map(lambda e: 10.0**e)),
+    tol_factor=TOL_FACTORS,
 )
 def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
     # the reference scans the unit columns, as exact_spark does: with noise
     # near eps, raw and unit columns can fall on either side of the cutoff
     tolerances = ToleranceConfig(rank_tol_factor=tol_factor)
     spark, witness, examined = _brute_force(unit_columns(matrix), tol_factor)
+    # the scan counts no subset of the sizes the coherence profile proves
+    first = spark_module._first_unproven_size(matrix, tol_factor)
+    scanned = examined - sum(math.comb(matrix.cols, size) for size in range(1, first))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spark_module, "PARALLEL_CHUNK", 3)
         for workers in (1, 2):
             result = exact_spark(matrix, tolerances, budget=10**9, workers=workers)
             assert result.spark.value == spark
             assert result.witness == witness
-            assert result.subsets_examined == examined
+            assert result.subsets_examined == {
+                "search": scanned, "full_rank": 0, "null_vector": 1
+            }[result.settled_by]
 
-            # a budget of exactly the subsets the answer needs still settles it
-            budget = min(budget_cut, examined)
+            # a budget of exactly the subsets the answer needs (at least the
+            # smallest budget) still settles it
+            examined = result.subsets_examined
+            budget = max(1, min(budget_cut, examined))
             if budget < examined:
                 with pytest.raises(BudgetExceeded) as info:
                     exact_spark(matrix, tolerances, budget=budget, workers=workers)
@@ -156,12 +167,58 @@ def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
                 assert exact_spark(matrix, tolerances, budget=budget, workers=workers) == result
 
 
+@st.composite
+def nullity_one_matrices(draw):
+    """rows >= cols - 1 with one column an integer mix of some others.
+
+    The null vector is zero off the planted support. Optional noise of
+    10**-k makes the dependency near rather than exact.
+    """
+    cols = draw(st.integers(min_value=2, max_value=10))
+    rows = draw(st.integers(min_value=cols - 1, max_value=cols + 2))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        data = rng.integers(-3, 4, size=(rows, cols)).astype(np.float64)
+    else:
+        data = rng.standard_normal((rows, cols))
+    support = draw(st.lists(st.integers(0, cols - 1), min_size=2, max_size=cols, unique=True))
+    weights = draw(st.lists(
+        st.sampled_from([-2.0, -1.0, 1.0, 2.0]), min_size=len(support) - 1,
+        max_size=len(support) - 1,
+    ))
+    data[:, support[-1]] = data[:, support[:-1]] @ np.array(weights)
+    if draw(st.booleans()):
+        noise = 10.0 ** -draw(st.integers(min_value=1, max_value=17))
+        data[:, support[-1]] += noise * rng.standard_normal(rows)
+    for j in range(cols):
+        if np.linalg.norm(data[:, j]) <= DEFAULT_ZERO_COLUMN_TOL:
+            data[0, j] = 1.0
+    return build_matrix(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    matrix=st.one_of(search_matrices(tall=True), nullity_one_matrices()),
+    tol_factor=st.one_of(st.just(0.0), TOL_FACTORS),
+)
+def test_proofs_match_the_scan(matrix, tol_factor):
+    # whatever the full-rank or null-vector proof answers, the scan from
+    # size 1 answers too
+    data, gram = _unit(matrix.data)
+    proven = spark_module._settle_by_svd(data, gram, tol_factor)
+    if proven is not None:
+        scanned = spark_module._scan(data, gram, tol_factor, budget=10**9, workers=1)
+        assert (proven.spark, proven.witness) == (scanned.spark, scanned.witness)
+
+
 def test_parallel_scan_stops_submitting_after_hit(monkeypatch):
-    # column 11 = column 0 + column 1: the only dependent triple is
-    # (0, 1, 11), rank 9 of C(12, 3) = 220, so in chunk 4 of 110
+    # column 11 = column 0 + column 1 + column 2: the only dependent
+    # quadruple is (0, 1, 2, 11), rank 8 of C(12, 4) = 495, so in chunk 4
+    # of 248; sizes 1 and 2 are proven independent and not scanned
     data = random_matrix(5, 12, seed=0).data.copy()
-    data[:, 11] = data[:, 0] + data[:, 1]
+    data[:, 11] = data[:, 0] + data[:, 1] + data[:, 2]
     matrix = build_matrix(data)
+    assert spark_module._first_unproven_size(matrix, EPS) == 3
     chunk, workers = 2, 2
     monkeypatch.setattr(spark_module, "PARALLEL_CHUNK", chunk)
     calls = []
@@ -173,12 +230,13 @@ def test_parallel_scan_stops_submitting_after_hit(monkeypatch):
 
     monkeypatch.setattr(spark_module, "scan_chunk", counting_scan)
     result = exact_spark(matrix, workers=workers)
-    assert result.witness == (0, 1, 11)
-    assert result.subsets_examined == 12 + 66 + 10
-    hit_chunk = 9 // chunk
+    assert result.witness == (0, 1, 2, 11)
+    assert result.subsets_examined == 220 + 9
+    hit_chunk = 8 // chunk
     # chunks 0 .. hit_chunk + 2 * workers - 1 are the most ever submitted
-    assert calls.count(3) <= hit_chunk + 2 * workers
-    assert calls.count(2) == math.comb(12, 2) // chunk
+    assert calls.count(4) <= hit_chunk + 2 * workers
+    assert calls.count(3) == math.comb(12, 3) // chunk
+    assert calls.count(2) == calls.count(1) == 0
 
 
 def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
@@ -197,7 +255,7 @@ def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
     assert calls == []
 
     # the one dependent subset reaches the SVD, with the rest of its batch
-    result = exact_spark(spiked_identity(8))
+    result = spark_module._scan(data, gram, EPS, budget=10**9, workers=1)
     assert result.witness == tuple(range(9))
     assert result.subsets_examined == 2**9 - 1
     assert calls == [(1, 8, 9)]

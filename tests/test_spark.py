@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sparkcert
+from sparkcert import spark as spark_module
 from sparkcert import (
     BudgetExceeded,
     NotSquare,
@@ -23,6 +26,10 @@ from sparkcert import (
     random_matrix,
     spiked_identity,
 )
+from sparkcert.matrix import unit_columns, unit_gram
+from sparkcert.spark import SparkSearchResult
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def test_spark_value_validation():
@@ -72,7 +79,32 @@ def test_exact_spark_full_rank_square(identity3):
     result = exact_spark(identity3)
     assert result.spark == SparkValue(kind="infinite")
     assert result.witness is None
-    assert result.subsets_examined == 7
+    assert (result.subsets_examined, result.settled_by) == (0, "full_rank")
+    # the scan from size 1 examines every subset to reach the same answer
+    data = unit_columns(identity3)
+    scanned = spark_module._scan(data, unit_gram(data), EPS, budget=10**9, workers=1)
+    assert scanned == SparkSearchResult(SparkValue(kind="infinite"), None, 7, "search")
+
+
+def test_one_svd_settles_spiked_and_full_rank_tall():
+    for n in (2, 6, 13):
+        result = exact_spark(spiked_identity(n), budget=1)
+        assert result == SparkSearchResult(
+            SparkValue(kind="finite", value=n + 1), tuple(range(n + 1)), 1, "null_vector"
+        )
+    # a full-rank tall matrix: no subset examined, where the scan needs 2**22 - 1
+    tall = exact_spark(random_matrix(30, 22, seed=41), budget=1)
+    assert tall == SparkSearchResult(SparkValue(kind="infinite"), None, 0, "full_rank")
+    # a planted dependency on columns 1, 3 and 4 of a 5x6 matrix
+    data = random_matrix(5, 6, seed=3).data.copy()
+    data[:, 4] = data[:, 1] - 2.0 * data[:, 3]
+    planted = exact_spark(build_matrix(data))
+    assert (planted.witness, planted.subsets_examined, planted.settled_by) == (
+        (1, 3, 4), 1, "null_vector"
+    )
+    # a rank cutoff coarse enough to defeat the margins leaves it to the scan
+    coarse = ToleranceConfig(rank_tol_factor=1e-1)
+    assert exact_spark(spiked_identity(6), coarse).settled_by == "search"
 
 
 def test_exact_spark_three_column_pair(three_column_pair):
@@ -83,26 +115,29 @@ def test_exact_spark_three_column_pair(three_column_pair):
 
 
 def test_exact_spark_budget():
-    m = spiked_identity(6)
+    # 4 x 9, so no proof from one SVD applies and the scan needs 211 subsets
+    m = random_matrix(4, 9, seed=0)
     with pytest.raises(BudgetExceeded) as exc:
         exact_spark(m, budget=10)
     assert exc.value.subsets_examined == 10
     # a budget that exactly covers the search succeeds
     full = exact_spark(m)
+    assert full.settled_by == "search"
     again = exact_spark(m, budget=full.subsets_examined)
     assert again == full
 
 
 def test_exact_spark_budget_env(monkeypatch):
+    m = random_matrix(4, 9, seed=0)
     monkeypatch.setenv("SPARK_CERT_BUDGET", "10")
     with pytest.raises(BudgetExceeded):
-        exact_spark(spiked_identity(6))
+        exact_spark(m)
     monkeypatch.setenv("SPARK_CERT_BUDGET", "0")
     with pytest.raises(ValueError):
-        exact_spark(spiked_identity(6))
+        exact_spark(m)
     monkeypatch.setenv("SPARK_CERT_BUDGET", "junk")
     with pytest.raises(ValueError):
-        exact_spark(spiked_identity(6))
+        exact_spark(m)
 
 
 def test_exact_spark_permutation_and_scaling_invariance():
@@ -152,6 +187,7 @@ def test_analyze_spark_spiked_n10():
     assert report.mutual_coherence_bound == pytest.approx(2.25, abs=1e-12)
     assert report.coherence_index_bound == 3
     assert report.exact == SparkValue(kind="finite", value=11)
+    assert report.settled_by == "null_vector"
     assert report.trivial_upper == 11
     assert not report.search_budget_hit
     assert report.witness == tuple(range(11))
@@ -183,20 +219,50 @@ def test_analyze_spark_skips_exact_by_default(three_column_pair):
 
 
 def test_analyze_spark_budget_hit_flag():
-    report = analyze_spark(spiked_identity(8), compute_exact=True, budget=5)
+    report = analyze_spark(random_matrix(4, 9, seed=0), compute_exact=True, budget=5)
     assert report.search_budget_hit
     assert report.exact is None
     assert report.subsets_examined == 5
+    assert report.settled_by is None
 
 
-def test_bound_chain_on_random_matrices():
-    for seed in range(30):
-        m = random_matrix(4, 8, seed=seed)
-        report = analyze_spark(m, compute_exact=True)
-        assert report.exact is not None and report.exact.is_finite
-        assert report.exact.value >= report.coherence_index_bound
-        assert report.exact.value >= report.mutual_coherence_bound
-        assert report.exact.value <= report.trivial_upper
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    # column 7 as is, a scaled copy of column 0, or that copy off by noise
+    # of 10**-k
+    scale=st.sampled_from([-3.0, 0.1, 0.7]),
+    noise=st.one_of(st.none(), st.just(0.0), st.integers(1, 17).map(lambda k: 10.0**-k)),
+)
+@example(seed=0, scale=1.0, noise=None)
+@example(seed=68, scale=0.1, noise=0.0)  # 1 + 1/mu read 2.0000000000000004
+def test_bound_chain_on_random_matrices(seed, scale, noise):
+    data = random_matrix(4, 8, seed=seed).data.copy()
+    if noise is not None:
+        rng = np.random.default_rng(seed)
+        data[:, 7] = scale * data[:, 0] + noise * rng.standard_normal(4)
+    m = build_matrix(data)
+    report = analyze_spark(m, compute_exact=True)
+    # the chain holds on the reported values
+    assert report.exact is not None and report.exact.is_finite
+    assert report.exact.value >= report.coherence_index_bound
+    assert report.coherence_index_bound >= report.mutual_coherence_bound
+    assert report.exact.value <= report.trivial_upper
+
+
+def test_reported_bounds_stay_below_the_spark_under_rounding():
+    # the mutual coherence reads 1 - 4 eps; 1 + 1/mu was 2.0000000000000004
+    dup = build_matrix([[3.0, 3.0], [3.0, 3.0], [1.0, 1.0]])
+    report = analyze_spark(dup, compute_exact=True)
+    assert report.exact.value == 2
+    assert report.mutual_coherence_bound == 2.0
+    # a tight frame: three unit vectors 120 degrees apart meet the bound
+    angles = np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
+    frame = build_matrix(np.vstack([np.cos(angles), np.sin(angles)]))
+    report = analyze_spark(frame, compute_exact=True)
+    assert report.exact.value == 3
+    assert report.coherence_index_bound == 3
+    assert 3.0 - 1e-12 < report.mutual_coherence_bound <= 3.0
 
 
 def test_infinite_index_bound_implies_infinite_spark():
