@@ -41,14 +41,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(minimum: int, kind: str):
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _add_common_search_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,7 +70,8 @@ def _add_common_search_flags(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=_positive_int,
         default=1,
-        help="threads for the subset scan (default 1)",
+        help="accepted for compatibility and ignored: the subset scan runs on "
+        "one thread (must be >= 1; default 1)",
     )
 
 
@@ -132,7 +140,9 @@ def build_parser() -> _Parser:
     p_random = gen_sub.add_parser("random", help="seeded standard-normal matrix")
     p_random.add_argument("--n", type=_positive_int, required=True, help="row count")
     p_random.add_argument("--m", type=_positive_int, required=True, help="column count")
-    p_random.add_argument("--seed", type=int, required=True, help="RNG seed (>= 0)")
+    p_random.add_argument(
+        "--seed", type=_non_negative_int, required=True, help="RNG seed (>= 0)"
+    )
     p_random.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     p_random.add_argument(
         "--format",
@@ -179,6 +189,16 @@ def _write_output(path: str | None, content: str) -> None:
             handle.write(content)
 
 
+def _search_budget(args: argparse.Namespace) -> int:
+    """--budget, else SPARK_CERT_BUDGET, else the default; a bad variable is a usage error."""
+    if args.budget is not None:
+        return args.budget
+    try:
+        return default_search_budget()
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from None
+
+
 def _emit_report(args: argparse.Namespace, report) -> None:
     if args.json:
         sys.stdout.write(report_to_json(report))
@@ -193,8 +213,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         matrix,
         tolerances,
         compute_exact=args.exact,
-        budget=args.budget,
-        workers=args.workers,
+        budget=_search_budget(args) if args.exact else None,
     )
     source = "<stdin>" if args.file == "-" else args.file
     report = build_report(matrix, source, spark_report, tolerances)
@@ -211,8 +230,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         matrix,
         tolerances,
         compute_exact=args.exact,
-        budget=args.budget,
-        workers=args.workers,
+        budget=_search_budget(args) if args.exact else None,
     )
     if spark_report.search_budget_hit:
         raise BudgetExceeded(spark_report.subsets_examined or 0)
@@ -264,7 +282,7 @@ def _parse_n_list(raw: str) -> list[int]:
 def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     ns = _parse_n_list(args.n_list)
     tolerances = ToleranceConfig()
-    budget = args.budget if args.budget is not None else default_search_budget()
+    budget = _search_budget(args)
     header = (
         f"{'n':>4} {'rows':>5} {'cols':>5} {'exact_spark':>12} "
         f"{'index_bound':>12} {'coherence_bound':>16} {'subsets':>10} {'seconds':>8} "
@@ -274,7 +292,7 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     for n in ns:
         matrix = spiked_identity(n)
         start = time.perf_counter()
-        result = exact_spark(matrix, tolerances, budget, args.workers)
+        result = exact_spark(matrix, tolerances, budget)
         elapsed = time.perf_counter() - start
         exact_shown = show_number(result.spark.value, missing=INFINITY_TOKEN)
         index_shown = show_number(coherence_index_lower_bound(matrix, tolerances))

@@ -7,12 +7,8 @@ comes from a budgeted exhaustive subset search.
 
 The search tests sizes 1, 2, ... and, within a size, subsets in
 lexicographic order, through the batched Cholesky-then-SVD kernel in the
-kernels module. With one worker a size is one kernel run from its first
-subset; with more, it is cut into PARALLEL_CHUNK-sized runs that threads
-scan concurrently, each starting from its chunk's first subset by
-unranking.
-Either way the witness and the subset count are those of the serial
-order.
+kernels module: each size is one kernel run from its first subset, on one
+thread, so the witness is the first dependent subset in that order.
 
 Before that scan, when rows >= cols - 1, one SVD of the unit columns A
 can settle the search outright. The scan calls a size-k subset S
@@ -67,10 +63,7 @@ counts only the subsets scanned.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -83,14 +76,10 @@ from .errors import (
     NotUnitDiagonal,
     TooFewColumns,
 )
-from .kernels import scan_chunk, unrank_combination
+from .kernels import scan_chunk
 from .matrix import DenseMatrix, column_submatrix, unit_columns, unit_gram
 
 UNIT_DIAGONAL_TOL = 1e-12
-
-# Subsets handed to one kernel call when the scan is threaded; small
-# enough to balance load, large enough to amortize dispatch.
-PARALLEL_CHUNK = 4096
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -141,10 +130,9 @@ class SparkSearchResult:
 
     witness lists the columns of the first (smallest size, lexicographic)
     dependent subset when spark is finite; subsets_examined counts the
-    subsets scanned up to and including the witness, independent of how
-    the scan was partitioned across workers (sizes the coherence profile
-    proves independent are not scanned; a proof from one SVD scans 0 or
-    1). settled_by is one of SETTLED_BY: "search" for the scan,
+    subsets scanned up to and including the witness (sizes the coherence
+    profile proves independent are not scanned; a proof from one SVD scans
+    0 or 1). settled_by is one of SETTLED_BY: "search" for the scan,
     "full_rank" or "null_vector" for the proofs.
     """
 
@@ -207,45 +195,6 @@ def coherence_index_lower_bound(
     return 1 + index
 
 
-def _scan_size_parallel(
-    data: np.ndarray,
-    gram: np.ndarray,
-    size: int,
-    count: int,
-    tol_factor: float,
-    workers: int,
-) -> tuple[int, tuple[int, ...] | None]:
-    """Scan the first `count` size-subsets as PARALLEL_CHUNK-sized jobs.
-
-    Returns (hit rank, witness) as scan_chunk does for one run. Results are
-    read in submission order, so the first hit seen is the
-    lexicographically smallest one. At most 2 * workers jobs are in
-    flight, so no job past that window has been submitted when a hit is
-    seen; queued jobs are then cancelled and only running ones waited for.
-    """
-    cols = data.shape[1]
-    starts = iter(range(0, count, PARALLEL_CHUNK))
-
-    def job(start: int) -> tuple[int, int, tuple[int, ...] | None]:
-        chunk = min(PARALLEL_CHUNK, count - start)
-        idx = unrank_combination(cols, size, start)
-        pos, hit = scan_chunk(data, gram, idx, chunk, tol_factor)
-        return start, pos, hit
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        in_flight = deque(pool.submit(job, start) for start in islice(starts, 2 * workers))
-        while in_flight:
-            start, pos, hit = in_flight.popleft().result()
-            if pos >= 0:
-                for future in in_flight:
-                    future.cancel()
-                return start + pos, hit
-            following = next(starts, None)
-            if following is not None:
-                in_flight.append(pool.submit(job, following))
-    return -1, None
-
-
 def _first_unproven_size(matrix: DenseMatrix, tol_factor: float) -> int:
     """The smallest subset size the coherence profile cannot prove independent.
 
@@ -302,7 +251,10 @@ def _settle_by_svd(
         return None
     delta = math.sqrt(2.0) * ((cutoff + err) / low + err / gap)
     support = tuple(int(j) for j in np.flatnonzero(np.abs(vt[-1]) > 2.0 * delta))
-    if support and scan_chunk(data, gram, support, 1, tol_factor)[1] is not None:
+    # W is the first and only subset of its own columns
+    if support and scan_chunk(
+        data[:, support], gram[np.ix_(support, support)], len(support), 1, tol_factor
+    )[1] is not None:
         return SparkSearchResult(
             spark=SparkValue(kind="finite", value=len(support)),
             witness=support,
@@ -317,7 +269,6 @@ def _scan(
     gram: np.ndarray,
     tol_factor: float,
     budget: int,
-    workers: int,
     first_size: int = 1,
 ) -> SparkSearchResult:
     """The subset scan over sizes first_size, first_size + 1, ...
@@ -333,12 +284,7 @@ def _scan(
         allowed = min(total, budget - examined)
         if allowed < 1:
             raise BudgetExceeded(examined)
-        if workers == 1 or allowed < 2 * PARALLEL_CHUNK:
-            hit_rank, witness = scan_chunk(data, gram, tuple(range(size)), allowed, tol_factor)
-        else:
-            hit_rank, witness = _scan_size_parallel(
-                data, gram, size, allowed, tol_factor, workers
-            )
+        hit_rank, witness = scan_chunk(data, gram, size, allowed, tol_factor)
         if witness is not None:
             return SparkSearchResult(
                 spark=SparkValue(kind="finite", value=size),
@@ -370,6 +316,8 @@ def exact_spark(
     Either way spark and witness are those of a scan from size 1. Raises
     BudgetExceeded once `budget` subsets were scanned without settling the
     answer. Returns an infinite spark when all columns are independent.
+    The search runs on one thread: `workers` must be >= 1 and is otherwise
+    ignored, kept so that existing callers stay valid.
     """
     if budget is None:
         budget = default_search_budget()
@@ -386,9 +334,7 @@ def exact_spark(
     proven = _settle_by_svd(data, gram, tol_factor)
     if proven is not None:
         return proven
-    return _scan(
-        data, gram, tol_factor, budget, workers, _first_unproven_size(matrix, tol_factor)
-    )
+    return _scan(data, gram, tol_factor, budget, _first_unproven_size(matrix, tol_factor))
 
 
 def analyze_spark(
@@ -396,7 +342,6 @@ def analyze_spark(
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
     compute_exact: bool = False,
     budget: int | None = None,
-    workers: int = 1,
 ) -> SparkReport:
     """Assemble the full spark report for a matrix with at least two columns."""
     if matrix.cols < 2:
@@ -408,7 +353,7 @@ def analyze_spark(
     settled_by: str | None = None
     if compute_exact:
         try:
-            result = exact_spark(matrix, tolerances, budget, workers)
+            result = exact_spark(matrix, tolerances, budget)
             exact = result.spark
             witness = result.witness
             subsets_examined = result.subsets_examined

@@ -234,6 +234,37 @@ def test_certify_budget_exits_2(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("raw", ["junk", "0", "-5"])
+def test_bad_budget_variable_is_a_usage_error(capsys, tmp_path, monkeypatch, raw):
+    monkeypatch.setenv("SPARK_CERT_BUDGET", raw)
+    mp = tmp_path / "m.csv"
+    xp = tmp_path / "x.txt"
+    bp = tmp_path / "b.txt"
+    mp.write_text(write_csv(random_matrix(4, 9, seed=0).data))
+    xp.write_text("\n".join(["0"] * 9) + "\n")
+    bp.write_text("\n".join(["0"] * 4) + "\n")
+    for argv in (
+        ("analyze", str(mp), "--exact"),
+        ("certify", str(mp), "--x", str(xp), "--b", str(bp), "--exact"),
+        ("bench", "example31", "--n-list", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: SPARK_CERT_BUDGET must be")
+        assert err.count("\n") == 1
+    # --budget wins over the variable, and without --exact none is needed
+    assert run(capsys, "analyze", str(mp), "--exact", "--budget", "500")[0] == 0
+    assert run(capsys, "analyze", str(mp))[0] == 0
+
+
+def test_gen_random_rejects_negative_seed(capsys):
+    code, out, err = run(capsys, "gen", "random", "--n", "3", "--m", "5", "--seed", "-1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert "expected a non-negative integer, got -1" in err
+    assert err.count("\n") == 1
+
+
 def test_bench_table(capsys):
     code, out, err = run(capsys, "bench", "example31", "--n-list", "2,5")
     assert code == 0

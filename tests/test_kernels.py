@@ -16,7 +16,7 @@ from sparkcert import (
 )
 from sparkcert import spark as spark_module
 from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
-from sparkcert.kernels import scan_chunk, unrank_combination
+from sparkcert.kernels import CHOLESKY_LEAF, scan_chunk
 from sparkcert.matrix import unit_columns, unit_gram
 
 EPS = float(np.finfo(np.float64).eps)
@@ -28,24 +28,9 @@ def _unit(data):
     return unit, unit_gram(unit)
 
 
-def test_unrank_matches_itertools():
-    for cols, size in ((5, 2), (6, 3), (7, 1), (7, 7)):
-        expected = list(combinations(range(cols), size))
-        for r, combo in enumerate(expected):
-            assert tuple(unrank_combination(cols, size, r)) == combo
-
-
-def test_unrank_out_of_range():
-    with pytest.raises(ValueError):
-        unrank_combination(5, 2, 10)
-    with pytest.raises(ValueError):
-        unrank_combination(5, 2, -1)
-
-
 def test_scan_finds_duplicate_pair():
     data, gram = _unit(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    idx = np.array([0, 1], dtype=np.int64)
-    pos, hit = scan_chunk(data, gram, idx, 3, EPS)
+    pos, hit = scan_chunk(data, gram, 2, 3, EPS)
     # pairs in order: (0,1) independent, (0,2) dependent
     assert pos == 1
     assert tuple(hit) == (0, 2)
@@ -53,15 +38,13 @@ def test_scan_finds_duplicate_pair():
 
 def test_scan_reports_no_hit():
     data, gram = _unit(np.eye(4))
-    idx = np.array([0, 1], dtype=np.int64)
-    pos, _ = scan_chunk(data, gram, idx, 6, EPS)
+    pos, _ = scan_chunk(data, gram, 2, 6, EPS)
     assert pos == -1
 
 
 def test_scan_respects_count():
     data, gram = _unit(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    idx = np.array([0, 1], dtype=np.int64)
-    pos, _ = scan_chunk(data, gram, idx, 1, EPS)
+    pos, _ = scan_chunk(data, gram, 2, 1, EPS)
     assert pos == -1
 
 
@@ -75,11 +58,11 @@ def test_scan_from_every_start_keeps_lexicographic_order(monkeypatch, gather_byt
     data, gram = _unit(data)
     subsets = list(combinations(range(7), 3))
     hit_rank = subsets.index((2, 4, 6))
-    for start in range(len(subsets)):
-        start_idx = unrank_combination(7, 3, start)
-        pos, hit = scan_chunk(data, gram, start_idx, len(subsets) - start, EPS)
-        if start <= hit_rank:
-            assert (pos, hit) == (hit_rank - start, (2, 4, 6))
+    # every count from the first subset: the hit is found once it is in range
+    for count in range(1, len(subsets) + 1):
+        pos, hit = scan_chunk(data, gram, 3, count, EPS)
+        if count > hit_rank:
+            assert (pos, hit) == (hit_rank, (2, 4, 6))
         else:
             assert (pos, hit) == (-1, None)
 
@@ -145,26 +128,25 @@ def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
     # the scan counts no subset of the sizes the coherence profile proves
     first = spark_module._first_unproven_size(matrix, tol_factor)
     scanned = examined - sum(math.comb(matrix.cols, size) for size in range(1, first))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spark_module, "PARALLEL_CHUNK", 3)
-        for workers in (1, 2):
-            result = exact_spark(matrix, tolerances, budget=10**9, workers=workers)
-            assert result.spark.value == spark
-            assert result.witness == witness
-            assert result.subsets_examined == {
-                "search": scanned, "full_rank": 0, "null_vector": 1
-            }[result.settled_by]
+    # workers is accepted and ignored: both counts give the same answer
+    for workers in (1, 2):
+        result = exact_spark(matrix, tolerances, budget=10**9, workers=workers)
+        assert result.spark.value == spark
+        assert result.witness == witness
+        assert result.subsets_examined == {
+            "search": scanned, "full_rank": 0, "null_vector": 1
+        }[result.settled_by]
 
-            # a budget of exactly the subsets the answer needs (at least the
-            # smallest budget) still settles it
-            examined = result.subsets_examined
-            budget = max(1, min(budget_cut, examined))
-            if budget < examined:
-                with pytest.raises(BudgetExceeded) as info:
-                    exact_spark(matrix, tolerances, budget=budget, workers=workers)
-                assert info.value.subsets_examined == budget
-            else:
-                assert exact_spark(matrix, tolerances, budget=budget, workers=workers) == result
+        # a budget of exactly the subsets the answer needs (at least the
+        # smallest budget) still settles it
+        examined = result.subsets_examined
+        budget = max(1, min(budget_cut, examined))
+        if budget < examined:
+            with pytest.raises(BudgetExceeded) as info:
+                exact_spark(matrix, tolerances, budget=budget, workers=workers)
+            assert info.value.subsets_examined == budget
+        else:
+            assert exact_spark(matrix, tolerances, budget=budget, workers=workers) == result
 
 
 @st.composite
@@ -207,36 +189,31 @@ def test_proofs_match_the_scan(matrix, tol_factor):
     data, gram = _unit(matrix.data)
     proven = spark_module._settle_by_svd(data, gram, tol_factor)
     if proven is not None:
-        scanned = spark_module._scan(data, gram, tol_factor, budget=10**9, workers=1)
+        scanned = spark_module._scan(data, gram, tol_factor, budget=10**9)
         assert (proven.spark, proven.witness) == (scanned.spark, scanned.witness)
 
 
-def test_parallel_scan_stops_submitting_after_hit(monkeypatch):
+def test_scan_skips_proven_sizes_and_stops_at_hit(monkeypatch):
     # column 11 = column 0 + column 1 + column 2: the only dependent
-    # quadruple is (0, 1, 2, 11), rank 8 of C(12, 4) = 495, so in chunk 4
-    # of 248; sizes 1 and 2 are proven independent and not scanned
+    # quadruple is (0, 1, 2, 11), rank 8 of C(12, 4) = 495; sizes 1 and 2
+    # are proven independent and not scanned
     data = random_matrix(5, 12, seed=0).data.copy()
     data[:, 11] = data[:, 0] + data[:, 1] + data[:, 2]
     matrix = build_matrix(data)
     assert spark_module._first_unproven_size(matrix, EPS) == 3
-    chunk, workers = 2, 2
-    monkeypatch.setattr(spark_module, "PARALLEL_CHUNK", chunk)
     calls = []
     real_scan = spark_module.scan_chunk
 
-    def counting_scan(data, gram, start, count, tol_factor):
-        calls.append(len(start))
-        return real_scan(data, gram, start, count, tol_factor)
+    def counting_scan(data, gram, size, count, tol_factor):
+        calls.append((size, count))
+        return real_scan(data, gram, size, count, tol_factor)
 
     monkeypatch.setattr(spark_module, "scan_chunk", counting_scan)
-    result = exact_spark(matrix, workers=workers)
+    result = exact_spark(matrix)
     assert result.witness == (0, 1, 2, 11)
     assert result.subsets_examined == 220 + 9
-    hit_chunk = 8 // chunk
-    # chunks 0 .. hit_chunk + 2 * workers - 1 are the most ever submitted
-    assert calls.count(4) <= hit_chunk + 2 * workers
-    assert calls.count(3) == math.comb(12, 3) // chunk
-    assert calls.count(2) == calls.count(1) == 0
+    # one kernel run per scanned size, none for sizes 1 and 2
+    assert calls == [(3, math.comb(12, 3)), (4, math.comb(12, 4))]
 
 
 def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
@@ -244,30 +221,34 @@ def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
     real_svd = np.linalg.svd
 
     def counting_svd(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(np.array(args[0]))
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     # every proper column subset of the spiked identity is well conditioned
     data, gram = _unit(spiked_identity(8).data)
     for size in range(1, 9):
-        assert scan_chunk(data, gram, tuple(range(size)), math.comb(9, size), EPS) == (-1, None)
+        assert scan_chunk(data, gram, size, math.comb(9, size), EPS) == (-1, None)
     assert calls == []
 
-    # the one dependent subset reaches the SVD, with the rest of its batch
-    result = spark_module._scan(data, gram, EPS, budget=10**9, workers=1)
+    # the one dependent subset reaches the SVD, alone in its batch
+    result = spark_module._scan(data, gram, EPS, budget=10**9)
     assert result.witness == tuple(range(9))
     assert result.subsets_examined == 2**9 - 1
-    assert calls == [(1, 8, 9)]
+    assert [a.shape for a in calls] == [(1, 8, 9)]
 
-    # a dependent triple amid independent ones: the SVD decides its batch alone
+    # a dependent triple amid independent ones: the failing 35-subset batch
+    # is split in halves, and the SVD sees only the leaf that holds it
     calls.clear()
     raw = random_matrix(3, 7, seed=1).data.copy()
     raw[:, 6] = raw[:, 2] - 2.0 * raw[:, 4]
     data, gram = _unit(raw)
     subsets = list(combinations(range(7), 3))
-    assert scan_chunk(data, gram, (0, 1, 2), len(subsets), EPS) == (
+    assert scan_chunk(data, gram, 3, len(subsets), EPS) == (
         subsets.index((2, 4, 6)),
         (2, 4, 6),
     )
-    assert calls == [(len(subsets), 3, 3)]
+    (leaf,) = calls
+    assert leaf.shape[0] <= CHOLESKY_LEAF < len(subsets)
+    assert leaf.shape[1:] == (3, 3)
+    assert any(np.array_equal(minor, data[:, [2, 4, 6]]) for minor in leaf)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def test_exact_spark_full_rank_square(identity3):
     assert (result.subsets_examined, result.settled_by) == (0, "full_rank")
     # the scan from size 1 examines every subset to reach the same answer
     data = unit_columns(identity3)
-    scanned = spark_module._scan(data, unit_gram(data), EPS, budget=10**9, workers=1)
+    scanned = spark_module._scan(data, unit_gram(data), EPS, budget=10**9)
     assert scanned == SparkSearchResult(SparkValue(kind="infinite"), None, 7, "search")
 
 
@@ -175,6 +176,16 @@ def test_serial_parallel_identical_chunked():
     parallel = exact_spark(m, workers=4)
     assert serial == parallel
     assert serial.subsets_examined > 8192
+
+
+def test_workers_start_no_thread(monkeypatch):
+    # the scan runs on one thread whatever `workers` says
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    m = random_matrix(4, 24, seed=77)
+    assert exact_spark(m, workers=4) == exact_spark(m, workers=1)
 
 
 def test_analyze_spark_requires_two_columns():
