@@ -25,12 +25,7 @@ from .formats import (
 )
 from .generators import random_matrix, spiked_identity
 from .report import INFINITY_TOKEN, build_report, render_text, report_to_json, show_number
-from .spark import (
-    analyze_spark,
-    coherence_index_lower_bound,
-    exact_spark,
-    mutual_coherence_lower_bound,
-)
+from .spark import analyze_spark
 from .uniqueness import Verdict, certify
 
 SPIKED_FAMILY = "example31"
@@ -83,6 +78,19 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_gen_output(parser: argparse.ArgumentParser, make) -> None:
+    """Output flags of a gen family; `make(args)` builds its matrix."""
+    parser.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+    parser.add_argument(
+        "--format",
+        dest="matrix_format",
+        choices=("csv", "mm"),
+        default="csv",
+        help="output format (default csv)",
+    )
+    parser.set_defaults(func=_cmd_gen, make=make)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sparkcert", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sparkcert {__version__}")
@@ -127,15 +135,7 @@ def build_parser() -> _Parser:
         SPIKED_FAMILY, help="n x (n+1) identity-plus-spike benchmark matrix"
     )
     p_spiked.add_argument("--n", type=_positive_int, required=True, help="row count (>= 2)")
-    p_spiked.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    p_spiked.add_argument(
-        "--format",
-        dest="matrix_format",
-        choices=("csv", "mm"),
-        default="csv",
-        help="output format (default csv)",
-    )
-    p_spiked.set_defaults(func=_cmd_gen_spiked)
+    _add_gen_output(p_spiked, lambda args: spiked_identity(args.n))
 
     p_random = gen_sub.add_parser("random", help="seeded standard-normal matrix")
     p_random.add_argument("--n", type=_positive_int, required=True, help="row count")
@@ -143,15 +143,7 @@ def build_parser() -> _Parser:
     p_random.add_argument(
         "--seed", type=_non_negative_int, required=True, help="RNG seed (>= 0)"
     )
-    p_random.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-    p_random.add_argument(
-        "--format",
-        dest="matrix_format",
-        choices=("csv", "mm"),
-        default="csv",
-        help="output format (default csv)",
-    )
-    p_random.set_defaults(func=_cmd_gen_random)
+    _add_gen_output(p_random, lambda args: random_matrix(args.n, args.m, args.seed))
 
     p_bench = sub.add_parser(
         "bench", help="bounds-vs-exact table for the benchmark family"
@@ -233,7 +225,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         budget=_search_budget(args) if args.exact else None,
     )
     if spark_report.search_budget_hit:
-        raise BudgetExceeded(spark_report.subsets_examined or 0)
+        raise BudgetExceeded(spark_report.subsets_examined)
     certificate = certify(matrix, x, b, tolerances, exact=spark_report.exact)
     source = "<stdin>" if args.matrixfile == "-" else args.matrixfile
     report = build_report(
@@ -243,21 +235,9 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 3 if certificate.verdict is Verdict.NOT_A_SOLUTION else 0
 
 
-def _render_matrix(data, fmt: str) -> str:
-    if fmt == "mm":
-        return write_matrix_market(data)
-    return write_csv(data)
-
-
-def _cmd_gen_spiked(args: argparse.Namespace) -> int:
-    matrix = spiked_identity(args.n)
-    _write_output(args.output, _render_matrix(matrix.data, args.matrix_format))
-    return 0
-
-
-def _cmd_gen_random(args: argparse.Namespace) -> int:
-    matrix = random_matrix(args.n, args.m, args.seed)
-    _write_output(args.output, _render_matrix(matrix.data, args.matrix_format))
+def _cmd_gen(args: argparse.Namespace) -> int:
+    write = write_matrix_market if args.matrix_format == "mm" else write_csv
+    _write_output(args.output, write(args.make(args).data))
     return 0
 
 
@@ -292,15 +272,17 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     for n in ns:
         matrix = spiked_identity(n)
         start = time.perf_counter()
-        result = exact_spark(matrix, tolerances, budget)
+        report = analyze_spark(matrix, tolerances, compute_exact=True, budget=budget)
         elapsed = time.perf_counter() - start
-        exact_shown = show_number(result.spark.value, missing=INFINITY_TOKEN)
-        index_shown = show_number(coherence_index_lower_bound(matrix, tolerances))
-        coherence_shown = show_number(mutual_coherence_lower_bound(matrix))
+        if report.search_budget_hit:
+            raise BudgetExceeded(report.subsets_examined)
+        exact_shown = show_number(report.exact.value, missing=INFINITY_TOKEN)
+        index_shown = show_number(report.coherence_index_bound)
+        coherence_shown = show_number(report.mutual_coherence_bound)
         print(
             f"{n:>4} {matrix.rows:>5} {matrix.cols:>5} {exact_shown:>12} "
-            f"{index_shown:>12} {coherence_shown:>16} {result.subsets_examined:>10} "
-            f"{elapsed:>8.3f} {result.settled_by:>11}"
+            f"{index_shown:>12} {coherence_shown:>16} {report.subsets_examined:>10} "
+            f"{elapsed:>8.3f} {report.settled_by:>11}"
         )
     return 0
 

@@ -78,9 +78,9 @@ class MatrixParseError(SparkCertError):
 class RaggedRows(MatrixParseError):
     """A CSV row has a different number of fields than the first row."""
 
-    def __init__(self, line: int, message: str | None = None):
+    def __init__(self, line: int):
         self.line = line
-        super().__init__(message or f"line {line}: row length differs from the first row")
+        super().__init__(f"line {line}: row length differs from the first row")
 
 
 class UnparseableNumber(MatrixParseError):

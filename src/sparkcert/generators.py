@@ -10,8 +10,6 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import InvalidN
 from .matrix import DenseMatrix, build_matrix, euclidean_norm
 
-SPIKED_IDENTITY_TAG = "example31"
-
 
 def spiked_identity(n: int) -> DenseMatrix:
     """The n x (n+1) benchmark family: identity plus one unit spike column.

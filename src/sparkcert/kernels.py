@@ -30,10 +30,11 @@ batch to the SVD whole. Spans are tried left to right, so the first
 dependent subset found is the first in the batch. The decisions, witness
 and subset counts are therefore those of the SVD alone.
 
-A batch is capped at GATHER_BYTES of gathered column data. Larger
-batches run no faster, because the small factorizations dominate, but
-each one adds its gather buffer and temporaries to the process's peak
-resident set.
+A batch is capped at GATHER_BYTES of gathered data, max(rows, size) *
+size floats per subset, which bounds both its columns and its Gram
+minors. Larger batches run no faster, because the small factorizations
+dominate, but each one adds its gather buffer and temporaries to the
+process's peak resident set. Decisions do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-# Bytes of column data gathered per stacked SVD call; the Cholesky of the
-# same batch gathers size x size minors, no larger when size <= rows.
+from .matrix import singular_rank
+
+# Bytes per batch of the larger of its two gathers: rows x size columns
+# for the stacked SVD, size x size Gram minors for the Cholesky.
 GATHER_BYTES = 64 * 1024
 
 # The Cholesky runs on G_S - CHOLESKY_SHIFT * size * I. A pass proves
@@ -85,7 +88,7 @@ def scan_chunk(
     dim = max(rows, size)
     prove = tol_factor * dim < PROVEN_RATIO
     shift = CHOLESKY_SHIFT * size
-    per_batch = max(1, GATHER_BYTES // (rows * size * data.itemsize))
+    per_batch = max(1, GATHER_BYTES // (dim * size * data.itemsize))
     subsets = combinations(range(cols), size)
     done = 0
     while done < count:
@@ -102,8 +105,7 @@ def scan_chunk(
             spans = ((0, batch),)
         for lo, hi in spans:
             s = np.linalg.svd(np.moveaxis(data[:, idx[lo:hi]], 0, 1), compute_uv=False)
-            cutoff = tol_factor * s[:, :1] * dim
-            dependent = np.count_nonzero(s > cutoff, axis=1) < size
+            dependent = singular_rank(s, tol_factor, dim) < size
             if dependent.any():
                 first = lo + int(np.argmax(dependent))
                 return done + first, tuple(int(i) for i in idx[first])

@@ -154,10 +154,16 @@ def numerical_rank(
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = tolerances.rank_tol_factor * float(s[0]) * max(a.shape)
-    return int(np.count_nonzero(s > cutoff))
+    return int(singular_rank(s, tolerances.rank_tol_factor, max(a.shape)))
+
+
+def singular_rank(s: np.ndarray, tol_factor: float, dim: int) -> np.ndarray:
+    """Count of singular values above tol_factor * sigma_max * dim, along the last axis.
+
+    `s` holds singular values in non-increasing order, one set per row
+    when stacked; the rank rule of numerical_rank and of the subset scan.
+    """
+    return np.count_nonzero(s > tol_factor * s[..., :1] * dim, axis=-1)
 
 
 def column_submatrix(matrix: DenseMatrix, indices: Sequence[int]) -> np.ndarray:

@@ -8,6 +8,7 @@ spark, the coherence-index bound, and the mutual-coherence bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -80,9 +81,13 @@ def certify(
 ) -> UniquenessCertificate:
     """Certify whether x is the unique sparsest solution of A x = b.
 
-    Each criterion uses the strict inequality l0 < threshold. Pass the
-    exact spark (when known) to unlock the strongest criterion; an
-    infinite exact spark certifies any actual solution.
+    One table lists the criteria, strongest first: spark (threshold
+    spark/2), coherence index ((1 + index)/2) and mutual coherence (half
+    its bound). A criterion passes when l0 < threshold; an absent
+    threshold passes nothing. Pass the exact spark (when known) to unlock
+    the strongest criterion; an infinite one passes outright. The verdict
+    is the first criterion passed, else INCONCLUSIVE, or NOT_A_SOLUTION
+    with nothing passed when the residual exceeds residual_tol.
     """
     xv = np.asarray(x, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
@@ -102,54 +107,30 @@ def certify(
     sparsity = l0_norm(xv, tolerances)
     residual = euclidean_norm(matrix.data @ xv - bv)
 
+    # full column rank (an infinite spark) allows at most one solution at all
+    full_rank = exact is not None and not exact.is_finite
+    spark_threshold = None if exact is None or full_rank else exact.value / 2.0
     index_threshold = coherence_index_lower_bound(matrix, tolerances) / 2.0
     coherence_bound = mutual_coherence_lower_bound(matrix)
     coherence_threshold = None if coherence_bound is None else coherence_bound / 2.0
-
-    spark_threshold: float | None = None
-    spark_passes = False
-    if exact is not None:
-        if exact.is_finite:
-            spark_threshold = exact.value / 2.0
-            spark_passes = sparsity < spark_threshold
-        else:
-            # full column rank: the system has at most one solution at all
-            spark_passes = True
+    table = (
+        (CRITERION_SPARK, Verdict.UNIQUE_BY_SPARK, math.inf if full_rank else spark_threshold),
+        (CRITERION_INDEX, Verdict.UNIQUE_BY_INDEX, index_threshold),
+        (CRITERION_COHERENCE, Verdict.UNIQUE_BY_COHERENCE, coherence_threshold),
+    )
 
     if residual > tolerances.residual_tol:
-        return UniquenessCertificate(
-            l0=sparsity,
-            residual=residual,
-            spark_threshold=spark_threshold,
-            index_threshold=index_threshold,
-            coherence_threshold=coherence_threshold,
-            criteria_passed=frozenset(),
-            verdict=Verdict.NOT_A_SOLUTION,
-        )
-
-    passed = set()
-    if spark_passes:
-        passed.add(CRITERION_SPARK)
-    if sparsity < index_threshold:
-        passed.add(CRITERION_INDEX)
-    if coherence_threshold is not None and sparsity < coherence_threshold:
-        passed.add(CRITERION_COHERENCE)
-
-    if CRITERION_SPARK in passed:
-        verdict = Verdict.UNIQUE_BY_SPARK
-    elif CRITERION_INDEX in passed:
-        verdict = Verdict.UNIQUE_BY_INDEX
-    elif CRITERION_COHERENCE in passed:
-        verdict = Verdict.UNIQUE_BY_COHERENCE
+        passed, verdict = [], Verdict.NOT_A_SOLUTION
     else:
-        verdict = Verdict.INCONCLUSIVE
+        passed = [row for row in table if row[2] is not None and sparsity < row[2]]
+        verdict = passed[0][1] if passed else Verdict.INCONCLUSIVE
     return UniquenessCertificate(
         l0=sparsity,
         residual=residual,
         spark_threshold=spark_threshold,
         index_threshold=index_threshold,
         coherence_threshold=coherence_threshold,
-        criteria_passed=frozenset(passed),
+        criteria_passed=frozenset(name for name, _, _ in passed),
         verdict=verdict,
     )
 

@@ -16,7 +16,7 @@ from sparkcert import (
 )
 from sparkcert import spark as spark_module
 from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
-from sparkcert.kernels import CHOLESKY_LEAF, scan_chunk
+from sparkcert.kernels import CHOLESKY_LEAF, GATHER_BYTES, scan_chunk
 from sparkcert.matrix import unit_columns, unit_gram
 
 EPS = float(np.finfo(np.float64).eps)
@@ -252,3 +252,20 @@ def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
     assert leaf.shape[0] <= CHOLESKY_LEAF < len(subsets)
     assert leaf.shape[1:] == (3, 3)
     assert any(np.array_equal(minor, data[:, [2, 4, 6]]) for minor in leaf)
+
+
+def test_cholesky_batches_stay_within_gather_bytes(monkeypatch):
+    # random 4x24 scans up to size 5 = rows + 1, where a size x size Gram
+    # minor is larger than the rows x size columns of the same subset
+    stacked = []
+    real_cholesky = np.linalg.cholesky
+
+    def recording_cholesky(a, *args, **kwargs):
+        stacked.append(a.nbytes)
+        return real_cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    result = exact_spark(random_matrix(4, 24, seed=1))
+    assert result.spark.value == 5
+    assert stacked
+    assert max(stacked) <= GATHER_BYTES

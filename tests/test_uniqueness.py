@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +22,7 @@ from sparkcert import (
     sparsest_oracle,
     spiked_identity,
 )
+from sparkcert.config import DEFAULT_TOLERANCES
 
 
 def test_l0_norm_basic():
@@ -289,3 +292,70 @@ def test_no_unique_verdict_when_oracle_finds_another_sparsest_solution(system):
     for exact in (None, exact_spark(m).spark):
         cert = certify(m, x, b, exact=exact)
         assert cert.verdict not in unique, (rivals, cert)
+
+
+@st.composite
+def certify_cases(draw):
+    """A small spiked, random or duplicated-column matrix, an x of any support
+    size that solves A x = b or misses b, and an exact spark that is absent,
+    finite or infinite."""
+    kind = draw(st.sampled_from(("spiked", "random", "duplicated")))
+    if kind == "spiked":
+        m = spiked_identity(draw(st.integers(min_value=2, max_value=6)))
+    else:
+        rows = draw(st.integers(min_value=1, max_value=5))
+        cols = draw(st.integers(min_value=2, max_value=8))
+        m = random_matrix(rows, cols, seed=draw(st.integers(min_value=0, max_value=2**16)))
+        if kind == "duplicated":
+            data = m.data.copy()
+            source, target = draw(st.lists(
+                st.integers(0, cols - 1), min_size=2, max_size=2, unique=True
+            ))
+            data[:, target] = draw(st.sampled_from([-2.0, 1.0, 3.0])) * data[:, source]
+            m = build_matrix(data)
+    support = draw(st.lists(st.integers(0, m.cols - 1), max_size=m.cols, unique=True))
+    x = np.zeros(m.cols)
+    x[support] = draw(st.lists(
+        st.sampled_from([-3.0, -1.0, 0.5, 2.0]), min_size=len(support), max_size=len(support)
+    ))
+    b = m.data @ x
+    if draw(st.booleans()):
+        b[draw(st.integers(0, m.rows - 1))] += draw(st.sampled_from([1e-12, 1e-6, 1.0]))
+    exact = draw(st.one_of(
+        st.none(),
+        st.just(SparkValue(kind="infinite")),
+        st.integers(min_value=1, max_value=m.cols + 1).map(
+            lambda v: SparkValue(kind="finite", value=v)
+        ),
+    ))
+    return m, x, b, exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=certify_cases())
+def test_certify_applies_criteria_strongest_first(case):
+    m, x, b, exact = case
+    cert = certify(m, x, b, exact=exact)
+    assert cert.l0 == l0_norm(x)
+    infinite = exact is not None and not exact.is_finite
+    assert cert.spark_threshold == (
+        exact.value / 2.0 if exact is not None and not infinite else None
+    )
+    not_a_solution = cert.residual > DEFAULT_TOLERANCES.residual_tol
+    assert (cert.verdict is Verdict.NOT_A_SOLUTION) == not_a_solution
+    if not_a_solution:
+        assert cert.criteria_passed == frozenset()
+        return
+    # strongest first; an infinite exact spark passes outright
+    thresholds = (
+        ("spark", Verdict.UNIQUE_BY_SPARK, math.inf if infinite else cert.spark_threshold),
+        ("coherence_index", Verdict.UNIQUE_BY_INDEX, cert.index_threshold),
+        ("mutual_coherence", Verdict.UNIQUE_BY_COHERENCE, cert.coherence_threshold),
+    )
+    passed = [
+        (name, verdict)
+        for name, verdict, threshold in thresholds
+        if threshold is not None and cert.l0 < threshold
+    ]
+    assert cert.criteria_passed == frozenset(name for name, _ in passed)
+    assert cert.verdict is (passed[0][1] if passed else Verdict.INCONCLUSIVE)
