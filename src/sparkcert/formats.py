@@ -5,6 +5,11 @@ width, '#' comment lines, trailing blank lines allowed. Vectors use the
 same dialect with one number per line. Matrix Market support is limited
 to the dense "array real general" variant with column-major entries.
 All error positions are reported 1-based.
+
+Numbers follow float() syntax once str.strip() has removed the whitespace
+around them. Plain ASCII CSV is converted by numpy's C reader, which
+accepts a subset of that syntax and gives identical values; everything
+else, including every error, takes the float() path.
 """
 
 from __future__ import annotations
@@ -53,18 +58,18 @@ def _lines(text: str, comment: str) -> Iterator[tuple[int, str]]:
 
 
 def _floats(tokens: Sequence[str], position: Callable[[int], tuple[int, int]]) -> np.ndarray:
-    """float() of each stripped token, as an array.
+    """float() of each token, as an array.
 
     Raises UnparseableNumber at position(i), the (line, field) of the
-    first token that float() rejects. Tokens are stripped because float()
-    does not strip the separators \\x1c-\\x1f, as str.strip() does.
+    first token that float() rejects. Callers pass tokens stripped by
+    str.strip(), because float() does not strip the separators \\x1c-\\x1f.
     """
     try:
-        return np.fromiter(map(float, map(str.strip, tokens)), np.float64, len(tokens))
+        return np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:
         for i, token in enumerate(tokens):
             try:
-                float(token.strip())
+                float(token)
             except ValueError:
                 raise UnparseableNumber(*position(i)) from None
         raise
@@ -75,14 +80,30 @@ def parse_csv(
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DenseMatrix:
     """Parse the CSV dialect into a validated DenseMatrix."""
+    text = _decode(text)
+    numbered = list(_lines(text, "#"))
+    if not numbered:
+        raise TruncatedData("no matrix rows found")
+    lines = [line for _, line in numbered]
+    if text.isascii() and all(lines):
+        # numpy's C reader accepts a subset of float() syntax and gives the
+        # same bits; the shape check catches a line that it splits at '\r'.
+        try:
+            values = np.loadtxt(
+                lines, np.float64, delimiter=",", comments=None, quotechar=None, ndmin=2
+            )
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(lines), lines[0].count(",") + 1):
+                return build_matrix(values, tolerances)
+    # float() of each field: the only path that reports errors
     rows: list[np.ndarray] = []
-    for lineno, line in _lines(_decode(text), "#"):
+    for lineno, line in numbered:
         fields = line.split(",")
         if rows and len(fields) != len(rows[0]):
             raise RaggedRows(lineno)
-        rows.append(_floats(fields, lambda c: (lineno, c + 1)))
-    if not rows:
-        raise TruncatedData("no matrix rows found")
+        rows.append(_floats([f.strip() for f in fields], lambda c: (lineno, c + 1)))
     return build_matrix(rows, tolerances)
 
 
@@ -122,37 +143,35 @@ def parse_matrix_market(
     if symmetry != "general":
         raise UnsupportedHeader(f"unsupported symmetry {symmetry!r}; only 'general'")
 
-    def body() -> Iterator[tuple[int, str]]:
-        # the header starts with '%', so it is dropped as a comment line
-        return ((lineno, line) for lineno, line in _lines(text, "%") if line)
+    # One pass keeps the stripped lines that are neither blank nor comments
+    # (the header starts with '%', so it goes too): the size line, then the
+    # entries. Line numbers are worked out again only for an error message.
+    entries = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "%"]
 
-    lines = body()
-    size_lineno, size_line = next(lines, (0, ""))
-    if not size_line:
+    def lineno(k: int) -> int:
+        return next(islice((n for n, line in _lines(text, "%") if line), k, None))
+
+    if not entries:
         raise TruncatedData("missing size line")
+    size_line = entries.pop(0)
     parts = size_line.split()
     if len(parts) != 2:
-        raise MatrixParseError(
-            f"line {size_lineno}: expected 'rows cols', got {size_line!r}"
-        )
+        raise MatrixParseError(f"line {lineno(0)}: expected 'rows cols', got {size_line!r}")
     try:
         rows, cols = int(parts[0]), int(parts[1])
     except ValueError:
         raise MatrixParseError(
-            f"line {size_lineno}: expected integer dimensions, got {size_line!r}"
+            f"line {lineno(0)}: expected integer dimensions, got {size_line!r}"
         ) from None
     if rows < 1 or cols < 1:
-        raise MatrixParseError(f"line {size_lineno}: dimensions must be positive")
+        raise MatrixParseError(f"line {lineno(0)}: dimensions must be positive")
 
-    # Keep the entries alone: a (number, line) pair per entry nearly
-    # doubles the peak memory of a parse. Numbers are looked up on error.
-    entries = [line for _, line in lines]
     needed = rows * cols
     if len(entries) != needed:
         raise TruncatedData(
             f"expected {needed} entries for a {rows}x{cols} matrix, found {len(entries)}"
         )
-    values = _floats(entries, lambda t: (next(islice(body(), t + 1, None))[0], 1))
+    values = _floats(entries, lambda t: (lineno(t + 1), 1))
     # column-major entry order
     return build_matrix(values.reshape(cols, rows).T, tolerances)
 
@@ -169,12 +188,12 @@ def parse_matrix_auto(
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DenseMatrix:
     """Parse with an explicit format ('csv' or 'mm') or by sniffing the header."""
-    chosen = fmt if fmt is not None else sniff_format(text)
-    if chosen == "csv":
-        return parse_csv(text, tolerances)
-    if chosen == "mm":
+    if fmt not in (None, "csv", "mm"):
+        raise MatrixParseError(f"unknown format {fmt!r}; expected 'csv' or 'mm'")
+    text = _decode(text)
+    if (fmt or sniff_format(text)) == "mm":
         return parse_matrix_market(text, tolerances)
-    raise MatrixParseError(f"unknown format {chosen!r}; expected 'csv' or 'mm'")
+    return parse_csv(text, tolerances)
 
 
 def format_float(value: float) -> str:

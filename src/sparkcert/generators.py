@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import InvalidN
-from .matrix import DenseMatrix, build_matrix, euclidean_norm
+from .matrix import DenseMatrix, build_matrix, euclidean_norm, euclidean_norms
 
 
 def spiked_identity(n: int) -> DenseMatrix:
@@ -47,7 +47,8 @@ def random_matrix(
         raise InvalidN(f"rows and cols must be >= 1, got {rows}x{cols}")
     rng = np.random.Generator(np.random.PCG64(seed))
     data = rng.standard_normal((rows, cols))
-    for j in range(cols):
-        while euclidean_norm(data[:, j]) <= tolerances.zero_column_tol:
+    for j, norm in enumerate(euclidean_norms(data)):
+        while norm <= tolerances.zero_column_tol:
             data[:, j] = rng.standard_normal(rows)
+            norm = euclidean_norm(data[:, j])
     return build_matrix(data, tolerances)

@@ -165,6 +165,21 @@ def test_write_matrix_market_round_trip():
     assert np.array_equal(again.data, m.data)
 
 
+def test_write_csv_grid_skips_per_token_float(monkeypatch):
+    # a plain ASCII grid goes through numpy's reader, with the same bits
+    data = random_matrix(7, 9, seed=13).data * np.array([1e-300, 1e300, 1e-310, 1, 2, 3, 4, 5, 6])
+    data[0, 3] = -0.0
+    text = write_csv(data)
+    tolerances = ToleranceConfig(zero_column_tol=0.0)
+
+    def per_token(*args):
+        raise AssertionError("float() path used")
+
+    monkeypatch.setattr("sparkcert.formats._floats", per_token)
+    assert parse_csv(text, tolerances).data.tobytes() == data.tobytes()
+    assert parse_matrix_auto(text.encode(), None, tolerances).data.tobytes() == data.tobytes()
+
+
 def test_write_vector_round_trip():
     v = np.array([0.1, -2.0, 1e-17, 3.0])
     assert np.array_equal(parse_vector(write_vector(v)), v)
@@ -322,8 +337,13 @@ _GOOD_TOKEN = st.one_of(
     st.floats(min_value=1e-3, max_value=1e6).map(repr),
     st.floats(min_value=-1e6, max_value=-1e-3).map(repr),
     st.sampled_from(["1e3", "+2", ".5", "5.", "-7", "2E-2", " 3 ", "\t4"]),
+    # float() syntax that numpy's reader does not share
+    st.sampled_from(["1_000", "\u0661\u0662", "\x1c5", "5\x1f", " 3"]),
 )
-_BAD_TOKEN = st.sampled_from(["x", "1..2", "--1", "1e", "e5", "0x1A", "1 2", "", " ", "\t"])
+_BAD_TOKEN = st.sampled_from(
+    ["x", "1..2", "--1", "1e", "e5", "0x1A", "1 2", "", " ", "\t",
+     "1\r2", "#1", '"1"', "1\x0b2", "1_"]
+)
 # (token, whether float() accepts it); one cell in six is bad
 _CELL = st.tuples(st.integers(0, 5), _GOOD_TOKEN, _BAD_TOKEN).map(
     lambda t: (t[1], True) if t[0] else (t[2], False)
@@ -333,7 +353,9 @@ _CELL = st.tuples(st.integers(0, 5), _GOOD_TOKEN, _BAD_TOKEN).map(
 def _expect(parse, text, error, values):
     if error is None:
         result = parse(text)
-        assert np.array_equal(getattr(result, "data", result), values)
+        got = getattr(result, "data", result)
+        want = np.asarray(values, dtype=np.float64)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
         return
     kind, line, col = error
     with pytest.raises(kind) as exc:
@@ -357,7 +379,11 @@ def test_parsers_report_first_error_in_file_order(data):
     text_lines = ["  # note" if cells is None else ",".join(t for t, _ in cells) for cells in lines]
     while text_lines and not text_lines[-1].strip():
         text_lines.pop()
-    rows = [(n, cells) for n, cells in enumerate(lines[: len(text_lines)], 1) if cells is not None]
+    # a row whose first cell starts with '#' is a comment line too
+    rows = [
+        (n, cells) for n, (cells, line) in enumerate(zip(lines, text_lines), 1)
+        if not line.strip().startswith("#")
+    ]
     csv_error = vector_error = None if rows else (TruncatedData, None, None)
     for n, cells in rows:
         bad = [c for c, (_, ok) in enumerate(cells, 1) if not ok]
@@ -367,7 +393,7 @@ def test_parsers_report_first_error_in_file_order(data):
             csv_error = (UnparseableNumber, n, bad[0])
         if vector_error is None and (len(cells) != 1 or bad):
             vector_error = (UnparseableNumber, n, 1)
-    values = [[float(t) for t, ok in cells if ok] for _, cells in rows]
+    values = [[float(t.strip()) for t, ok in cells if ok] for _, cells in rows]
     text = "\n".join(text_lines) + trailing
     _expect(parse_csv, text, csv_error, values)
     _expect(parse_vector, text, vector_error, [v for row in values for v in row])
@@ -389,7 +415,9 @@ def test_parsers_report_first_error_in_file_order(data):
         else (UnparseableNumber, bad[0], 1) if bad
         else None
     )
-    mm_values = np.array([float(t) for _, t, _ in entries]).reshape(c, r).T if mm_error is None else None
+    mm_values = None
+    if mm_error is None:
+        mm_values = np.array([float(t.strip()) for _, t, _ in entries]).reshape(c, r).T
     mm_text = "\n".join([_MM_HEADER.strip(), f"{r} {c}", *mm_lines]) + trailing
     _expect(parse_matrix_market, mm_text, mm_error, mm_values)
 

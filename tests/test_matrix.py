@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparkcert import (
@@ -19,7 +19,7 @@ from sparkcert import (
     numerical_rank,
     random_matrix,
 )
-from sparkcert.matrix import euclidean_norm
+from sparkcert.matrix import euclidean_norm, euclidean_norms
 
 
 def test_build_identity():
@@ -63,6 +63,40 @@ def test_euclidean_norm_matches_unscaled_sum(seed, size, exponent):
     v = np.random.default_rng(seed).standard_normal(size) * 10.0**exponent
     reference = math.sqrt(math.fsum(float(x) * float(x) for x in v))
     assert euclidean_norm(v) == reference
+
+
+_COLUMN_SCALES = [1.0, 1e300, 1e-300, 1e308, 1e-310, 5e-324, 0.0]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=9),
+    scales=st.lists(st.sampled_from(_COLUMN_SCALES), min_size=1, max_size=6),
+)
+@example(seed=0, rows=4, scales=[1.0, 1e308])  # the second norm overflows
+def test_column_norms_match_euclidean_norm_bitwise(seed, rows, scales):
+    data = np.random.default_rng(seed).uniform(-1.5, 1.5, (rows, len(scales))) * scales
+    try:
+        expected = [euclidean_norm(data[:, j]) for j in range(data.shape[1])]
+    except NormOverflow:
+        with pytest.raises(NormOverflow):
+            euclidean_norms(data)
+        with pytest.raises(NormOverflow):
+            build_matrix(data)
+        return
+    assert _bits(euclidean_norms(data)) == _bits(expected)
+    tolerances = ToleranceConfig(zero_column_tol=0.0)
+    if 0.0 in expected:
+        with pytest.raises(ZeroColumn) as exc:
+            build_matrix(data, tolerances)
+        assert exc.value.index == expected.index(0.0)
+    else:
+        assert _bits(build_matrix(data, tolerances).column_norms) == _bits(expected)
 
 
 def test_build_rejects_bad_shape():
