@@ -5,11 +5,16 @@ certify (uniqueness certificate for a candidate solution), gen (matrix
 generators), bench (bound-vs-exact table for the spiked identity family).
 Exit codes: 0 success, 1 input error, 2 search budget exceeded,
 3 certified NOT_A_SOLUTION.
+
+In-process use: main(argv) may be called any number of times in one
+process. The parser is built on the first call and reused, because
+parse_args fills a fresh namespace and leaves the parser unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import Sequence
@@ -91,8 +96,13 @@ def _add_gen_output(parser: argparse.ArgumentParser, make) -> None:
     parser.set_defaults(func=_cmd_gen, make=make)
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="sparkcert", description=__doc__)
+    """The argument parser, built on the first call; every call returns it, so do not change it."""
+    # --help shows the module docstring up to its note for in-process
+    # callers; under python -OO there is no docstring and no description
+    description = __doc__ and __doc__.partition("\n\nIn-process use:")[0]
+    parser = _Parser(prog="sparkcert", description=description)
     parser.add_argument("--version", action="version", version=f"sparkcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 

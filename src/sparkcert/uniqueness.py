@@ -20,6 +20,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     NonFiniteEntry,
+    NormOverflow,
     NoSolutionWithinKmax,
 )
 from .matrix import DenseMatrix, euclidean_norm
@@ -87,7 +88,8 @@ def certify(
     threshold passes nothing. Pass the exact spark (when known) to unlock
     the strongest criterion; an infinite one passes outright. The verdict
     is the first criterion passed, else INCONCLUSIVE, or NOT_A_SOLUTION
-    with nothing passed when the residual exceeds residual_tol.
+    with nothing passed when the residual exceeds residual_tol. Raises
+    NormOverflow when A x - b leaves the float64 range.
     """
     xv = np.asarray(x, dtype=np.float64)
     bv = np.asarray(b, dtype=np.float64)
@@ -105,7 +107,13 @@ def certify(
         raise NonFiniteEntry("b contains NaN or infinity")
 
     sparsity = l0_norm(xv, tolerances)
-    residual = euclidean_norm(matrix.data @ xv - bv)
+    # finite inputs can still overflow the product; an overflowed residual
+    # says nothing about whether x solves the system, so it is no verdict
+    with np.errstate(over="ignore", invalid="ignore"):
+        difference = matrix.data @ xv - bv
+    if not np.all(np.isfinite(difference)):
+        raise NormOverflow("residual A x - b has an entry beyond the float64 range")
+    residual = euclidean_norm(difference)
 
     # full column rank (an infinite spark) allows at most one solution at all
     full_rank = exact is not None and not exact.is_finite

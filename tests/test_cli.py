@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sparkcert.cli
 import sparkcert.coherence
 import sparkcert.matrix
 import sparkcert.spark
@@ -18,7 +19,11 @@ from sparkcert.formats import write_csv, write_matrix_market, write_vector
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, or ("SystemExit", code) for --help, stdout, stderr) of one main call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -186,6 +191,19 @@ def test_certify_residual_of_huge_entries_is_finite(capsys, tmp_path):
     assert report.spark.coherence_index_bound == 3
 
 
+def test_certify_overflowing_residual_exits_1(capsys, tmp_path):
+    # every entry is finite, but A x overflows: no verdict and no warning
+    mp = tmp_path / "m.csv"
+    xp = tmp_path / "x.txt"
+    bp = tmp_path / "b.txt"
+    mp.write_text("1,0,1\n0,1,1\n")
+    xp.write_text("1e308\n1e308\n1e308\n")
+    bp.write_text("1\n0\n")
+    code, out, err = run(capsys, "certify", str(mp), "--x", str(xp), "--b", str(bp))
+    assert (code, out) == (1, "")
+    assert err == "error: NormOverflow: residual A x - b has an entry beyond the float64 range\n"
+
+
 def test_one_coherence_pass_per_command(capsys, tmp_path, monkeypatch):
     calls = []
     real = sparkcert.matrix.gram_matrix
@@ -308,3 +326,100 @@ def test_pipe_gen_to_analyze(capsys, monkeypatch):
     assert tree["spark"]["mutual_coherence_bound"] == pytest.approx(2.25, abs=1e-12)
     assert tree["spark"]["exact"] == {"kind": "finite", "value": 11}
     assert tree["spark"]["settled_by"] == "null_vector"
+
+
+def test_main_builds_the_parser_once(capsys, tmp_path, monkeypatch):
+    builds = []
+    real_init = sparkcert.cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparkcert.cli._Parser, "__init__", counting_init)
+    sparkcert.cli.build_parser.cache_clear()
+    mp = tmp_path / "m.csv"
+    xp = tmp_path / "x.txt"
+    bp = tmp_path / "b.txt"
+    mp.write_text(write_csv(spiked_identity(4).data))
+    xp.write_text(write_vector(np.eye(5)[1]))
+    bp.write_text(write_vector(np.eye(4)[1]))
+    codes = [
+        run(capsys, *argv)[0]
+        for argv in (
+            ("analyze", str(mp)),
+            ("analyze", str(mp), "--exact", "--json"),
+            ("certify", str(mp), "--x", str(xp), "--b", str(bp), "--exact"),
+            ("gen", "example31", "--n", "3"),
+            ("analyze",),
+            ("--help",),
+            ("gen", "random", "--help"),
+        )
+    ]
+    assert codes == [0, 0, 0, 0, 1, ("SystemExit", 0), ("SystemExit", 0)]
+    # every parser, top-level and sub-parser, has its own prog and was built once
+    assert builds.count("sparkcert") == 1
+    assert len(builds) == len(set(builds))
+
+
+def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch):
+    m = spiked_identity(5)
+    x = np.eye(6)[2]
+    mp = tmp_path / "m.csv"
+    rp = tmp_path / "r.csv"
+    xp = tmp_path / "x.txt"
+    bp = tmp_path / "b.txt"
+    gp = tmp_path / "g.csv"
+    mp.write_text(write_csv(m.data))
+    rp.write_text(write_csv(random_matrix(4, 9, seed=0).data))
+    xp.write_text(write_vector(x))
+    bp.write_text(write_vector(m.data @ x))
+    certify_argv = ("certify", str(mp), "--x", str(xp), "--b", str(bp), "--json")
+    steps = (
+        (None, ("analyze", str(rp), "--exact", "--budget", "5", "--json")),
+        (None, ("analyze", str(rp), "--json")),
+        (None, certify_argv + ("--exact",)),
+        (None, certify_argv),
+        (None, ("gen", "random", "--n", "3", "--m", "5", "--seed", "4", "-o", str(gp))),
+        (None, ("gen", "example31", "--n", "3")),
+        ("40", ("--help",)),
+        ("150", ("--help",)),
+    )
+
+    def run_steps(fresh):
+        results = []
+        for columns, argv in steps:
+            if columns is None:
+                monkeypatch.delenv("COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("COLUMNS", columns)
+            if fresh:
+                sparkcert.cli.build_parser.cache_clear()
+            gp.unlink(missing_ok=True)
+            result = run(capsys, *argv)
+            results.append(result + (gp.read_text() if gp.exists() else None,))
+        return results
+
+    sparkcert.cli.build_parser.cache_clear()
+    reused = run_steps(fresh=False)
+    assert reused == run_steps(fresh=True)
+
+    budget_hit, bounds_only, with_exact, without_exact, to_file, to_stdout, narrow, wide = (
+        reused
+    )
+    assert budget_hit[0] == 2
+    assert json.loads(budget_hit[1])["spark"]["search_budget_hit"] is True
+    assert bounds_only[0] == 0
+    spark = json.loads(bounds_only[1])["spark"]
+    assert (spark["exact"], spark["search_budget_hit"], spark["subsets_examined"]) == (
+        None,
+        False,
+        None,
+    )
+    assert json.loads(with_exact[1])["certificate"]["verdict"] == "unique_by_spark"
+    assert json.loads(without_exact[1])["spark"]["exact"] is None
+    assert to_file[:3] == (0, "", "") and parse_csv(to_file[3]).shape == (3, 5)
+    assert to_stdout[0] == 0 and parse_csv(to_stdout[1]).shape == (3, 4)
+    assert narrow[0] == wide[0] == ("SystemExit", 0)
+    # help is wrapped to COLUMNS when it is printed, not when the parser is built
+    assert len(narrow[1].splitlines()) > len(wide[1].splitlines())

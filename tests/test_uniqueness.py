@@ -9,6 +9,7 @@ from sparkcert import (
     BudgetExceeded,
     DimensionMismatch,
     NonFiniteEntry,
+    NormOverflow,
     NoSolutionWithinKmax,
     SparkValue,
     ToleranceConfig,
@@ -74,6 +75,13 @@ def test_certify_sound_at_extreme_magnitudes():
     cert = certify(m, x, b)
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.criteria_passed == frozenset()
+
+
+def test_certify_overflowing_residual_raises():
+    # every entry is finite, but A x overflows: an inf residual is no verdict
+    m = build_matrix([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(NormOverflow, match=r"residual A x - b"):
+        certify(m, np.full(3, 1e308), np.array([1.0, 0.0]))
 
 
 def test_certify_zero_solution_passes():
