@@ -7,57 +7,43 @@ comes from a budgeted exhaustive subset search.
 
 The search tests sizes 1, 2, ... and, within a size, subsets in
 lexicographic order, through the batched Cholesky-then-SVD kernel in the
-kernels module: each size is one kernel run from its first subset, on one
-thread, so the witness is the first dependent subset in that order.
+kernels module, so the witness is the first dependent subset in that
+order. The kernel calls a size-k subset S of the unit columns A
+dependent when the computed singular values of A_S have s_k <= tol * s_1
+* max(rows, k): the rule at tol.
 
-Before that scan, when rows >= cols - 1, one SVD of the unit columns A
-can settle the search outright. The scan calls a size-k subset S
-dependent when sigma_k(A_S) <= tol * sigma_1(A_S) * max(rows, k), on
-computed singular values (the kernel's Cholesky only ever says
-"independent", and never against the SVD). Write s_1 >= ... >= s_cols
-for the computed singular values of A, padded with zeros when rows <
-cols, dim = max(rows, cols), and e = SVD_ERROR * eps * dim * s_1 for the
-SVD's error: a computed SVD of A, or of any column subset A_S, is the
-exact SVD of a matrix within e of it in the 2-norm (see SVD_ERROR), so
-each computed singular value is within e of the exact one. Then
-c = tol * (s_1 + 2e) * dim is at least the cutoff of any subset, because
-its computed sigma_1(A_S) is at most sigma_1(A_S) + e <= sigma_1(A) + e
-<= s_1 + 2e (a column subset has no larger sigma_1) and max(rows, k) <=
-dim.
+Margin lemma. Let D = max(rows, k), s = SVD_ERROR * eps * D and m(tol, D)
+= (1 + 8 eps) * (tol * (1 + 2s) + 2s / D). If the kernel at tolerance m
+calls S independent, every subset T of S is independent at tol. Proof:
+the computed singular values of A_S and of A_T lie within e = s * s_1 of
+the exact ones (SVD_ERROR). By interlacing, sigma_min(A_T) >= sigma_k(A_S)
+and sigma_1(A_T) <= sigma_1(A_S), so T's cutoff is at most tol * (s_1 +
+2e) * D. If the SVD decided S, T's computed smallest singular value is at
+least s_k - 2e > m * s_1 * D - 2e, above that cutoff (1 + 8 eps covers
+the rounding). If a Cholesky pass decided S, sigma_k(A_S) >= ~1e-4 *
+sigma_1(A_S), twice the PROVEN_RATIO that m * D must stay below for the
+kernel to run one, so the same holds with orders of magnitude to spare.
+At k = cols, m * s_1 * D / (1 + 8 eps) = tol * (s_1 + 2e) * D + 2e: the
+smallest singular value must clear the largest cutoff of any subset by 2e.
 
-(a) Full rank. If rows >= cols and s_cols > c + 2e, no subset is
-dependent and the spark is infinite. Proof: for a size-k subset,
-interlacing gives sigma_k(A_S) >= sigma_cols(A) >= s_cols - e, so its
-computed sigma_k is at least s_cols - 2e > c, above its cutoff.
+When rows >= cols - 1 the lemma settles the search from the top
+(_settle_from_top), before any scan:
 
-(b) Nullity one. Let x be the exact right singular vector of sigma_cols
-and x^ the computed one (the last row of V^T), and suppose low = s_{cols-1}
-- e and gap = s_{cols-1} - s_cols - 2e are positive: low is at most
-sigma_{cols-1}, and gap at most the separation s_{cols-1} - sigma_cols
-between the computed SVD and the exact one. Set
-delta = sqrt(2) * ((c + e) / low + e / gap). Every unit vector v
-supported on a subset the scan calls dependent lies within delta of +x^
-or -x^. Proof: such a subset S of size k <= rows has exact sigma_k(A_S)
-<= c + e (its computed one is at most its cutoff), and one of size k >
-rows has a null vector; either way some unit v on S has |A v| <= c + e.
-Split v = a x + w with w orthogonal to x. As A x and A w are
-orthogonal, |A w| <= |A v|, and w lies in the span of the other right
-singular vectors, so |w| <= (c + e) / sigma_{cols-1}, and with the sign
-of x chosen so that a >= 0, |v - x| <= sqrt(2) |w|. By Wedin's sin-theta
-theorem the computed x^ spans a line at an angle theta from x with
-sin(theta) <= e / gap, so |x^ - x| <= sqrt(2) e / gap for the right sign.
-So if j is outside S, |x^_j| = |x^_j - v_j| <= delta: every dependent
-subset contains W = {j : |x^_j| > 2 * delta} (the factor 2 leaves room
-for the rounding of x^ and delta). If W is not empty and the kernel
-calls W itself dependent, W is the only dependent subset of its size and
-none is smaller, so the scan would return spark |W| with witness W;
-that is the answer, after one subset examined. Otherwise the scan runs.
+- Full rank. If rows >= cols and the kernel at m(tol, rows) calls all
+  columns independent, no subset is dependent: the spark is infinite.
+- Null vector. Otherwise the kernel scans the cols subsets of size
+  cols - 1 at m(tol, max(rows, cols - 1)). Let W hold the columns left
+  out by the subsets that pass before the first that fails. For j in W,
+  every subset without j is independent, so every dependent subset
+  contains W. If the kernel calls W dependent, none is smaller and W is
+  the only one of its size: the spark is |W| with witness W. The
+  subsets leave out first the columns heaviest in the last right
+  singular vector of A, a guess at W that the proof does not rest on.
 
-Both proofs only ever skip a scan whose answer they have proven; a
-tolerance coarse enough to defeat their margins sends the search to the
-scan. The scan itself starts at the first size the coherence profile
-cannot prove independent (_first_unproven_size), and subsets_examined
-counts only the subsets scanned.
+Either proof costs at most cols + 2 kernel subsets and counts as 0 and 1
+subsets examined; a tolerance coarse enough to defeat the margin leaves
+the search to the scan. The scan starts at the first size the coherence
+profile cannot prove independent (_first_unproven_size).
 """
 
 from __future__ import annotations
@@ -87,13 +73,13 @@ EPS = float(np.finfo(np.float64).eps)
 # computed factors being the exact SVD of a matrix that close (LAPACK
 # Users' Guide, 3rd ed., sec. 4.9), with p a modestly growing function of
 # the dimensions that the guide's own error estimates take as 1. The
-# proofs here take p = SVD_ERROR * max(rows, cols): linear growth with a
-# factor 64 to spare. The matrices they settle clear their margins by
-# many orders of magnitude more; a thinner margin goes to the scan.
+# margin lemma takes p = SVD_ERROR * max(rows, k) for a size-k subset, with
+# its computed sigma_1 for the exact one: linear growth with a factor 64
+# to spare; a thinner margin goes to the scan.
 SVD_ERROR = 64
 
 # What settled an exact search: the subset scan, or one of the two proofs
-# from a single SVD described in the module docstring.
+# from the top described in the module docstring.
 SETTLED_BY_SEARCH = "search"
 SETTLED_BY_FULL_RANK = "full_rank"
 SETTLED_BY_NULL_VECTOR = "null_vector"
@@ -131,8 +117,8 @@ class SparkSearchResult:
     witness lists the columns of the first (smallest size, lexicographic)
     dependent subset when spark is finite; subsets_examined counts the
     subsets scanned up to and including the witness (sizes the coherence
-    profile proves independent are not scanned; a proof from one SVD scans
-    0 or 1). settled_by is one of SETTLED_BY: "search" for the scan,
+    profile proves independent are not scanned; a proof from the top
+    counts 0 or 1). settled_by is one of SETTLED_BY: "search" for the scan,
     "full_rank" or "null_vector" for the proofs.
     """
 
@@ -223,44 +209,40 @@ def _first_unproven_size(matrix: DenseMatrix, tol_factor: float) -> int:
     return size
 
 
-def _settle_by_svd(
+def _margin(tol_factor: float, dim: int) -> float:
+    """m(tol, D) of the margin lemma (module docstring), for D = dim."""
+    s = SVD_ERROR * EPS * dim
+    return (1.0 + 8.0 * EPS) * (tol_factor * (1.0 + 2.0 * s) + 2.0 * s / dim)
+
+
+def _settle_from_top(
     data: np.ndarray, gram: np.ndarray, tol_factor: float
 ) -> SparkSearchResult | None:
-    """Proofs (a) and (b) of the module docstring, or None when neither applies.
+    """The full-rank and null-vector proofs of the module docstring, or None.
 
     `data` holds the unit columns and `gram` their unit Gram matrix, as
     scan_chunk takes them.
     """
     rows, cols = data.shape
-    if rows < cols - 1:
+    if rows >= cols and scan_chunk(data, gram, cols, 1, _margin(tol_factor, rows))[1] is None:
+        return SparkSearchResult(SPARK_INFINITE, None, 0, SETTLED_BY_FULL_RANK)
+    if not 2 <= cols <= rows + 1:
         return None
-    dim = max(rows, cols)
-    _, computed, vt = np.linalg.svd(data, full_matrices=rows < cols)
-    s = np.zeros(cols)
-    s[: computed.size] = computed
-    err = SVD_ERROR * EPS * dim * s[0]
-    cutoff = tol_factor * (s[0] + 2.0 * err) * dim
-    if rows >= cols and s[-1] > cutoff + 2.0 * err:
-        return SparkSearchResult(
-            spark=SPARK_INFINITE, witness=None, subsets_examined=0,
-            settled_by=SETTLED_BY_FULL_RANK,
-        )
-    low = s[-2] - err if cols > 1 else 0.0
-    gap = low - s[-1] - err
-    if not gap > 0.0:
-        return None
-    delta = math.sqrt(2.0) * ((cutoff + err) / low + err / gap)
-    support = tuple(int(j) for j in np.flatnonzero(np.abs(vt[-1]) > 2.0 * delta))
+    # the i-th subset of size cols - 1 leaves out order[cols - 1 - i]
+    vt = np.linalg.svd(data, full_matrices=rows < cols)[2]
+    order = np.argsort(np.abs(vt[-1]), kind="stable")
+    failed, _ = scan_chunk(
+        data[:, order], gram[np.ix_(order, order)], cols - 1, cols,
+        _margin(tol_factor, max(rows, cols - 1)),
+    )
+    passed = cols if failed < 0 else failed
+    support = tuple(sorted(int(j) for j in order[cols - passed:]))
     # W is the first and only subset of its own columns
     if support and scan_chunk(
         data[:, support], gram[np.ix_(support, support)], len(support), 1, tol_factor
     )[1] is not None:
-        return SparkSearchResult(
-            spark=SparkValue(kind="finite", value=len(support)),
-            witness=support,
-            subsets_examined=1,
-            settled_by=SETTLED_BY_NULL_VECTOR,
-        )
+        spark = SparkValue(kind="finite", value=len(support))
+        return SparkSearchResult(spark, support, 1, SETTLED_BY_NULL_VECTOR)
     return None
 
 
@@ -307,9 +289,9 @@ def exact_spark(
     budget: int | None = None,
     workers: int = 1,
 ) -> SparkSearchResult:
-    """Minimal dependent-subset search: a proof from one SVD, else the scan.
+    """Minimal dependent-subset search: a proof from the top, else the scan.
 
-    When rows >= cols - 1 one SVD may settle the answer (module
+    When rows >= cols - 1 the margin lemma may settle the answer (module
     docstring). Otherwise sizes from _first_unproven_size on are scanned,
     and within a size, subsets in lexicographic order; the first dependent
     one wins, so the result is deterministic and the witness is minimal.
@@ -331,7 +313,7 @@ def exact_spark(
     data = unit_columns(matrix)
     gram = unit_gram(data)
     tol_factor = tolerances.rank_tol_factor
-    proven = _settle_by_svd(data, gram, tol_factor)
+    proven = _settle_from_top(data, gram, tol_factor)
     if proven is not None:
         return proven
     return _scan(data, gram, tol_factor, budget, _first_unproven_size(matrix, tol_factor))

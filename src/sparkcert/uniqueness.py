@@ -166,6 +166,14 @@ class OracleResult:
     supports_examined: int
 
 
+def _fits(residual: np.ndarray, tolerances: ToleranceConfig) -> bool:
+    """Whether |residual| <= residual_tol; one beyond the float64 range is not."""
+    try:
+        return euclidean_norm(residual) <= tolerances.residual_tol
+    except NormOverflow:
+        return False
+
+
 def sparsest_oracle(
     matrix: DenseMatrix,
     b: np.ndarray,
@@ -176,10 +184,11 @@ def sparsest_oracle(
     """Brute-force minimal-support solutions of A x = b, for validation.
 
     Enumerates supports by size 0, 1, ..., k_max; a support is accepted
-    when its least-squares fit has residual <= residual_tol and every
-    coefficient exceeds zero_entry_tol in magnitude, so the reported
-    sparsity is exactly the support size. Stops at the first size with
-    any accepted support and returns all accepted supports of that size.
+    when its least-squares fit, refined once if it misses, has residual
+    <= residual_tol (one that overflows is rejected) and every coefficient
+    exceeds zero_entry_tol in magnitude, so the reported sparsity is
+    exactly the support size. Stops at the first size with any accepted
+    support and returns all accepted supports of that size.
     """
     if budget is None:
         budget = default_search_budget()
@@ -199,7 +208,7 @@ def sparsest_oracle(
         found: list[OracleSolution] = []
         if size == 0:
             examined += 1
-            if euclidean_norm(bv) <= tolerances.residual_tol:
+            if _fits(bv, tolerances):
                 found.append(OracleSolution(support=(), coefficients=()))
         else:
             for support in combinations(range(matrix.cols), size):
@@ -208,7 +217,15 @@ def sparsest_oracle(
                 examined += 1
                 sub = matrix.data[:, support]
                 coef, *_ = np.linalg.lstsq(sub, bv, rcond=None)
-                if euclidean_norm(sub @ coef - bv) > tolerances.residual_tol:
+                # an overflowing residual only shows that this is no solution
+                with np.errstate(over="ignore", invalid="ignore"):
+                    residual = sub @ coef - bv
+                    if np.all(np.isfinite(residual)) and not _fits(residual, tolerances):
+                        # lstsq can miss an exact fit by a few ulps of b, more
+                        # than residual_tol when b is large: refine once
+                        coef = coef - np.linalg.lstsq(sub, residual, rcond=None)[0]
+                        residual = sub @ coef - bv
+                if not _fits(residual, tolerances):
                     continue
                 if np.any(np.abs(coef) <= tolerances.zero_entry_tol):
                     continue

@@ -18,6 +18,7 @@ from sparkcert import spark as spark_module
 from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
 from sparkcert.kernels import CHOLESKY_LEAF, GATHER_BYTES, scan_chunk
 from sparkcert.matrix import unit_columns, unit_gram
+from sparkcert.spark import SparkSearchResult
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -187,10 +188,26 @@ def test_proofs_match_the_scan(matrix, tol_factor):
     # whatever the full-rank or null-vector proof answers, the scan from
     # size 1 answers too
     data, gram = _unit(matrix.data)
-    proven = spark_module._settle_by_svd(data, gram, tol_factor)
+    proven = spark_module._settle_from_top(data, gram, tol_factor)
     if proven is not None:
         scanned = spark_module._scan(data, gram, tol_factor, budget=10**9)
         assert (proven.spark, proven.witness) == (scanned.spark, scanned.witness)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, support",
+    [(13, 14, (2, 9, 11)), (16, 14, (0, 5, 6, 13)), (14, 14, (1, 4, 7, 8, 12, 13))],
+)
+def test_planted_proofs_match_the_scan(rows, cols, support):
+    # rows >= cols - 1 and a planted dependency smaller than cols: the
+    # null-vector proof finds W = support, as the scan from size 1 does
+    data = random_matrix(rows, cols, seed=rows).data.copy()
+    data[:, support[-1]] = data[:, support[:-1]] @ np.resize([1.0, -2.0], len(support) - 1)
+    data, gram = _unit(data)
+    proven = spark_module._settle_from_top(data, gram, EPS)
+    scanned = spark_module._scan(data, gram, EPS, budget=10**9)
+    assert scanned.witness == support
+    assert proven == SparkSearchResult(scanned.spark, support, 1, "null_vector")
 
 
 def test_scan_skips_proven_sizes_and_stops_at_hit(monkeypatch):

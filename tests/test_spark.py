@@ -108,6 +108,35 @@ def test_one_svd_settles_spiked_and_full_rank_tall():
     assert exact_spark(spiked_identity(6), coarse).settled_by == "search"
 
 
+def test_margin_proof_finds_a_column_light_in_the_null_vector():
+    # column 1 carries 1e-9 of the null vector's weight: W must still hold
+    # it, since every subset without it passes the margin
+    data = random_matrix(5, 6, seed=61).data.copy()
+    data[:, 5] = data[:, 0] + 2.0 * data[:, 2] + 1e-9 * data[:, 1]
+    assert exact_spark(build_matrix(data)) == SparkSearchResult(
+        SparkValue(kind="finite", value=4), (0, 1, 2, 5), 1, "null_vector"
+    )
+
+
+def test_full_rank_proof_needs_the_margin():
+    # sigma_2 / sigma_1 = 0.01 on two columns: a cutoff ratio a relative
+    # 1e-12 below it leaves them independent under the rule, but inside
+    # the SVD error term the proof must clear, so the scan decides
+    c = (1.0 - 1e-4) / (1.0 + 1e-4)
+    m = build_matrix([[1.0, c], [0.0, math.sqrt(1.0 - c * c)]])
+    s = np.linalg.svd(unit_columns(m), compute_uv=False)
+
+    def settle(factor):
+        return exact_spark(m, ToleranceConfig(rank_tol_factor=s[1] / s[0] / 2 * factor))
+
+    infinite = SparkValue(kind="infinite")
+    assert settle(1 - 1e-12) == SparkSearchResult(infinite, None, 1, "search")
+    assert settle(1 - 1e-10) == SparkSearchResult(infinite, None, 0, "full_rank")
+    assert settle(1 + 1e-12) == SparkSearchResult(
+        SparkValue(kind="finite", value=2), (0, 1), 1, "null_vector"
+    )
+
+
 def test_exact_spark_three_column_pair(three_column_pair):
     # no pair is dependent; all three columns together are
     result = exact_spark(three_column_pair)

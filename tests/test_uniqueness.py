@@ -219,6 +219,24 @@ def test_oracle_no_solution_within_kmax():
         sparsest_oracle(m, b, k_max=1)
 
 
+def test_oracle_rejects_supports_whose_residual_overflows():
+    # |b| and the residual of support (0,) both overflow; (1,) solves the
+    # system exactly, although lstsq misses it by 2 ulps of b
+    m = build_matrix([[1.0, 1.0], [0.5, -1.0]])
+    result = sparsest_oracle(m, np.array([1.7e308, -1.7e308]), k_max=2)
+    assert [s.support for s in result.solutions] == [(1,)]
+    assert result.solutions[0].coefficients == (1.7e308,)
+
+
+def test_oracle_keeps_an_exact_fit_when_another_residual_overflows():
+    # column 0 times 1.7e308 is b exactly; support (1,) leaves a residual
+    # whose norm overflows, and |b| itself overflows at size 0
+    m = build_matrix([[1.0, 1.0], [0.5, -1.0]])
+    result = sparsest_oracle(m, np.array([1.7e308, 0.85e308]), k_max=2)
+    assert [s.support for s in result.solutions] == [(0,)]
+    assert result.solutions[0].coefficients == (1.7e308,)
+
+
 def test_oracle_budget():
     m = random_matrix(4, 10, seed=0)
     b = np.ones(4)
