@@ -27,7 +27,9 @@ from .uniqueness import CRITERIA, UniquenessCertificate, Verdict
 # 2: the spark section gained settled_by, subsets_examined stopped counting
 # the sizes the coherence profile proves independent, and the mutual
 # coherence bound allows for the rounding of the mutual coherence.
-SCHEMA_VERSION = 2
+# 3: settled_by gained "size_proof", and subsets_examined counts the size
+# proof's probe beside the scan.
+SCHEMA_VERSION = 3
 TOOL_NAME = "sparkcert"
 TOP_COHERENCES_SHOWN = 10
 

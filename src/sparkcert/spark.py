@@ -26,23 +26,42 @@ kernel to run one, so the same holds with orders of magnitude to spare.
 At k = cols, m * s_1 * D / (1 + 8 eps) = tol * (s_1 + 2e) * D + 2e: the
 smallest singular value must clear the largest cutoff of any subset by 2e.
 
-When rows >= cols - 1 the lemma settles the search from the top
-(_settle_from_top), before any scan:
+The lemma settles the search from the top, before the upward scan:
 
-- Full rank. If rows >= cols and the kernel at m(tol, rows) calls all
-  columns independent, no subset is dependent: the spark is infinite.
-- Null vector. Otherwise the kernel scans the cols subsets of size
-  cols - 1 at m(tol, max(rows, cols - 1)). Let W hold the columns left
-  out by the subsets that pass before the first that fails. For j in W,
-  every subset without j is independent, so every dependent subset
-  contains W. If the kernel calls W dependent, none is smaller and W is
-  the only one of its size: the spark is |W| with witness W. The
-  subsets leave out first the columns heaviest in the last right
-  singular vector of A, a guess at W that the proof does not rest on.
+- Size proof. Let k = min(rows, cols). If the kernel at m(tol, rows)
+  calls every size-k subset independent, every subset of at most k
+  columns lies in one of them and is independent at tol, so the scan
+  from size 1 would find nothing below size k + 1 and resumes there.
+  At k = cols the spark is infinite: full rank, 0 subsets examined. For
+  a wide matrix the first subset of size rows + 1, (0, ..., rows), has
+  only rows singular values, is dependent under the rule and is the
+  witness. The probe runs when k = cols, and when k < cols - 1 and the
+  coherence profile does not already prove size k (_first_unproven_size
+  <= k); at rows = cols - 1 the null-vector proof scans size k itself.
+  If a subset fails, the scan runs from _first_unproven_size as it would
+  have, and the probe's subsets count toward the budget and toward
+  subsets_examined.
+- Null vector. When rows >= cols - 1 and the probe has not settled the
+  search, the kernel scans the cols subsets of size cols - 1 at
+  m(tol, max(rows, cols - 1)). Let W hold the columns left out by the
+  subsets that pass before the first that fails. For j in W, every
+  subset without j is independent, so every dependent subset contains
+  W. If the kernel calls W dependent, none is smaller and W is the only
+  one of its size: the spark is |W| with witness W, counted as 1 subset
+  examined. The subsets leave out first the columns heaviest in the
+  last right singular vector of A, a guess at W that the proof does not
+  rest on.
 
-Either proof costs at most cols + 2 kernel subsets and counts as 0 and 1
-subsets examined; a tolerance coarse enough to defeat the margin leaves
-the search to the scan. The scan starts at the first size the coherence
+A failed probe costs at most what the scan spends on one size. If the
+spark s is at most k, with witness W, the first size-k subset that
+holds W is W plus the smallest k - s columns outside it. It fails at
+the margin (by the lemma), and it comes no later among the size-k
+subsets than W among the size-s ones: adding the smallest column p
+missing from W drops p's term from the lexicographic rank and leaves
+the other terms as they were. If the spark exceeds k, the scan
+examines all of size k. So probe plus scan cost at most twice the scan.
+A tolerance coarse enough to defeat the margin leaves the
+search to the scan. The scan starts at the first size the coherence
 profile cannot prove independent (_first_unproven_size).
 """
 
@@ -78,12 +97,16 @@ EPS = float(np.finfo(np.float64).eps)
 # to spare; a thinner margin goes to the scan.
 SVD_ERROR = 64
 
-# What settled an exact search: the subset scan, or one of the two proofs
-# from the top described in the module docstring.
+# What settled an exact search: the subset scan, or one of the proofs from
+# the top described in the module docstring (the size proof at k = cols is
+# full rank).
 SETTLED_BY_SEARCH = "search"
 SETTLED_BY_FULL_RANK = "full_rank"
 SETTLED_BY_NULL_VECTOR = "null_vector"
-SETTLED_BY = (SETTLED_BY_SEARCH, SETTLED_BY_FULL_RANK, SETTLED_BY_NULL_VECTOR)
+SETTLED_BY_SIZE_PROOF = "size_proof"
+SETTLED_BY = (
+    SETTLED_BY_SEARCH, SETTLED_BY_FULL_RANK, SETTLED_BY_NULL_VECTOR, SETTLED_BY_SIZE_PROOF
+)
 
 
 @dataclass(frozen=True)
@@ -115,11 +138,15 @@ class SparkSearchResult:
     """Outcome of the exhaustive search.
 
     witness lists the columns of the first (smallest size, lexicographic)
-    dependent subset when spark is finite; subsets_examined counts the
-    subsets scanned up to and including the witness (sizes the coherence
-    profile proves independent are not scanned; a proof from the top
-    counts 0 or 1). settled_by is one of SETTLED_BY: "search" for the scan,
-    "full_rank" or "null_vector" for the proofs.
+    dependent subset when spark is finite. subsets_examined counts the
+    subsets the kernel tested at the rule or at the margin: the size
+    proof's probe, up to and including the first subset that fails, plus
+    the scan's, up to and including the witness. Sizes the coherence
+    profile proves independent are not scanned, and the proofs for rows
+    >= cols - 1 count 0 (full rank, or its failed probe) and 1 (null
+    vector). settled_by is one of SETTLED_BY: "search" for the scan,
+    "size_proof" for a scan resumed above a passing probe, "full_rank" or
+    "null_vector" for the proofs.
     """
 
     spark: SparkValue
@@ -216,34 +243,55 @@ def _margin(tol_factor: float, dim: int) -> float:
 
 
 def _settle_from_top(
-    data: np.ndarray, gram: np.ndarray, tol_factor: float
-) -> SparkSearchResult | None:
-    """The full-rank and null-vector proofs of the module docstring, or None.
+    data: np.ndarray, gram: np.ndarray, tol_factor: float, first_size: int, budget: int
+) -> SparkSearchResult:
+    """The size proof and the null-vector proof of the module docstring, else the scan.
 
     `data` holds the unit columns and `gram` their unit Gram matrix, as
-    scan_chunk takes them.
+    scan_chunk takes them; the scan starts at first_size. The probe's
+    subsets count toward `budget`, except at k = cols.
     """
     rows, cols = data.shape
-    if rows >= cols and scan_chunk(data, gram, cols, 1, _margin(tol_factor, rows))[1] is None:
-        return SparkSearchResult(SPARK_INFINITE, None, 0, SETTLED_BY_FULL_RANK)
-    if not 2 <= cols <= rows + 1:
-        return None
-    # the i-th subset of size cols - 1 leaves out order[cols - 1 - i]
-    vt = np.linalg.svd(data, full_matrices=rows < cols)[2]
-    order = np.argsort(np.abs(vt[-1]), kind="stable")
-    failed, _ = scan_chunk(
-        data[:, order], gram[np.ix_(order, order)], cols - 1, cols,
-        _margin(tol_factor, max(rows, cols - 1)),
-    )
-    passed = cols if failed < 0 else failed
-    support = tuple(sorted(int(j) for j in order[cols - passed:]))
-    # W is the first and only subset of its own columns
-    if support and scan_chunk(
-        data[:, support], gram[np.ix_(support, support)], len(support), 1, tol_factor
-    )[1] is not None:
-        spark = SparkValue(kind="finite", value=len(support))
-        return SparkSearchResult(spark, support, 1, SETTLED_BY_NULL_VECTOR)
-    return None
+    size = min(rows, cols)
+    examined = 0
+    # the size proof; at rows = cols - 1 the null-vector proof below scans
+    # that size, and where the coherence profile proves it the scan skips it
+    if size == cols or first_size <= size < cols - 1:
+        total = math.comb(cols, size)
+        allowed = min(total, budget)
+        failed, _ = scan_chunk(data, gram, size, allowed, _margin(tol_factor, rows))
+        if failed < 0 and size == cols:
+            return SparkSearchResult(SPARK_INFINITE, None, 0, SETTLED_BY_FULL_RANK)
+        if failed < 0 and budget <= total:
+            raise BudgetExceeded(budget)
+        if failed < 0:
+            # the scan resumes at size rows + 1, where a subset has only rows
+            # singular values: the first is dependent under the rule
+            spark = SparkValue(kind="finite", value=size + 1)
+            return SparkSearchResult(
+                spark, tuple(range(size + 1)), total + 1, SETTLED_BY_SIZE_PROOF
+            )
+        # a failed full-rank probe counts 0, as the proofs for rows >= cols - 1 do
+        if size < cols:
+            examined = failed + 1
+    # the null-vector proof
+    if 2 <= cols <= rows + 1:
+        # the i-th subset of size cols - 1 leaves out order[cols - 1 - i]
+        vt = np.linalg.svd(data, full_matrices=rows < cols)[2]
+        order = np.argsort(np.abs(vt[-1]), kind="stable")
+        failed, _ = scan_chunk(
+            data[:, order], gram[np.ix_(order, order)], cols - 1, cols,
+            _margin(tol_factor, max(rows, cols - 1)),
+        )
+        passed = cols if failed < 0 else failed
+        support = tuple(sorted(int(j) for j in order[cols - passed:]))
+        # W is the first and only subset of its own columns
+        if support and scan_chunk(
+            data[:, support], gram[np.ix_(support, support)], len(support), 1, tol_factor
+        )[1] is not None:
+            spark = SparkValue(kind="finite", value=len(support))
+            return SparkSearchResult(spark, support, 1, SETTLED_BY_NULL_VECTOR)
+    return _scan(data, gram, tol_factor, budget, first_size, examined)
 
 
 def _scan(
@@ -252,15 +300,16 @@ def _scan(
     tol_factor: float,
     budget: int,
     first_size: int = 1,
+    examined: int = 0,
 ) -> SparkSearchResult:
     """The subset scan over sizes first_size, first_size + 1, ...
 
     Sizes below first_size are taken as proven independent and not
-    counted. Raises BudgetExceeded once `budget` subsets were scanned
+    counted; `examined` subsets already spent count toward `budget` and
+    the result. Raises BudgetExceeded once `budget` subsets were scanned
     without settling the answer.
     """
     cols = data.shape[1]
-    examined = 0
     for size in range(first_size, cols + 1):
         total = math.comb(cols, size)
         allowed = min(total, budget - examined)
@@ -291,15 +340,16 @@ def exact_spark(
 ) -> SparkSearchResult:
     """Minimal dependent-subset search: a proof from the top, else the scan.
 
-    When rows >= cols - 1 the margin lemma may settle the answer (module
-    docstring). Otherwise sizes from _first_unproven_size on are scanned,
-    and within a size, subsets in lexicographic order; the first dependent
-    one wins, so the result is deterministic and the witness is minimal.
-    Either way spark and witness are those of a scan from size 1. Raises
-    BudgetExceeded once `budget` subsets were scanned without settling the
-    answer. Returns an infinite spark when all columns are independent.
-    The search runs on one thread: `workers` must be >= 1 and is otherwise
-    ignored, kept so that existing callers stay valid.
+    The margin lemma may settle the answer from size min(rows, cols)
+    down (module docstring). Otherwise sizes from _first_unproven_size on
+    are scanned, and within a size, subsets in lexicographic order; the
+    first dependent one wins, so the result is deterministic and the
+    witness is minimal. Either way spark and witness are those of a scan
+    from size 1. Raises BudgetExceeded once `budget` subsets were
+    examined without settling the answer. Returns an infinite spark when
+    all columns are independent. The search runs on one thread: `workers`
+    must be >= 1 and is otherwise ignored, kept so that existing callers
+    stay valid.
     """
     if budget is None:
         budget = default_search_budget()
@@ -313,10 +363,9 @@ def exact_spark(
     data = unit_columns(matrix)
     gram = unit_gram(data)
     tol_factor = tolerances.rank_tol_factor
-    proven = _settle_from_top(data, gram, tol_factor)
-    if proven is not None:
-        return proven
-    return _scan(data, gram, tol_factor, budget, _first_unproven_size(matrix, tol_factor))
+    return _settle_from_top(
+        data, gram, tol_factor, _first_unproven_size(matrix, tol_factor), budget
+    )
 
 
 def analyze_spark(

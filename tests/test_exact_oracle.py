@@ -51,11 +51,19 @@ def _rank(columns: list[list[int]]) -> int:
 
 
 def exact_spark_over_q(data: np.ndarray) -> tuple[int | None, tuple[int, ...] | None]:
-    """(spark, first dependent subset in lexicographic order), or (None, None) if infinite."""
+    """(spark, first dependent subset in lexicographic order), or (None, None) if infinite.
+
+    Every subset of an independent set is independent, so when all
+    subsets of top = min(rows, cols) columns are, no smaller one needs a
+    look: the spark is infinite at top = cols, else top + 1, where every
+    subset is dependent.
+    """
     columns = _integral_columns(data)
     cols = len(columns)
-    if _rank(columns) == cols:
-        return None, None
+    top = min(data.shape[0], cols)
+    if all(_rank([columns[j] for j in subset]) == top
+           for subset in combinations(range(cols), top)):
+        return (None, None) if top == cols else (top + 1, tuple(range(top + 1)))
     for size in range(1, cols + 1):
         for subset in combinations(range(cols), size):
             if _rank([columns[j] for j in subset]) < size:
@@ -74,6 +82,7 @@ def _dyadic(rows: int, cols: int, seed: int, support: tuple[int, ...] = ()) -> n
 
 
 def _check(data: np.ndarray) -> str:
+    """Assert exact_spark's spark and witness against the oracle's; return settled_by."""
     spark, witness = exact_spark_over_q(data)
     result = exact_spark(build_matrix(data))
     expected = SparkValue("infinite") if spark is None else SparkValue("finite", spark)
@@ -121,8 +130,27 @@ def test_generic_near_square_matches_the_exact_spark(rows, cols, seed):
 
 @pytest.mark.parametrize(
     "rows, cols, support",
-    [(3, 8, ()), (4, 9, ()), (4, 10, (1, 5, 8)), (5, 10, (0, 2, 3, 7)), (5, 9, (4, 6))],
+    [
+        (3, 8, ()),
+        (4, 9, ()),
+        (4, 10, (1, 5, 8)),
+        (5, 10, (0, 2, 3, 7)),
+        (5, 9, (4, 6)),
+        (8, 10, ()),
+        (10, 12, ()),
+        (12, 14, ()),
+        (8, 10, (0, 4, 9)),
+        (10, 12, (1, 2, 7, 11)),
+        (12, 14, (3, 6, 13)),
+    ],
 )
 @pytest.mark.parametrize("seed", [0, 1])
 def test_wide_scan_matches_the_exact_spark(rows, cols, support, seed):
-    assert _check(_dyadic(rows, cols, seed, support)) == "search"
+    # dyadic and random matrices settle by the size proof, spark rows + 1,
+    # near-square ones too; a planted dependency fails it and leaves the
+    # answer to the scan
+    if support:
+        assert _check(_dyadic(rows, cols, seed, support)) == "search"
+    else:
+        assert _check(_dyadic(rows, cols, seed)) == "size_proof"
+        assert _check(np.random.default_rng(seed).standard_normal((rows, cols))) == "size_proof"

@@ -237,10 +237,13 @@ def test_report_json_round_trip_integer_tolerances():
 
 
 def test_report_json_round_trip_settled_by():
+    planted = random_matrix(4, 9, seed=0).data.copy()
+    planted[:, 8] = planted[:, 1] - planted[:, 5]
     cases = {
         "null_vector": spiked_identity(5),
         "full_rank": build_matrix(np.eye(4)),
-        "search": random_matrix(4, 9, seed=0),
+        "size_proof": random_matrix(4, 9, seed=0),
+        "search": build_matrix(planted),
     }
     for settled_by, m in cases.items():
         spark_report = analyze_spark(m, compute_exact=True)
@@ -260,7 +263,7 @@ def test_report_json_round_trip_settled_by():
 
 def test_report_json_is_valid_json():
     tree = json.loads(report_to_json(_full_report()))
-    assert tree["schema_version"] == 2
+    assert tree["schema_version"] == 3
     assert tree["spark"]["exact"]["kind"] == "finite"
     assert tree["spark"]["settled_by"] == "null_vector"
     assert tree["coherence"]["mutual_coherence"] == 0.8
@@ -276,11 +279,13 @@ def test_report_parse_rejects_bad_input():
     with pytest.raises(ReportParseError):
         report_from_json("not json at all")
     with pytest.raises(ReportParseError):
-        report_from_json('{"schema_version": 3}')
-    with pytest.raises(ReportParseError, match="unsupported schema_version 1"):
-        report_from_json(report_to_json(_full_report()).replace(
-            '"schema_version": 2', '"schema_version": 1'
-        ))
+        report_from_json('{"schema_version": 4}')
+    # version 3 added settled_by "size_proof": versions 1 and 2 are rejected
+    for old in (1, 2):
+        with pytest.raises(ReportParseError, match=f"unsupported schema_version {old}"):
+            report_from_json(report_to_json(_full_report()).replace(
+                '"schema_version": 3', f'"schema_version": {old}'
+            ))
     with pytest.raises(ReportParseError):
         report_from_json("[1, 2, 3]")
     # the schema's only infinity is the string "infinity"

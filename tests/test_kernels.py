@@ -18,7 +18,7 @@ from sparkcert import spark as spark_module
 from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
 from sparkcert.kernels import CHOLESKY_LEAF, GATHER_BYTES, scan_chunk
 from sparkcert.matrix import unit_columns, unit_gram
-from sparkcert.spark import SparkSearchResult
+from sparkcert.spark import SparkSearchResult, SparkValue
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -68,18 +68,37 @@ def test_scan_from_every_start_keeps_lexicographic_order(monkeypatch, gather_byt
             assert (pos, hit) == (-1, None)
 
 
+def _dependent(data: np.ndarray, subset: tuple[int, ...], tol_factor: float) -> bool:
+    """The rank rule on one subset, by its own SVD."""
+    s = np.linalg.svd(data[:, subset], compute_uv=False)
+    cutoff = tol_factor * s[0] * max(data.shape[0], len(subset))
+    return np.count_nonzero(s > cutoff) < len(subset)
+
+
 def _brute_force(data: np.ndarray, tol_factor: float = EPS):
     """Spark, witness and subsets examined, one SVD per subset in itertools order."""
-    rows, cols = data.shape
+    cols = data.shape[1]
     examined = 0
     for size in range(1, cols + 1):
         for subset in combinations(range(cols), size):
             examined += 1
-            s = np.linalg.svd(data[:, subset], compute_uv=False)
-            cutoff = tol_factor * s[0] * max(rows, size)
-            if np.count_nonzero(s > cutoff) < size:
+            if _dependent(data, subset, tol_factor):
                 return size, subset, examined
     return None, None, examined
+
+
+def _probe_cost(data: np.ndarray, tol_factor: float) -> int | None:
+    """Subsets the wide size proof examines up to its first failure; None if none fails.
+
+    The probe tests the size-rows subsets at the margin of the rows-row
+    cutoff, m(tol_factor, rows).
+    """
+    rows, cols = data.shape
+    margin = spark_module._margin(tol_factor, rows)
+    for examined, subset in enumerate(combinations(range(cols), rows), start=1):
+        if _dependent(data, subset, margin):
+            return examined
+    return None
 
 
 @st.composite
@@ -125,17 +144,25 @@ def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
     # the reference scans the unit columns, as exact_spark does: with noise
     # near eps, raw and unit columns can fall on either side of the cutoff
     tolerances = ToleranceConfig(rank_tol_factor=tol_factor)
-    spark, witness, examined = _brute_force(unit_columns(matrix), tol_factor)
-    # the scan counts no subset of the sizes the coherence profile proves
+    data = unit_columns(matrix)
+    spark, witness, examined = _brute_force(data, tol_factor)
+    # the scan counts no subset of the sizes the coherence profile proves;
+    # a wide matrix whose size rows is not proven is first probed there
+    rows, cols = matrix.shape
     first = spark_module._first_unproven_size(matrix, tol_factor)
-    scanned = examined - sum(math.comb(matrix.cols, size) for size in range(1, first))
+    scanned = examined - sum(math.comb(cols, size) for size in range(1, first))
+    probe = _probe_cost(data, tol_factor) if first <= rows < cols - 1 else 0
     # workers is accepted and ignored: both counts give the same answer
     for workers in (1, 2):
         result = exact_spark(matrix, tolerances, budget=10**9, workers=workers)
         assert result.spark.value == spark
         assert result.witness == witness
+        assert (result.settled_by == "size_proof") == (probe is None)
         assert result.subsets_examined == {
-            "search": scanned, "full_rank": 0, "null_vector": 1
+            "search": (probe or 0) + scanned,
+            "size_proof": math.comb(cols, rows) + 1,
+            "full_rank": 0,
+            "null_vector": 1,
         }[result.settled_by]
 
         # a budget of exactly the subsets the answer needs (at least the
@@ -179,41 +206,146 @@ def nullity_one_matrices(draw):
     return build_matrix(data)
 
 
+# near-square and wide shapes whose scan from size 1 is cheap
+PROOF_SHAPES = ((8, 10), (10, 12), (12, 14), (4, 24), (5, 17))
+
+
+@st.composite
+def wide_matrices(draw):
+    """A PROOF_SHAPES matrix, random or with one planted integer dependency."""
+    rows, cols = draw(st.sampled_from(PROOF_SHAPES))
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((rows, cols))
+    if draw(st.booleans()):
+        support = draw(st.lists(st.integers(0, cols - 1), min_size=2, max_size=rows, unique=True))
+        weights = draw(st.lists(
+            st.sampled_from([-2.0, -1.0, 1.0, 2.0]), min_size=len(support) - 1,
+            max_size=len(support) - 1,
+        ))
+        data[:, support[-1]] = data[:, support[:-1]] @ np.array(weights)
+    return build_matrix(data)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    matrix=st.one_of(search_matrices(tall=True), nullity_one_matrices()),
+    matrix=st.one_of(search_matrices(tall=True), nullity_one_matrices(), wide_matrices()),
     tol_factor=st.one_of(st.just(0.0), TOL_FACTORS),
 )
 def test_proofs_match_the_scan(matrix, tol_factor):
-    # whatever the full-rank or null-vector proof answers, the scan from
-    # size 1 answers too
+    # whatever the size proof or the null-vector proof answers, the scan
+    # from size 1 answers too
     data, gram = _unit(matrix.data)
-    proven = spark_module._settle_from_top(data, gram, tol_factor)
-    if proven is not None:
-        scanned = spark_module._scan(data, gram, tol_factor, budget=10**9)
-        assert (proven.spark, proven.witness) == (scanned.spark, scanned.witness)
+    result = exact_spark(matrix, ToleranceConfig(rank_tol_factor=tol_factor), budget=10**9)
+    scanned = spark_module._scan(data, gram, tol_factor, budget=10**9)
+    assert (result.spark, result.witness) == (scanned.spark, scanned.witness)
 
 
 @pytest.mark.parametrize(
     "rows, cols, support",
-    [(13, 14, (2, 9, 11)), (16, 14, (0, 5, 6, 13)), (14, 14, (1, 4, 7, 8, 12, 13))],
+    [
+        (13, 14, (2, 9, 11)),
+        (16, 14, (0, 5, 6, 13)),
+        (14, 14, (1, 4, 7, 8, 12, 13)),
+        *((rows, cols, ()) for rows, cols in PROOF_SHAPES),
+        (8, 10, (1, 4, 9)),
+        (10, 12, (0, 3, 6, 10, 11)),
+        (12, 14, (2, 5, 7, 13)),
+        (4, 24, (3, 17, 23)),
+        (5, 17, (0, 8, 9, 16)),
+    ],
 )
 def test_planted_proofs_match_the_scan(rows, cols, support):
     # rows >= cols - 1 and a planted dependency smaller than cols: the
-    # null-vector proof finds W = support, as the scan from size 1 does
+    # null-vector proof finds W = support, as the scan from size 1 does.
+    # Wider, the size proof settles a random matrix, and a planted
+    # dependency makes its probe fail and leaves the answer to the scan
     data = random_matrix(rows, cols, seed=rows).data.copy()
-    data[:, support[-1]] = data[:, support[:-1]] @ np.resize([1.0, -2.0], len(support) - 1)
-    data, gram = _unit(data)
-    proven = spark_module._settle_from_top(data, gram, EPS)
-    scanned = spark_module._scan(data, gram, EPS, budget=10**9)
-    assert scanned.witness == support
-    assert proven == SparkSearchResult(scanned.spark, support, 1, "null_vector")
+    if support:
+        data[:, support[-1]] = data[:, support[:-1]] @ np.resize([1.0, -2.0], len(support) - 1)
+    result = exact_spark(build_matrix(data))
+    scanned = spark_module._scan(*_unit(data), EPS, budget=10**9)
+    if rows >= cols - 1:
+        assert result == SparkSearchResult(scanned.spark, support, 1, "null_vector")
+    elif support:
+        assert (result.witness, result.settled_by) == (support, "search")
+    else:
+        assert result == SparkSearchResult(
+            scanned.spark, tuple(range(rows + 1)), math.comb(cols, rows) + 1, "size_proof"
+        )
+    assert (result.spark, result.witness) == (scanned.spark, scanned.witness)
+
+
+def test_size_proof_needs_the_margin():
+    # columns 0 and 1 have sigma_2 / sigma_1 = 0.01, every other pair is
+    # well conditioned: a cutoff ratio a relative 1e-12 below it leaves
+    # them independent under the rule, but inside the margin the probe
+    # must clear, so it fails on its first subset and the scan decides
+    c = (1.0 - 1e-4) / (1.0 + 1e-4)
+    m = build_matrix([[1.0, c, 0.0, 1.0], [0.0, math.sqrt(1.0 - c * c), 1.0, -1.0]])
+    s = np.linalg.svd(unit_columns(m)[:, :2], compute_uv=False)
+
+    def settle(factor):
+        return exact_spark(m, ToleranceConfig(rank_tol_factor=s[1] / s[0] / 2 * factor))
+
+    three = SparkValue(kind="finite", value=3)
+    # probe 1 + pairs 6 + the first triple
+    assert settle(1 - 1e-12) == SparkSearchResult(three, (0, 1, 2), 1 + 6 + 1, "search")
+    assert settle(1 - 1e-10) == SparkSearchResult(three, (0, 1, 2), 6 + 1, "size_proof")
+    assert settle(1 + 1e-12) == SparkSearchResult(
+        SparkValue(kind="finite", value=2), (0, 1), 1 + 1, "search"
+    )
+
+
+def test_size_proof_counts_toward_the_budget():
+    # random 4x9: the probe passes all C(9, 4) = 126 quadruples, and the
+    # first quintuple is the witness
+    m = random_matrix(4, 9, seed=0)
+    for budget in (100, 126):
+        with pytest.raises(BudgetExceeded) as info:
+            exact_spark(m, budget=budget)
+        assert info.value.subsets_examined == budget
+    assert exact_spark(m, budget=127).settled_by == "size_proof"
+    # a failed probe's subsets count too: it stops at the 8th quintuple
+    # of a 5x12 matrix, the first that holds (0, 1, 2, 11)
+    data = random_matrix(5, 12, seed=0).data.copy()
+    data[:, 11] = data[:, 0] + data[:, 1] + data[:, 2]
+    planted = build_matrix(data)
+    assert exact_spark(planted).subsets_examined == 8 + 220 + 9
+    for budget in (5, 8 + 100):
+        with pytest.raises(BudgetExceeded) as info:
+            exact_spark(planted, budget=budget)
+        assert info.value.subsets_examined == budget
+
+
+def test_failed_probe_leaves_the_scan_its_witness():
+    # a planted 7x18 dependency on the middle quintuple of C(18, 5): the
+    # probe at size 7 fails within one kernel batch, on the 85th subset,
+    # (0, 1, 2, 3, 5, 6, 13), no later than the support comes among the
+    # quintuples; the scan from the first unproven size finds the support
+    quintuples = list(combinations(range(18), 5))
+    support = quintuples[len(quintuples) // 2]
+    assert support == (2, 3, 5, 6, 13)
+    data = random_matrix(7, 18, seed=7).data.copy()
+    data[:, support[-1]] = data[:, support[:-1]] @ np.array([1.0, -2.0, 2.0, -1.0])
+    matrix = build_matrix(data)
+    result = exact_spark(matrix)
+    unit, gram = _unit(data)
+    scanned = spark_module._scan(unit, gram, EPS, budget=10**9)
+    assert (result.spark, result.witness, result.settled_by) == (
+        scanned.spark, support, "search"
+    )
+    first = spark_module._first_unproven_size(matrix, EPS)
+    probe = result.subsets_examined - spark_module._scan(
+        unit, gram, EPS, 10**9, first
+    ).subsets_examined
+    assert probe == 85 <= GATHER_BYTES // (7 * 7 * unit.itemsize)
+    assert probe <= quintuples.index(support) + 1
 
 
 def test_scan_skips_proven_sizes_and_stops_at_hit(monkeypatch):
     # column 11 = column 0 + column 1 + column 2: the only dependent
     # quadruple is (0, 1, 2, 11), rank 8 of C(12, 4) = 495; sizes 1 and 2
-    # are proven independent and not scanned
+    # are proven independent and not scanned. The size proof's probe at
+    # size 5 fails first, on (0, 1, 2, 3, 11), the 8th quintuple
     data = random_matrix(5, 12, seed=0).data.copy()
     data[:, 11] = data[:, 0] + data[:, 1] + data[:, 2]
     matrix = build_matrix(data)
@@ -228,9 +360,9 @@ def test_scan_skips_proven_sizes_and_stops_at_hit(monkeypatch):
     monkeypatch.setattr(spark_module, "scan_chunk", counting_scan)
     result = exact_spark(matrix)
     assert result.witness == (0, 1, 2, 11)
-    assert result.subsets_examined == 220 + 9
-    # one kernel run per scanned size, none for sizes 1 and 2
-    assert calls == [(3, math.comb(12, 3)), (4, math.comb(12, 4))]
+    assert result.subsets_examined == 8 + 220 + 9
+    # the probe, then one kernel run per scanned size, none for sizes 1 and 2
+    assert calls == [(5, math.comb(12, 5)), (3, math.comb(12, 3)), (4, math.comb(12, 4))]
 
 
 def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):

@@ -145,14 +145,18 @@ def test_exact_spark_three_column_pair(three_column_pair):
 
 
 def test_exact_spark_budget():
-    # 4 x 9, so no proof from one SVD applies and the scan needs 211 subsets
+    # 4 x 9, where the scan needs 211 subsets and the size proof 127: the
+    # C(9, 4) = 126 quadruples and the first quintuple
     m = random_matrix(4, 9, seed=0)
     with pytest.raises(BudgetExceeded) as exc:
         exact_spark(m, budget=10)
     assert exc.value.subsets_examined == 10
     # a budget that exactly covers the search succeeds
     full = exact_spark(m)
-    assert full.settled_by == "search"
+    assert (full.subsets_examined, full.settled_by) == (127, "size_proof")
+    data = unit_columns(m)
+    scanned = spark_module._scan(data, unit_gram(data), EPS, budget=10**9)
+    assert (full.spark, full.witness) == (scanned.spark, scanned.witness)
     again = exact_spark(m, budget=full.subsets_examined)
     assert again == full
 
