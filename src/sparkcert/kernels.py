@@ -6,11 +6,12 @@ consecutive subsets, so Python-level work is done per batch rather than
 per subset, and each batch is decided in two steps:
 
 1. Cholesky first. The batch's unit-diagonal Gram minors G_S are gathered
-   from the unit Gram matrix and one stacked `np.linalg.cholesky` runs on
-   G_S - delta*I, delta = CHOLESKY_SHIFT * size. If it succeeds, every
-   subset in the batch is independent and the batch is done. If it fails,
-   the batch is split in halves and the Cholesky retried on each, left
-   half first, down to spans of CHOLESKY_LEAF subsets.
+   from the unit Gram matrix, which each call builds from `data`, and one
+   stacked `np.linalg.cholesky` runs on G_S - delta*I, delta =
+   CHOLESKY_SHIFT * size. If it succeeds, every subset in the batch is
+   independent and the batch is done. If it fails, the batch is split in
+   halves and the Cholesky retried on each, left half first, down to
+   spans of CHOLESKY_LEAF subsets.
 2. SVD on what is left. Only the spans that still fail have their columns
    gathered into one (span, rows, size) array, and one stacked
    `np.linalg.svd` decides every subset of the span: it is rank deficient
@@ -45,7 +46,7 @@ from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .matrix import singular_rank
+from .matrix import singular_rank, unit_gram
 
 # Bytes per batch of the larger of its two gathers: rows x size columns
 # for the stacked SVD, size x size Gram minors for the Cholesky.
@@ -69,26 +70,28 @@ CHOLESKY_LEAF = 8
 
 def scan_chunk(
     data: np.ndarray,
-    gram: np.ndarray,
     size: int,
     count: int,
     tol_factor: float,
 ) -> tuple[int, tuple[int, ...] | None]:
     """Test the first `count` subsets of `size` columns, in lexicographic order.
 
-    `data` holds unit-norm columns and `gram` is their unit Gram matrix
-    (`matrix.unit_gram(data)`). A subset is rank deficient when fewer than
-    `size` of its singular values exceed tol_factor * sigma_max *
+    `data` holds unit-norm columns. A subset is rank deficient when fewer
+    than `size` of its singular values exceed tol_factor * sigma_max *
     max(rows, size); a batch whose shifted Gram minors all pass a Cholesky
-    holds none (see the module docstring). Returns (position, indices) of
-    the first rank-deficient subset, or (-1, None) if there is none in the
-    run. `count` must not run past the last subset.
+    holds none (see the module docstring). The minors come from the unit
+    Gram matrix of `data`, built on each call that runs the Cholesky
+    filter, so they cannot fall out of step with the columns. Returns
+    (position, indices) of the first rank-deficient subset, or (-1, None)
+    if there is none in the run. `count` must not run past the last
+    subset.
     """
     rows, cols = data.shape
     dim = max(rows, size)
     prove = tol_factor * dim < PROVEN_RATIO
     shift = CHOLESKY_SHIFT * size
     per_batch = max(1, GATHER_BYTES // (dim * size * data.itemsize))
+    gram = unit_gram(data) if prove else None
     subsets = combinations(range(cols), size)
     done = 0
     while done < count:

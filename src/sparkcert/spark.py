@@ -23,28 +23,28 @@ least s_k - 2e > m * s_1 * D - 2e, above that cutoff (1 + 8 eps covers
 the rounding). If a Cholesky pass decided S, sigma_k(A_S) >= ~1e-4 *
 sigma_1(A_S), twice the PROVEN_RATIO that m * D must stay below for the
 kernel to run one, so the same holds with orders of magnitude to spare.
-At k = cols, m * s_1 * D / (1 + 8 eps) = tol * (s_1 + 2e) * D + 2e: the
-smallest singular value must clear the largest cutoff of any subset by 2e.
 
-The lemma settles the search from the top, before the upward scan:
+The lemma settles the search from the top, before the upward scan. All
+three proofs run at the one margin m(tol, rows), and exact_spark tries
+them by shape:
 
-- Size proof. Let k = min(rows, cols). If the kernel at m(tol, rows)
-  calls every size-k subset independent, every subset of at most k
-  columns lies in one of them and is independent at tol, so the scan
-  from size 1 would find nothing below size k + 1 and resumes there.
-  At k = cols the spark is infinite: full rank, 0 subsets examined. For
-  a wide matrix the first subset of size rows + 1, (0, ..., rows), has
-  only rows singular values, is dependent under the rule and is the
-  witness. The probe runs when k = cols, and when k < cols - 1 and the
-  coherence profile does not already prove size k (_first_unproven_size
-  <= k); at rows = cols - 1 the null-vector proof scans size k itself.
-  If a subset fails, the scan runs from _first_unproven_size as it would
-  have, and the probe's subsets count toward the budget and toward
-  subsets_examined.
-- Null vector. When rows >= cols - 1 and the probe has not settled the
-  search, the kernel scans the cols subsets of size cols - 1 at
-  m(tol, max(rows, cols - 1)). Let W hold the columns left out by the
-  subsets that pass before the first that fails. For j in W, every
+- Full rank, when rows >= cols. If the kernel at the margin calls the
+  whole set independent, so is every subset at tol: the spark is
+  infinite, with 0 subsets examined.
+- Size proof, when _first_unproven_size <= rows < cols - 1 (a larger
+  first unproven size means the coherence profile proves size rows
+  already). If the kernel at the margin calls every size-rows subset
+  independent, every subset of at most rows columns lies in one of them
+  and is independent at tol, so the scan from size 1 would find nothing
+  below size rows + 1. The first subset of that size, (0, ..., rows),
+  has only rows singular values, is dependent under the rule and is the
+  witness. If a subset fails, the scan runs from _first_unproven_size as
+  it would have, and the probe's subsets count toward the budget and
+  toward subsets_examined.
+- Null vector, when rows >= cols - 1 and full rank did not settle it:
+  the kernel scans the cols subsets of size cols - 1 at the margin, for
+  which max(rows, cols - 1) = rows. Let W hold the columns left out by
+  the subsets that pass before the first that fails. For j in W, every
   subset without j is independent, so every dependent subset contains
   W. If the kernel calls W dependent, none is smaller and W is the only
   one of its size: the spark is |W| with witness W, counted as 1 subset
@@ -52,17 +52,17 @@ The lemma settles the search from the top, before the upward scan:
   last right singular vector of A, a guess at W that the proof does not
   rest on.
 
-A failed probe costs at most what the scan spends on one size. If the
-spark s is at most k, with witness W, the first size-k subset that
-holds W is W plus the smallest k - s columns outside it. It fails at
-the margin (by the lemma), and it comes no later among the size-k
-subsets than W among the size-s ones: adding the smallest column p
-missing from W drops p's term from the lexicographic rank and leaves
-the other terms as they were. If the spark exceeds k, the scan
-examines all of size k. So probe plus scan cost at most twice the scan.
-A tolerance coarse enough to defeat the margin leaves the
-search to the scan. The scan starts at the first size the coherence
-profile cannot prove independent (_first_unproven_size).
+A failed size probe costs at most what the scan spends on one size. Let
+k = rows. If the spark s is at most k, with witness W, the first size-k
+subset that holds W is W plus the smallest k - s columns outside it. It
+fails at the margin (by the lemma), and it comes no later among the
+size-k subsets than W among the size-s ones: adding the smallest column
+p missing from W drops p's term from the lexicographic rank and leaves
+the other terms as they were. If the spark exceeds k, the scan examines
+all of size k. So probe plus scan cost at most twice the scan. A
+tolerance coarse enough to defeat the margin leaves the search to the
+scan. The scan starts at the first size the coherence profile cannot
+prove independent (_first_unproven_size).
 """
 
 from __future__ import annotations
@@ -98,8 +98,7 @@ EPS = float(np.finfo(np.float64).eps)
 SVD_ERROR = 64
 
 # What settled an exact search: the subset scan, or one of the proofs from
-# the top described in the module docstring (the size proof at k = cols is
-# full rank).
+# the top described in the module docstring.
 SETTLED_BY_SEARCH = "search"
 SETTLED_BY_FULL_RANK = "full_rank"
 SETTLED_BY_NULL_VECTOR = "null_vector"
@@ -143,7 +142,7 @@ class SparkSearchResult:
     proof's probe, up to and including the first subset that fails, plus
     the scan's, up to and including the witness. Sizes the coherence
     profile proves independent are not scanned, and the proofs for rows
-    >= cols - 1 count 0 (full rank, or its failed probe) and 1 (null
+    >= cols - 1 count 0 (full rank, or its failed check) and 1 (null
     vector). settled_by is one of SETTLED_BY: "search" for the scan,
     "size_proof" for a scan resumed above a passing probe, "full_rank" or
     "null_vector" for the proofs.
@@ -242,61 +241,8 @@ def _margin(tol_factor: float, dim: int) -> float:
     return (1.0 + 8.0 * EPS) * (tol_factor * (1.0 + 2.0 * s) + 2.0 * s / dim)
 
 
-def _settle_from_top(
-    data: np.ndarray, gram: np.ndarray, tol_factor: float, first_size: int, budget: int
-) -> SparkSearchResult:
-    """The size proof and the null-vector proof of the module docstring, else the scan.
-
-    `data` holds the unit columns and `gram` their unit Gram matrix, as
-    scan_chunk takes them; the scan starts at first_size. The probe's
-    subsets count toward `budget`, except at k = cols.
-    """
-    rows, cols = data.shape
-    size = min(rows, cols)
-    examined = 0
-    # the size proof; at rows = cols - 1 the null-vector proof below scans
-    # that size, and where the coherence profile proves it the scan skips it
-    if size == cols or first_size <= size < cols - 1:
-        total = math.comb(cols, size)
-        allowed = min(total, budget)
-        failed, _ = scan_chunk(data, gram, size, allowed, _margin(tol_factor, rows))
-        if failed < 0 and size == cols:
-            return SparkSearchResult(SPARK_INFINITE, None, 0, SETTLED_BY_FULL_RANK)
-        if failed < 0 and budget <= total:
-            raise BudgetExceeded(budget)
-        if failed < 0:
-            # the scan resumes at size rows + 1, where a subset has only rows
-            # singular values: the first is dependent under the rule
-            spark = SparkValue(kind="finite", value=size + 1)
-            return SparkSearchResult(
-                spark, tuple(range(size + 1)), total + 1, SETTLED_BY_SIZE_PROOF
-            )
-        # a failed full-rank probe counts 0, as the proofs for rows >= cols - 1 do
-        if size < cols:
-            examined = failed + 1
-    # the null-vector proof
-    if 2 <= cols <= rows + 1:
-        # the i-th subset of size cols - 1 leaves out order[cols - 1 - i]
-        vt = np.linalg.svd(data, full_matrices=rows < cols)[2]
-        order = np.argsort(np.abs(vt[-1]), kind="stable")
-        failed, _ = scan_chunk(
-            data[:, order], gram[np.ix_(order, order)], cols - 1, cols,
-            _margin(tol_factor, max(rows, cols - 1)),
-        )
-        passed = cols if failed < 0 else failed
-        support = tuple(sorted(int(j) for j in order[cols - passed:]))
-        # W is the first and only subset of its own columns
-        if support and scan_chunk(
-            data[:, support], gram[np.ix_(support, support)], len(support), 1, tol_factor
-        )[1] is not None:
-            spark = SparkValue(kind="finite", value=len(support))
-            return SparkSearchResult(spark, support, 1, SETTLED_BY_NULL_VECTOR)
-    return _scan(data, gram, tol_factor, budget, first_size, examined)
-
-
 def _scan(
     data: np.ndarray,
-    gram: np.ndarray,
     tol_factor: float,
     budget: int,
     first_size: int = 1,
@@ -315,7 +261,7 @@ def _scan(
         allowed = min(total, budget - examined)
         if allowed < 1:
             raise BudgetExceeded(examined)
-        hit_rank, witness = scan_chunk(data, gram, size, allowed, tol_factor)
+        hit_rank, witness = scan_chunk(data, size, allowed, tol_factor)
         if witness is not None:
             return SparkSearchResult(
                 spark=SparkValue(kind="finite", value=size),
@@ -340,16 +286,16 @@ def exact_spark(
 ) -> SparkSearchResult:
     """Minimal dependent-subset search: a proof from the top, else the scan.
 
-    The margin lemma may settle the answer from size min(rows, cols)
-    down (module docstring). Otherwise sizes from _first_unproven_size on
-    are scanned, and within a size, subsets in lexicographic order; the
-    first dependent one wins, so the result is deterministic and the
-    witness is minimal. Either way spark and witness are those of a scan
-    from size 1. Raises BudgetExceeded once `budget` subsets were
-    examined without settling the answer. Returns an infinite spark when
-    all columns are independent. The search runs on one thread: `workers`
-    must be >= 1 and is otherwise ignored, kept so that existing callers
-    stay valid.
+    A proof from the top, chosen by shape, may settle the answer: full
+    rank, the size proof or the null vector, all at the one margin of
+    the module docstring's lemma. Otherwise sizes from
+    _first_unproven_size on are scanned, and within a size, subsets in
+    lexicographic order; the first dependent one wins, so the result is
+    deterministic and the witness is minimal. Either way spark and
+    witness are those of a scan from size 1. Raises BudgetExceeded once
+    `budget` subsets were examined without settling the answer. Returns
+    an infinite spark when all columns are independent. The search runs
+    on one thread: `workers` must be >= 1 and is otherwise ignored.
     """
     if budget is None:
         budget = default_search_budget()
@@ -361,11 +307,38 @@ def exact_spark(
     # relative to the largest singular value: on raw columns a short
     # column next to a long one would count as zero.
     data = unit_columns(matrix)
-    gram = unit_gram(data)
+    rows, cols = data.shape
     tol_factor = tolerances.rank_tol_factor
-    return _settle_from_top(
-        data, gram, tol_factor, _first_unproven_size(matrix, tol_factor), budget
-    )
+    margin = _margin(tol_factor, rows)
+    if rows >= cols and scan_chunk(data, cols, 1, margin)[0] < 0:
+        return SparkSearchResult(SPARK_INFINITE, None, 0, SETTLED_BY_FULL_RANK)
+    first_size = _first_unproven_size(matrix, tol_factor)
+    examined = 0
+    if first_size <= rows < cols - 1:
+        total = math.comb(cols, rows)
+        failed, _ = scan_chunk(data, rows, min(total, budget), margin)
+        if failed < 0 and budget <= total:
+            raise BudgetExceeded(budget)
+        if failed < 0:
+            # the scan resumes at size rows + 1, where a subset has only rows
+            # singular values: the first is dependent under the rule
+            spark = SparkValue(kind="finite", value=rows + 1)
+            return SparkSearchResult(
+                spark, tuple(range(rows + 1)), total + 1, SETTLED_BY_SIZE_PROOF
+            )
+        examined = failed + 1
+    elif 2 <= cols <= rows + 1:
+        # the i-th subset of size cols - 1 leaves out order[cols - 1 - i]
+        vt = np.linalg.svd(data, full_matrices=rows < cols)[2]
+        order = np.argsort(np.abs(vt[-1]), kind="stable")
+        failed, _ = scan_chunk(data[:, order], cols - 1, cols, margin)
+        passed = cols if failed < 0 else failed
+        support = tuple(sorted(int(j) for j in order[cols - passed:]))
+        # W is the first and only subset of its own columns
+        if support and scan_chunk(data[:, support], len(support), 1, tol_factor)[1] is not None:
+            spark = SparkValue(kind="finite", value=len(support))
+            return SparkSearchResult(spark, support, 1, SETTLED_BY_NULL_VECTOR)
+    return _scan(data, tol_factor, budget, first_size, examined)
 
 
 def analyze_spark(

@@ -188,10 +188,13 @@ def sparsest_oracle(
     <= residual_tol (one that overflows is rejected) and every coefficient
     exceeds zero_entry_tol in magnitude, so the reported sparsity is
     exactly the support size. Stops at the first size with any accepted
-    support and returns all accepted supports of that size.
+    support and returns all accepted supports of that size. Raises
+    BudgetExceeded once `budget` supports were examined without one.
     """
     if budget is None:
         budget = default_search_budget()
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     bv = np.asarray(b, dtype=np.float64)
     if bv.ndim != 1 or bv.shape[0] != matrix.rows:
         raise DimensionMismatch(

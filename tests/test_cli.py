@@ -1,4 +1,7 @@
+import io
 import json
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -326,6 +329,38 @@ def test_pipe_gen_to_analyze(capsys, monkeypatch):
     assert tree["spark"]["mutual_coherence_bound"] == pytest.approx(2.25, abs=1e-12)
     assert tree["spark"]["exact"] == {"kind": "finite", "value": 11}
     assert tree["spark"]["settled_by"] == "null_vector"
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# 5x7 with entries in {0, 1, -1} and column norms 1 or 2: the unit columns
+# and their Gram entries are exact in binary, so the report bytes do not
+# depend on the BLAS
+WIDE = ("0,1,1,1,1,1,0", "0,1,1,-1,-1,0,1", "0,-1,1,-1,0,-1,-1", "0,-1,0,0,1,1,1",
+        "1,0,1,-1,1,1,-1")
+
+
+@pytest.mark.parametrize(
+    "name, rows, extra, exit_code",
+    [
+        ("full_rank", ("1,0,0", "0,1,0", "0,0,1"), (), 0),
+        ("null_vector", None, (), 0),  # the input is gen example31 --n 5
+        ("size_proof", WIDE, (), 0),
+        # column 6 set to column 5: the probe fails and the scan finds the pair
+        ("search", tuple(row[: row.rindex(",")] + "," + row.split(",")[5] for row in WIDE),
+         (), 0),
+        ("budget_hit", WIDE, ("--budget", "3"), 2),
+    ],
+)
+def test_exact_report_bytes_for_each_settle_path(capsys, monkeypatch, name, rows, extra,
+                                                 exit_code):
+    if rows is None:
+        text = run(capsys, "gen", "example31", "--n", "5")[1]
+    else:
+        text = "".join(row + "\n" for row in rows)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "analyze", "-", "--exact", "--json", *extra)
+    assert code == exit_code
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_main_builds_the_parser_once(capsys, tmp_path, monkeypatch):

@@ -4,16 +4,25 @@ Every float64 is a dyadic rational, so scaling a column by a power of two
 makes it integral without changing which column subsets are dependent.
 Fraction-free (Bareiss) elimination on Python ints then gives exact
 ranks. The oracle uses the standard library only; the matrices are
-dyadic, with planted integer dependencies, so the float rank rule has a
-wide margin and must agree with it.
+dyadic, with planted integer dependencies, or generic random ones, so
+the float rank rule has a wide margin and must agree with it. The two
+coherence lower bounds are claims about the exact matrix, so neither
+may exceed the spark over Q, whatever the rank rule says.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from sparkcert import SparkValue, build_matrix, exact_spark
+from sparkcert import (
+    SparkValue,
+    build_matrix,
+    coherence_index_lower_bound,
+    exact_spark,
+    mutual_coherence_lower_bound,
+)
 
 
 def _integral_columns(data: np.ndarray) -> list[list[int]]:
@@ -82,11 +91,15 @@ def _dyadic(rows: int, cols: int, seed: int, support: tuple[int, ...] = ()) -> n
 
 
 def _check(data: np.ndarray) -> str:
-    """Assert exact_spark's spark and witness against the oracle's; return settled_by."""
+    """Check exact_spark and both lower bounds against the oracle; return settled_by."""
     spark, witness = exact_spark_over_q(data)
-    result = exact_spark(build_matrix(data))
+    matrix = build_matrix(data)
+    result = exact_spark(matrix)
     expected = SparkValue("infinite") if spark is None else SparkValue("finite", spark)
     assert (result.spark, result.witness) == (expected, witness)
+    exact = math.inf if spark is None else spark
+    assert coherence_index_lower_bound(matrix) <= exact
+    assert (mutual_coherence_lower_bound(matrix) or 0.0) <= exact
     return result.settled_by
 
 

@@ -17,35 +17,34 @@ from sparkcert import (
 from sparkcert import spark as spark_module
 from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
 from sparkcert.kernels import CHOLESKY_LEAF, GATHER_BYTES, scan_chunk
-from sparkcert.matrix import unit_columns, unit_gram
+from sparkcert.matrix import unit_columns
 from sparkcert.spark import SparkSearchResult, SparkValue
 
 EPS = float(np.finfo(np.float64).eps)
 
 
 def _unit(data):
-    """Unit-norm columns of `data` and their unit Gram matrix, as exact_spark scans them."""
-    unit = unit_columns(build_matrix(data))
-    return unit, unit_gram(unit)
+    """Unit-norm columns of `data`, as exact_spark scans them."""
+    return unit_columns(build_matrix(data))
 
 
 def test_scan_finds_duplicate_pair():
-    data, gram = _unit(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    pos, hit = scan_chunk(data, gram, 2, 3, EPS)
+    data = _unit(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    pos, hit = scan_chunk(data, 2, 3, EPS)
     # pairs in order: (0,1) independent, (0,2) dependent
     assert pos == 1
     assert tuple(hit) == (0, 2)
 
 
 def test_scan_reports_no_hit():
-    data, gram = _unit(np.eye(4))
-    pos, _ = scan_chunk(data, gram, 2, 6, EPS)
+    data = _unit(np.eye(4))
+    pos, _ = scan_chunk(data, 2, 6, EPS)
     assert pos == -1
 
 
 def test_scan_respects_count():
-    data, gram = _unit(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    pos, _ = scan_chunk(data, gram, 2, 1, EPS)
+    data = _unit(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+    pos, _ = scan_chunk(data, 2, 1, EPS)
     assert pos == -1
 
 
@@ -56,12 +55,12 @@ def test_scan_from_every_start_keeps_lexicographic_order(monkeypatch, gather_byt
     monkeypatch.setattr("sparkcert.kernels.GATHER_BYTES", gather_bytes)
     data = random_matrix(3, 7, seed=1).data.copy()
     data[:, 6] = data[:, 2] - 2.0 * data[:, 4]
-    data, gram = _unit(data)
+    data = _unit(data)
     subsets = list(combinations(range(7), 3))
     hit_rank = subsets.index((2, 4, 6))
     # every count from the first subset: the hit is found once it is in range
     for count in range(1, len(subsets) + 1):
-        pos, hit = scan_chunk(data, gram, 3, count, EPS)
+        pos, hit = scan_chunk(data, 3, count, EPS)
         if count > hit_rank:
             assert (pos, hit) == (hit_rank, (2, 4, 6))
         else:
@@ -233,9 +232,9 @@ def wide_matrices(draw):
 def test_proofs_match_the_scan(matrix, tol_factor):
     # whatever the size proof or the null-vector proof answers, the scan
     # from size 1 answers too
-    data, gram = _unit(matrix.data)
+    data = _unit(matrix.data)
     result = exact_spark(matrix, ToleranceConfig(rank_tol_factor=tol_factor), budget=10**9)
-    scanned = spark_module._scan(data, gram, tol_factor, budget=10**9)
+    scanned = spark_module._scan(data, tol_factor, budget=10**9)
     assert (result.spark, result.witness) == (scanned.spark, scanned.witness)
 
 
@@ -262,7 +261,7 @@ def test_planted_proofs_match_the_scan(rows, cols, support):
     if support:
         data[:, support[-1]] = data[:, support[:-1]] @ np.resize([1.0, -2.0], len(support) - 1)
     result = exact_spark(build_matrix(data))
-    scanned = spark_module._scan(*_unit(data), EPS, budget=10**9)
+    scanned = spark_module._scan(_unit(data), EPS, budget=10**9)
     if rows >= cols - 1:
         assert result == SparkSearchResult(scanned.spark, support, 1, "null_vector")
     elif support:
@@ -328,14 +327,14 @@ def test_failed_probe_leaves_the_scan_its_witness():
     data[:, support[-1]] = data[:, support[:-1]] @ np.array([1.0, -2.0, 2.0, -1.0])
     matrix = build_matrix(data)
     result = exact_spark(matrix)
-    unit, gram = _unit(data)
-    scanned = spark_module._scan(unit, gram, EPS, budget=10**9)
+    unit = _unit(data)
+    scanned = spark_module._scan(unit, EPS, budget=10**9)
     assert (result.spark, result.witness, result.settled_by) == (
         scanned.spark, support, "search"
     )
     first = spark_module._first_unproven_size(matrix, EPS)
     probe = result.subsets_examined - spark_module._scan(
-        unit, gram, EPS, 10**9, first
+        unit, EPS, 10**9, first
     ).subsets_examined
     assert probe == 85 <= GATHER_BYTES // (7 * 7 * unit.itemsize)
     assert probe <= quintuples.index(support) + 1
@@ -353,9 +352,9 @@ def test_scan_skips_proven_sizes_and_stops_at_hit(monkeypatch):
     calls = []
     real_scan = spark_module.scan_chunk
 
-    def counting_scan(data, gram, size, count, tol_factor):
+    def counting_scan(data, size, count, tol_factor):
         calls.append((size, count))
-        return real_scan(data, gram, size, count, tol_factor)
+        return real_scan(data, size, count, tol_factor)
 
     monkeypatch.setattr(spark_module, "scan_chunk", counting_scan)
     result = exact_spark(matrix)
@@ -375,13 +374,13 @@ def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     # every proper column subset of the spiked identity is well conditioned
-    data, gram = _unit(spiked_identity(8).data)
+    data = _unit(spiked_identity(8).data)
     for size in range(1, 9):
-        assert scan_chunk(data, gram, size, math.comb(9, size), EPS) == (-1, None)
+        assert scan_chunk(data, size, math.comb(9, size), EPS) == (-1, None)
     assert calls == []
 
     # the one dependent subset reaches the SVD, alone in its batch
-    result = spark_module._scan(data, gram, EPS, budget=10**9)
+    result = spark_module._scan(data, EPS, budget=10**9)
     assert result.witness == tuple(range(9))
     assert result.subsets_examined == 2**9 - 1
     assert [a.shape for a in calls] == [(1, 8, 9)]
@@ -391,9 +390,9 @@ def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
     calls.clear()
     raw = random_matrix(3, 7, seed=1).data.copy()
     raw[:, 6] = raw[:, 2] - 2.0 * raw[:, 4]
-    data, gram = _unit(raw)
+    data = _unit(raw)
     subsets = list(combinations(range(7), 3))
-    assert scan_chunk(data, gram, 3, len(subsets), EPS) == (
+    assert scan_chunk(data, 3, len(subsets), EPS) == (
         subsets.index((2, 4, 6)),
         (2, 4, 6),
     )

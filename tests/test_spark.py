@@ -27,7 +27,7 @@ from sparkcert import (
     random_matrix,
     spiked_identity,
 )
-from sparkcert.matrix import unit_columns, unit_gram
+from sparkcert.matrix import unit_columns
 from sparkcert.spark import SparkSearchResult
 
 EPS = float(np.finfo(np.float64).eps)
@@ -83,7 +83,7 @@ def test_exact_spark_full_rank_square(identity3):
     assert (result.subsets_examined, result.settled_by) == (0, "full_rank")
     # the scan from size 1 examines every subset to reach the same answer
     data = unit_columns(identity3)
-    scanned = spark_module._scan(data, unit_gram(data), EPS, budget=10**9)
+    scanned = spark_module._scan(data, EPS, budget=10**9)
     assert scanned == SparkSearchResult(SparkValue(kind="infinite"), None, 7, "search")
 
 
@@ -155,7 +155,7 @@ def test_exact_spark_budget():
     full = exact_spark(m)
     assert (full.subsets_examined, full.settled_by) == (127, "size_proof")
     data = unit_columns(m)
-    scanned = spark_module._scan(data, unit_gram(data), EPS, budget=10**9)
+    scanned = spark_module._scan(data, EPS, budget=10**9)
     assert (full.spark, full.witness) == (scanned.spark, scanned.witness)
     again = exact_spark(m, budget=full.subsets_examined)
     assert again == full

@@ -244,6 +244,17 @@ def test_oracle_budget():
         sparsest_oracle(m, b, k_max=4, budget=5)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("b", [(0.0, 0.0), (1.0, 1.0)])
+def test_oracle_rejects_a_budget_below_one(budget, b):
+    # as exact_spark does: no support, not even the empty one, is examined
+    m = build_matrix([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match=f"budget must be positive, got {budget}"):
+        sparsest_oracle(m, np.array(b), k_max=2, budget=budget)
+    with pytest.raises(ValueError, match=f"budget must be positive, got {budget}"):
+        exact_spark(m, budget=budget)
+
+
 def test_oracle_dimension_check():
     m = spiked_identity(4)
     with pytest.raises(DimensionMismatch):
