@@ -9,6 +9,7 @@ the one exact arithmetic would give.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,19 +50,17 @@ def pairwise_coherences(matrix: DenseMatrix) -> np.ndarray:
 def smallest_qualifying_prefix(
     prefix_sums: np.ndarray, slack: float, rounding: float
 ) -> int | None:
-    """Smallest p (1-based) with prefix_sums[p-1] + p * rounding >= 1 - slack, else None."""
-    target = 1.0 - slack
-    # The allowance only lowers the bar, so the answer is at most `last`,
-    # the first p that clears it without one; any earlier p lies within
-    # last * rounding of it (doubled to absorb the rounding of the test)
-    # and only those few sums are tested, not every pair.
-    last = min(int(np.searchsorted(prefix_sums, target, side="left")) + 1, len(prefix_sums))
-    first = int(np.searchsorted(prefix_sums, target - 2.0 * last * rounding, side="left")) + 1
-    p = np.arange(first, last + 1)
-    qualifies = prefix_sums[first - 1 : last] + p * rounding >= target
-    if not qualifies.any():
-        return None
-    return int(p[np.argmax(qualifies)])
+    """Smallest p (1-based) with prefix_sums[p-1] + p * rounding >= 1 - slack, else None.
+
+    One bisection finds p, as the key never decreases: prefix_sums is a
+    sequential cumsum of non-negative terms (a rounded addition of one
+    never lowers a sum), p * rounding grows with p, and rounding is monotone.
+    """
+    n = len(prefix_sums)
+    i = bisect.bisect_left(
+        range(1, n + 1), 1.0 - slack, key=lambda p: prefix_sums[p - 1] + p * rounding
+    )
+    return i + 1 if i < n else None
 
 
 def coherence_rounding(rows: int) -> float:

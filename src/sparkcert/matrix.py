@@ -18,36 +18,20 @@ from .errors import DimensionMismatch, IndexOutOfRange, NonFiniteEntry, NormOver
 
 
 def euclidean_norm(values: np.ndarray) -> float:
-    """Euclidean norm from a correctly rounded sum of squares, safe from overflow.
-
-    Naive accumulation can be off by 1 ulp, enough to flip borderline
-    coherence sums. Scaling by an exact power of two first changes no bit
-    while no square leaves the float64 range. Raises NormOverflow when an
-    entry or the norm lies beyond that range.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    peak = float(np.max(np.abs(v), initial=0.0))
-    if not math.isfinite(peak):
-        raise NormOverflow("vector has an entry beyond the float64 range")
-    exponent = math.frexp(peak)[1]
-    y = np.ldexp(v, -exponent)
-    try:
-        return math.ldexp(math.sqrt(math.fsum((y * y).tolist())), exponent)
-    except OverflowError:
-        raise NormOverflow("Euclidean norm exceeds the float64 range") from None
+    """Euclidean norm of a vector: euclidean_norms of it as one column."""
+    return euclidean_norms(np.asarray(values, dtype=np.float64).reshape(-1, 1))[0]
 
 
 def euclidean_norms(arr: np.ndarray) -> tuple[float, ...]:
-    """euclidean_norm of each column of a 2-D array, in one vectorized pass.
+    """Euclidean norm of each column of a 2-D array, from a correctly rounded sum of squares.
 
-    The steps per column are those of euclidean_norm, so every norm has
-    the same bits; only the final sum, root and scaling run per column.
+    Naive accumulation can be off by 1 ulp, enough to flip borderline
+    coherence sums. Scaling each column by an exact power of two first
+    changes no bit while no square leaves the float64 range; only the
+    final sum, root and scaling run per column. Raises NormOverflow when
+    an entry or a norm lies beyond that range.
     """
-    peak = np.max(np.abs(arr), axis=0, initial=0.0)
-    if not np.all(np.isfinite(peak)):
-        raise NormOverflow("vector has an entry beyond the float64 range")
-    exponents = np.frexp(peak)[1]
-    y = np.ldexp(arr, -exponents)
+    y, exponents = _scaled_by_peak(arr, axis=0)
     try:
         return tuple(
             math.ldexp(math.sqrt(math.fsum(squares)), exponent)
@@ -55,6 +39,18 @@ def euclidean_norms(arr: np.ndarray) -> tuple[float, ...]:
         )
     except OverflowError:
         raise NormOverflow("Euclidean norm exceeds the float64 range") from None
+
+
+def _scaled_by_peak(arr: np.ndarray, axis: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(arr * 2**-e, e) that take the largest magnitude (per column for axis=0) into [0.5, 1).
+
+    Raises NormOverflow for an entry that is not finite.
+    """
+    peak = np.max(np.abs(arr), axis=axis, initial=0.0)
+    if not np.all(np.isfinite(peak)):
+        raise NormOverflow("vector has an entry beyond the float64 range")
+    exponents = np.frexp(peak)[1]
+    return np.ldexp(arr, -exponents), exponents
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,13 +162,20 @@ def numerical_rank(
     arr: np.ndarray,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> int:
-    """Number of singular values above rank_tol_factor * sigma_max * max(shape)."""
+    """Number of singular values above rank_tol_factor * sigma_max * max(shape).
+
+    The SVD runs on the matrix scaled by a power of two, which keeps
+    sigma_max finite and the rank unchanged. Raises NonFiniteEntry for a
+    NaN or infinite entry.
+    """
     a = np.asarray(arr, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteEntry("matrix has an entry that is not finite")
+    s = np.linalg.svd(_scaled_by_peak(a, axis=None)[0], compute_uv=False)
     return int(singular_rank(s, tolerances.rank_tol_factor, max(a.shape)))
 
 

@@ -403,17 +403,21 @@ def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
 
 
 def test_cholesky_batches_stay_within_gather_bytes(monkeypatch):
-    # random 4x24 scans up to size 5 = rows + 1, where a size x size Gram
-    # minor is larger than the rows x size columns of the same subset
+    # at size 5 = rows + 1 of a 4x24 matrix a size x size Gram minor is
+    # larger than the rows x size columns of the same subset; exact_spark
+    # settles at size 4, so the size-5 scan is run directly
     stacked = []
     real_cholesky = np.linalg.cholesky
 
     def recording_cholesky(a, *args, **kwargs):
-        stacked.append(a.nbytes)
+        stacked.append((a.shape[1:], a.nbytes))
         return real_cholesky(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
-    result = exact_spark(random_matrix(4, 24, seed=1))
+    matrix = random_matrix(4, 24, seed=1)
+    result = exact_spark(matrix)
     assert result.spark.value == 5
-    assert stacked
-    assert max(stacked) <= GATHER_BYTES
+    pos, hit = scan_chunk(unit_columns(matrix), 5, math.comb(24, 5), EPS)
+    assert (pos, hit) == (0, (0, 1, 2, 3, 4))
+    assert (5, 5) in [shape for shape, _ in stacked]
+    assert max(nbytes for _, nbytes in stacked) <= GATHER_BYTES

@@ -170,6 +170,14 @@ def test_numerical_rank_matches_numpy():
         assert numerical_rank(a) == np.linalg.matrix_rank(a)
 
 
+def test_numerical_rank_of_extreme_and_non_finite_input():
+    # sigma_max of the unscaled matrix overflows to inf
+    assert numerical_rank(np.full((2, 2), 1e308)) == 1
+    for a in ([[math.inf, 1.0]], [[math.nan]]):
+        with pytest.raises(NonFiniteEntry):
+            numerical_rank(np.array(a))
+
+
 def test_column_submatrix_selects(identity3):
     sub = column_submatrix(identity3, [0, 2])
     assert np.array_equal(sub, np.eye(3)[:, [0, 2]])
