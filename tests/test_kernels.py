@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -14,10 +16,18 @@ from sparkcert import (
     random_matrix,
     spiked_identity,
 )
+from sparkcert import kernels
 from sparkcert import spark as spark_module
 from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
-from sparkcert.kernels import CHOLESKY_LEAF, GATHER_BYTES, scan_chunk
-from sparkcert.matrix import unit_columns
+from sparkcert.kernels import (
+    CHOLESKY_LEAF,
+    CHOLESKY_SHIFT,
+    GATHER_BYTES,
+    PROVEN_RATIO,
+    RUN_RATIO,
+    scan_chunk,
+)
+from sparkcert.matrix import unit_columns, unit_gram
 from sparkcert.spark import SparkSearchResult, SparkValue
 
 EPS = float(np.finfo(np.float64).eps)
@@ -174,6 +184,47 @@ def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
             assert info.value.subsets_examined == budget
         else:
             assert exact_spark(matrix, tolerances, budget=budget, workers=workers) == result
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix=search_matrices().filter(lambda m: m.cols >= RUN_RATIO), draws=st.data())
+def test_prefix_filter_passes_only_what_the_svd_proves(matrix, draws):
+    # a size whose subsets come in long runs, and a count that may stop
+    # part way through a run
+    data = unit_columns(matrix)
+    rows, cols = data.shape
+    size = draws.draw(st.integers(min_value=1, max_value=cols // RUN_RATIO))
+    count = draws.draw(st.integers(min_value=1, max_value=math.comb(cols, size)))
+    subsets = list(combinations(range(cols), size))[:count]
+    failed = []
+    for positions, idx in kernels._prefix_failures(unit_gram(data), size, count, 7):
+        assert [subsets[p] for p in positions] == [tuple(i) for i in idx]
+        failed.extend(int(p) for p in positions)
+    assert failed == sorted(set(failed))
+    # every subset the filter passes has sigma_min / sigma_max >= PROVEN_RATIO
+    passed = sorted(set(range(count)) - set(failed))
+    if passed:
+        s = np.linalg.svd(np.moveaxis(data[:, [subsets[p] for p in passed]], 0, 1),
+                          compute_uv=False)
+        assert size <= rows
+        assert np.all(s[:, size - 1] >= PROVEN_RATIO * s[:, 0])
+    # and the scan finds the first subset the SVD rule calls dependent
+    tol_factor = draws.draw(TOL_FACTORS)
+    first = next((k for k, subset in enumerate(subsets) if _dependent(data, subset, tol_factor)),
+                 None)
+    expected = (-1, None) if first is None else (first, subsets[first])
+    assert scan_chunk(data, size, count, tol_factor) == expected
+
+
+@pytest.mark.parametrize("tol_factor", [EPS, 1e-3])
+@pytest.mark.parametrize("cols, size", [(7, 3), (12, 3), (6, 1)])
+def test_scan_refuses_a_count_past_the_last_subset(cols, size, tol_factor):
+    # both filters, and no filter at a coarse tolerance
+    data = _unit(random_matrix(3, cols, seed=0).data)
+    total = math.comb(cols, size)
+    scan_chunk(data, size, total, tol_factor)
+    with pytest.raises(ValueError, match="exceeds"):
+        scan_chunk(data, size, total + 1, tol_factor)
 
 
 @st.composite
@@ -401,11 +452,30 @@ def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
     assert leaf.shape[1:] == (3, 3)
     assert any(np.array_equal(minor, data[:, [2, 4, 6]]) for minor in leaf)
 
+    # a wide planted triple takes the prefix filter (12 >= 3 * 3): no
+    # LAPACK Cholesky runs, and the SVD sees the witness and only subsets
+    # whose Gram minor has an eigenvalue below twice the shift
+    calls.clear()
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    raw = random_matrix(3, 12, seed=1).data.copy()
+    raw[:, 9] = raw[:, 1] + 2.0 * raw[:, 5]
+    data = _unit(raw)
+    subsets = list(combinations(range(12), 3))
+    for size in (1, 2):
+        assert scan_chunk(data, size, math.comb(12, size), EPS) == (-1, None)
+    assert calls == []
+    assert scan_chunk(data, 3, len(subsets), EPS) == (subsets.index((1, 5, 9)), (1, 5, 9))
+    seen = np.concatenate(calls)
+    assert any(np.array_equal(minor, data[:, [1, 5, 9]]) for minor in seen)
+    delta = CHOLESKY_SHIFT * 3
+    assert all(np.linalg.eigvalsh(minor.T @ minor)[0] < 2 * delta for minor in seen)
+
 
 def test_cholesky_batches_stay_within_gather_bytes(monkeypatch):
-    # at size 5 = rows + 1 of a 4x24 matrix a size x size Gram minor is
-    # larger than the rows x size columns of the same subset; exact_spark
-    # settles at size 4, so the size-5 scan is run directly
+    # at size 5 = rows + 1 of a 4x14 matrix a size x size Gram minor is
+    # larger than the rows x size columns of the same subset, and 14 < 3 * 5
+    # keeps the size on the subset filter; exact_spark settles random 4x24
+    # at size 4, so the size-5 scan is run directly
     stacked = []
     real_cholesky = np.linalg.cholesky
 
@@ -414,10 +484,49 @@ def test_cholesky_batches_stay_within_gather_bytes(monkeypatch):
         return real_cholesky(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
-    matrix = random_matrix(4, 24, seed=1)
-    result = exact_spark(matrix)
+    result = exact_spark(random_matrix(4, 24, seed=1))
     assert result.spark.value == 5
-    pos, hit = scan_chunk(unit_columns(matrix), 5, math.comb(24, 5), EPS)
+    pos, hit = scan_chunk(unit_columns(random_matrix(4, 14, seed=1)), 5, math.comb(14, 5), EPS)
     assert (pos, hit) == (0, (0, 1, 2, 3, 4))
     assert (5, 5) in [shape for shape, _ in stacked]
     assert max(nbytes for _, nbytes in stacked) <= GATHER_BYTES
+
+
+def test_prefix_filter_arrays_stay_within_gather_bytes(monkeypatch):
+    # size 5 of a 4x24 matrix takes the prefix filter: every subset fails
+    # it (rank 4 < 5) and goes on to the SVD. The largest numpy buffer alive
+    # at any line of the kernel, by tracemalloc, and every stack the SVD
+    # sees stay within GATHER_BYTES
+    stacks = []
+    real_svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        stacks.append(a.nbytes)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    # the prefix filter runs no LAPACK Cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", None)
+    largest = []
+    numpy_buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+
+    def record_line(frame, event, arg):
+        snapshot = tracemalloc.take_snapshot().filter_traces(numpy_buffers)
+        largest.append(max((trace.size for trace in snapshot.traces), default=0))
+        return record_line
+
+    def trace_kernels(frame, event, arg):
+        return record_line if frame.f_code.co_filename == kernels.__file__ else None
+
+    data = unit_columns(random_matrix(4, 24, seed=1))
+    tracemalloc.start()
+    sys.settrace(trace_kernels)
+    try:
+        pos, hit = scan_chunk(data, 5, math.comb(24, 5), EPS)
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    assert (pos, hit) == (0, (0, 1, 2, 3, 4))
+    # the rows W of a batch of prefixes: (size - 1) * cols floats each
+    assert GATHER_BYTES // 2 < max(largest) <= GATHER_BYTES
+    assert stacks and max(stacks) <= GATHER_BYTES
