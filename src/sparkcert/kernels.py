@@ -53,15 +53,17 @@ consecutive subsets to the SVD whole. Subsets reach the SVD in order, so
 the first dependent one found is the first in the scan. The decisions,
 witness and subset counts are therefore those of the SVD alone.
 
-A batch is capped at GATHER_BYTES of gathered data: for the subset
-filter and the SVD, max(rows, size) * size floats per subset, which
-bounds both its columns and its Gram minors; for the prefix filter,
-(size - 1) * cols floats per prefix, the rows W it carries. Larger
-batches run the subset filter no faster, because the small
-factorizations dominate; the prefix filter's numpy calls cost per batch,
-so it gains from larger ones, but each batch adds its gather buffer and
-temporaries to the process's peak resident set. Decisions do not depend
-on the batching.
+A batch has two caps, one per kind of work. GATHER_BYTES (64 KiB) caps
+the subset filter and the SVD at max(rows, size) * size floats per
+subset, which bounds both its columns and its Gram minors. Larger
+batches run them no faster, because the small factorizations dominate,
+and a probe that fails early pays only a small first batch. PREFIX_BYTES
+(1 MiB) caps the prefix filter at (size - 1) * cols floats per prefix,
+the rows W it carries. Its numpy calls cost per batch whatever the batch
+holds, so it gains from larger batches until W and its temporaries
+outgrow a core's L2 cache (2 MiB per core on the machine it was sized
+on). Every batch adds its buffers to the process's peak resident set.
+Decisions do not depend on the batching.
 """
 
 from __future__ import annotations
@@ -75,9 +77,17 @@ import numpy as np
 from .matrix import singular_rank, unit_gram
 
 # Bytes per batch of its largest gather: rows x size columns for the
-# stacked SVD, size x size Gram minors for the subset filter, and
-# (size - 1) x cols rows W per prefix for the prefix filter.
+# stacked SVD and size x size Gram minors for the subset filter.
 GATHER_BYTES = 64 * 1024
+
+# Bytes per batch of the prefix filter's rows W, (size - 1) x cols floats
+# per prefix. On 2 vCPUs with 2 MiB of L2 each (OpenBLAS on one thread),
+# in-process CPU for one cycle of the benchmark's exact searches took
+# 25.1-25.9 ms at 64 KiB, 19.5-20.1 ms at 512 KiB, 18.9-20.0 ms at 1 MiB
+# and 20.9-21.5 ms at 2 MiB, where a planted 7x18 factors prefixes well
+# past its witness. Full scans at size = rows, 3x40 to 8x24, took 0.12-0.94
+# us per subset at 1 MiB against 0.22-2.3 us at 64 KiB.
+PREFIX_BYTES = 1024 * 1024
 
 # The Cholesky runs on G_S - CHOLESKY_SHIFT * size * I. A pass proves
 # lambda_min(G_S) >= 1e-8 * size (less rounding of O((rows + size) * size
@@ -201,7 +211,7 @@ def _prefix_failures(
     cols = gram.shape[0]
     steps = size - 1
     pivot = 1.0 - CHOLESKY_SHIFT * size
-    per_prefixes = max(1, GATHER_BYTES // (max(steps, 1) * cols * gram.itemsize))
+    per_prefixes = max(1, PREFIX_BYTES // (max(steps, 1) * cols * gram.itemsize))
     prefixes = combinations(range(cols - 1), steps)
     left = math.comb(cols - 1, steps)
     done = 0

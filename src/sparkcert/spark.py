@@ -48,9 +48,11 @@ them by shape:
   subset without j is independent, so every dependent subset contains
   W. If the kernel calls W dependent, none is smaller and W is the only
   one of its size: the spark is |W| with witness W, counted as 1 subset
-  examined. The subsets leave out first the columns heaviest in the
-  last right singular vector of A, a guess at W that the proof does not
-  rest on.
+  examined. When W holds all rows + 1 = cols columns, the kernel is not
+  asked: like (0, ..., rows) in the size proof, W has only rows singular
+  values and is dependent under the rule. The subsets leave out first
+  the columns heaviest in the last right singular vector of A, a guess
+  at W that the proof does not rest on.
 
 A failed size probe costs at most what the scan spends on one size. Let
 k = rows. If the spark s is at most k, with witness W, the first size-k
@@ -334,8 +336,12 @@ def exact_spark(
         failed, _ = scan_chunk(data[:, order], cols - 1, cols, margin)
         passed = cols if failed < 0 else failed
         support = tuple(sorted(int(j) for j in order[cols - passed:]))
-        # W is the first and only subset of its own columns
-        if support and scan_chunk(data[:, support], len(support), 1, tol_factor)[1] is not None:
+        # W is the first and only subset of its own columns; all rows + 1
+        # of them have only rows singular values, so they are dependent
+        if support and (
+            len(support) > rows
+            or scan_chunk(data[:, support], len(support), 1, tol_factor)[1] is not None
+        ):
             spark = SparkValue(kind="finite", value=len(support))
             return SparkSearchResult(spark, support, 1, SETTLED_BY_NULL_VECTOR)
     return _scan(data, tol_factor, budget, first_size, examined)

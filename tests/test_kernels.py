@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sparkcert.kernels import (
     CHOLESKY_LEAF,
     CHOLESKY_SHIFT,
     GATHER_BYTES,
+    PREFIX_BYTES,
     PROVEN_RATIO,
     RUN_RATIO,
     scan_chunk,
@@ -111,10 +113,15 @@ def _probe_cost(data: np.ndarray, tol_factor: float) -> int | None:
 
 
 @st.composite
-def search_matrices(draw, tall=False):
-    """Small matrices with near-dependent columns; `tall` keeps cols <= rows + 1."""
-    rows = draw(st.integers(min_value=1, max_value=6))
-    cols = draw(st.integers(min_value=1, max_value=rows + 1 if tall else 12))
+def search_matrices(draw, tall=False, rows=None, cols=None):
+    """Small matrices with near-dependent columns; `tall` keeps cols <= rows + 1.
+
+    `rows` and `cols`, when given, fix the shape.
+    """
+    if rows is None:
+        rows = draw(st.integers(min_value=1, max_value=6))
+    if cols is None:
+        cols = draw(st.integers(min_value=1, max_value=rows + 1 if tall else 12))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     if draw(st.booleans()):
         data = rng.integers(-3, 4, size=(rows, cols)).astype(np.float64)
@@ -214,6 +221,54 @@ def test_prefix_filter_passes_only_what_the_svd_proves(matrix, draws):
                  None)
     expected = (-1, None) if first is None else (first, subsets[first])
     assert scan_chunk(data, size, count, tol_factor) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix=search_matrices().filter(lambda m: m.cols >= RUN_RATIO), draws=st.data())
+def test_prefix_batches_do_not_change_the_answer(matrix, draws):
+    # one prefix per batch, the default cap, and one batch for the whole
+    # size, on a count that may stop part way through a run or a batch
+    data = unit_columns(matrix)
+    cols = data.shape[1]
+    size = draws.draw(st.integers(min_value=1, max_value=cols // RUN_RATIO))
+    count = draws.draw(st.integers(min_value=1, max_value=math.comb(cols, size)))
+    whole = math.comb(cols - 1, size - 1) * max(size - 1, 1) * cols * data.itemsize
+    answers = set()
+    for cap in (1, PREFIX_BYTES, whole):
+        with mock.patch.object(kernels, "PREFIX_BYTES", cap):
+            answers.add(scan_chunk(data, size, count, EPS))
+    assert len(answers) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    matrix=st.integers(min_value=1, max_value=9).flatmap(
+        lambda rows: search_matrices(rows=rows, cols=rows + 1)
+    ),
+    tol_factor=st.one_of(st.just(0.0), TOL_FACTORS),
+)
+def test_every_subset_of_rows_plus_one_columns_is_dependent(matrix, tol_factor):
+    # the null-vector proof takes W = all rows + 1 columns as dependent
+    # without asking the kernel: it has only rows singular values
+    data = unit_columns(matrix)
+    cols = data.shape[1]
+    assert scan_chunk(data, cols, 1, tol_factor) == (0, tuple(range(cols)))
+
+
+def test_null_vector_of_every_column_skips_the_kernel(monkeypatch):
+    # spiked n x (n + 1): W holds every column, so the one kernel call is
+    # the scan of the subsets of size n
+    calls = []
+    real_scan = spark_module.scan_chunk
+
+    def counting_scan(data, size, count, tol_factor):
+        calls.append((size, count))
+        return real_scan(data, size, count, tol_factor)
+
+    monkeypatch.setattr(spark_module, "scan_chunk", counting_scan)
+    result = exact_spark(spiked_identity(6))
+    assert result == SparkSearchResult(SparkValue("finite", 7), tuple(range(7)), 1, "null_vector")
+    assert calls == [(6, 7)]
 
 
 @pytest.mark.parametrize("tol_factor", [EPS, 1e-3])
@@ -492,11 +547,11 @@ def test_cholesky_batches_stay_within_gather_bytes(monkeypatch):
     assert max(nbytes for _, nbytes in stacked) <= GATHER_BYTES
 
 
-def test_prefix_filter_arrays_stay_within_gather_bytes(monkeypatch):
+def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
     # size 5 of a 4x24 matrix takes the prefix filter: every subset fails
     # it (rank 4 < 5) and goes on to the SVD. The largest numpy buffer alive
-    # at any line of the kernel, by tracemalloc, and every stack the SVD
-    # sees stay within GATHER_BYTES
+    # at any line of the kernel, by tracemalloc, stays within PREFIX_BYTES,
+    # and every stack the SVD sees within GATHER_BYTES
     stacks = []
     real_svd = np.linalg.svd
 
@@ -528,5 +583,5 @@ def test_prefix_filter_arrays_stay_within_gather_bytes(monkeypatch):
         tracemalloc.stop()
     assert (pos, hit) == (0, (0, 1, 2, 3, 4))
     # the rows W of a batch of prefixes: (size - 1) * cols floats each
-    assert GATHER_BYTES // 2 < max(largest) <= GATHER_BYTES
+    assert PREFIX_BYTES // 2 < max(largest) <= PREFIX_BYTES
     assert stacks and max(stacks) <= GATHER_BYTES
