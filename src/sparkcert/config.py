@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -41,12 +42,13 @@ class ToleranceConfig:
     index_slack: float = DEFAULT_INDEX_SLACK
 
     def __post_init__(self) -> None:
-        for name in ("zero_column_tol", "zero_entry_tol", "residual_tol", "rank_tol_factor"):
+        # a report embeds every tolerance, and its JSON holds finite numbers
+        for name in (
+            "zero_column_tol", "zero_entry_tol", "residual_tol", "rank_tol_factor", "index_slack"
+        ):
             value = getattr(self, name)
-            if not (value >= 0.0):
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
-        if not (self.index_slack >= 0.0):
-            raise ValueError(f"index_slack must be >= 0, got {self.index_slack!r}")
+            if not (0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

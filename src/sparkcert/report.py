@@ -151,13 +151,27 @@ def _checked(
     return decode
 
 
-# bool is a subclass of int; math.isfinite raises OverflowError for an int
-# beyond the float range
-_INT: Codec = (_same, _checked(
-    "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)
+def _is_int(value: Any) -> bool:
+    # bool is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_from(low: int) -> Codec:
+    """An integer of at least `low`."""
+    return (_same, _checked(f"an integer >= {low}", lambda v: _is_int(v) and v >= low))
+
+
+_INT: Codec = (_same, _checked("an integer", _is_int))
+_COUNT = _int_from(0)
+_WITNESS: Codec = (list, _checked(
+    "a strictly increasing list of column indices >= 0",
+    lambda v: isinstance(v, list) and all(_is_int(j) and j >= 0 for j in v)
+    and all(a < b for a, b in zip(v, v[1:])),
+    tuple,
 ))
 # float() on the way out too, so an integer-valued field (a tolerance of 0)
-# is written as 0.0, as report_from_json reads it back
+# is written as 0.0, as report_from_json reads it back; math.isfinite
+# raises OverflowError for an int beyond the float range
 _FLOAT: Codec = (float, _checked(
     "a finite number",
     lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
@@ -226,7 +240,7 @@ _FINITE_SPARK = _record(SparkValue, {
 # The report after "tool", in schema order: the AnalysisReport fields
 # except the tool's, each section keyed by its dataclass's field names.
 _SECTIONS: dict[str, Codec] = {
-    "matrix": _record(MatrixMeta, {"rows": _INT, "cols": _INT, "source": _STR}),
+    "matrix": _record(MatrixMeta, {"rows": _int_from(1), "cols": _int_from(1), "source": _STR}),
     "seed": _optional(_INT),
     "tolerances": _record(ToleranceConfig, {
         "zero_column_tol": _FLOAT,
@@ -245,16 +259,16 @@ _SECTIONS: dict[str, Codec] = {
         "mutual_coherence_bound": _optional(_FLOAT),
         "coherence_index_bound": _or(_INT, INFINITY_TOKEN, math.inf),
         "exact": _optional(_or(_FINITE_SPARK, {"kind": "infinite"}, SPARK_INFINITE)),
-        "witness": _optional(_list_of(_INT)),
+        "witness": _optional(_WITNESS),
         "trivial_upper": _optional(_INT),
         "search_budget_hit": _BOOL,
-        "subsets_examined": _optional(_INT),
+        "subsets_examined": _optional(_COUNT),
         "settled_by": _optional((_same, _checked(
             f"one of {list(SETTLED_BY)}", lambda v: v in SETTLED_BY
         ))),
     }),
     "certificate": _optional(_record(UniquenessCertificate, {
-        "l0": _INT,
+        "l0": _COUNT,
         "residual": _FLOAT,
         "spark_threshold": _optional(_FLOAT),
         "index_threshold": _or(_FLOAT, INFINITY_TOKEN, math.inf),

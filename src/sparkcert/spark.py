@@ -64,7 +64,8 @@ the other terms as they were. If the spark exceeds k, the scan examines
 all of size k. So probe plus scan cost at most twice the scan. A
 tolerance coarse enough to defeat the margin leaves the search to the
 scan. The scan starts at the first size the coherence profile cannot
-prove independent (_first_unproven_size).
+prove independent: 1 + the coherence index at the rank rule's slack
+(_first_unproven_size).
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import coherence_profile, coherence_rounding
+from .coherence import coherence_profile, coherence_rounding, smallest_qualifying_prefix
 from .config import DEFAULT_TOLERANCES, ToleranceConfig, default_search_budget
 from .errors import (
     BudgetExceeded,
@@ -213,28 +214,31 @@ def _first_unproven_size(matrix: DenseMatrix, tol_factor: float) -> int:
     """The smallest subset size the coherence profile cannot prove independent.
 
     A size-k Gram minor of the unit columns has off-diagonal row sums of at
-    most the k - 1 largest coherences, each allowed coherence_rounding, so
-    by Gershgorin its eigenvalues lie within 1 -+ (1 - m) for the margin
-    m = 1 - prefix_sums[k-2] - (k-1) * r, and sigma_min / sigma_max of the
-    subset is at least sqrt(m / (2 - m)). Size k is proven independent when
-    half of that ratio (the slack of kernels.PROVEN_RATIO) clears the SVD
-    cutoff ratio tol_factor * max(rows, k) plus the SVD's own error
-    (SVD_ERROR), so a coarse tolerance proves nothing. Returns cols + 1
-    when every size is proven.
+    most the p = k - 1 largest coherences, each allowed coherence_rounding
+    r, so by Gershgorin its eigenvalues lie within 1 -+ (1 - m) for the
+    margin m = 1 - prefix_sums[p-1] - p * r, and sigma_min / sigma_max of
+    the subset is at least sqrt(m / (2 - m)). Size k is proven independent
+    when half of that ratio (the slack of kernels.PROVEN_RATIO) clears rho,
+    the SVD cutoff ratio tol_factor * rows plus the SVD's own error
+    (SVD_ERROR), so a coarse tolerance proves nothing. That is m > 8 rho^2
+    / (1 + 4 rho^2): the first unproven size is 1 + the coherence index at
+    that slack, 1 when rho >= 1/2 (the slack reaches 1), and cols + 1 when
+    no p <= cols - 1 qualifies.
+
+    rho takes rows where the rule takes max(rows, k), as no size above
+    rows + 1 is reached: a tall matrix has k <= cols <= rows, and for a
+    wide one the rows largest coherences plus rows * r reach 1
+    (top_coherence_sum), so p = rows qualifies at any slack.
     """
     rows, cols = matrix.shape
-    prefix = matrix.sorted_coherences[1]
-    rounding = coherence_rounding(rows)
-    size = 1
-    while size <= cols:
-        margin = 1.0 - (prefix[size - 2] if size > 1 else 0.0) - (size - 1) * rounding
-        if not margin > 0.0:
-            break
-        ratio = math.sqrt(margin / (2.0 - margin))
-        if not 0.5 * ratio > (tol_factor + SVD_ERROR * EPS) * max(rows, size):
-            break
-        size += 1
-    return size
+    rho = (tol_factor + SVD_ERROR * EPS) * rows
+    if not rho < 0.5:
+        return 1
+    slack = 8.0 * rho * rho / (1.0 + 4.0 * rho * rho)
+    index = smallest_qualifying_prefix(
+        matrix.sorted_coherences[1][: cols - 1], slack, coherence_rounding(rows)
+    )
+    return cols + 1 if index is None else index + 1
 
 
 def _margin(tol_factor: float, dim: int) -> float:

@@ -73,6 +73,16 @@ def l0_norm(x: np.ndarray, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> 
     return int(np.count_nonzero(np.abs(arr) > tolerances.zero_entry_tol))
 
 
+def _vector(name: str, value: np.ndarray, length: int) -> np.ndarray:
+    """`value` as a float64 vector; raises unless it is 1-D of `length`, and finite."""
+    v = np.asarray(value, dtype=np.float64)
+    if v.ndim != 1 or v.shape[0] != length:
+        raise DimensionMismatch(f"{name} must be a vector of length {length}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise NonFiniteEntry(f"{name} contains NaN or infinity")
+    return v
+
+
 def certify(
     matrix: DenseMatrix,
     x: np.ndarray,
@@ -91,20 +101,8 @@ def certify(
     with nothing passed when the residual exceeds residual_tol. Raises
     NormOverflow when A x - b leaves the float64 range.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if xv.ndim != 1 or xv.shape[0] != matrix.cols:
-        raise DimensionMismatch(
-            f"x must be a vector of length {matrix.cols}, got shape {xv.shape}"
-        )
-    if bv.ndim != 1 or bv.shape[0] != matrix.rows:
-        raise DimensionMismatch(
-            f"b must be a vector of length {matrix.rows}, got shape {bv.shape}"
-        )
-    if not np.all(np.isfinite(xv)):
-        raise NonFiniteEntry("x contains NaN or infinity")
-    if not np.all(np.isfinite(bv)):
-        raise NonFiniteEntry("b contains NaN or infinity")
+    xv = _vector("x", x, matrix.cols)
+    bv = _vector("b", b, matrix.rows)
 
     sparsity = l0_norm(xv, tolerances)
     # finite inputs can still overflow the product; an overflowed residual
@@ -195,13 +193,7 @@ def sparsest_oracle(
         budget = default_search_budget()
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    bv = np.asarray(b, dtype=np.float64)
-    if bv.ndim != 1 or bv.shape[0] != matrix.rows:
-        raise DimensionMismatch(
-            f"b must be a vector of length {matrix.rows}, got shape {bv.shape}"
-        )
-    if not np.all(np.isfinite(bv)):
-        raise NonFiniteEntry("b contains NaN or infinity")
+    bv = _vector("b", b, matrix.rows)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     k_max = min(k_max, matrix.cols)

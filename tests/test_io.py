@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +237,25 @@ def test_report_json_round_trip_integer_tolerances():
     assert report_to_json(report_from_json(text)) == text
 
 
+def test_tolerances_must_be_finite_and_non_negative():
+    # every report embeds its tolerances, and its JSON has no spelling for
+    # an infinite one: they are rejected as a negative one is
+    for field in dataclasses.fields(ToleranceConfig):
+        for value in (math.inf, -math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match=f"{field.name} must be finite and >= 0"):
+                ToleranceConfig(**{field.name: value})
+    # the largest finite ones still make a report that round-trips
+    huge = sys.float_info.max
+    tolerances = ToleranceConfig(residual_tol=huge, zero_entry_tol=huge, index_slack=huge)
+    m = spiked_identity(4)
+    spark_report = analyze_spark(m, tolerances, compute_exact=True)
+    cert = certify(m, np.ones(5), np.zeros(4), tolerances, exact=spark_report.exact)
+    report = build_report(m, "huge", spark_report, tolerances, certificate=cert)
+    text = report_to_json(report)
+    assert report_from_json(text) == report
+    assert '"residual_tol": 1.7976931348623157e+308' in text
+
+
 def test_report_json_round_trip_settled_by():
     planted = random_matrix(4, 9, seed=0).data.copy()
     planted[:, 8] = planted[:, 1] - planted[:, 5]
@@ -304,10 +324,19 @@ def test_report_parse_rejects_bad_input():
         ("spark", "witness", {}),
         ("coherence", "top_coherences", {}),
         ("tool", "name", [1]),
+        # and values no report holds
+        ("matrix", "rows", 0),
+        ("matrix", "cols", -4),
+        ("spark", "subsets_examined", -7),
+        ("certificate", "l0", -1),
+        ("spark", "witness", [5, 1, 1]),
+        ("spark", "witness", [1, 1]),
+        ("spark", "witness", [-1, 2]),
+        ("spark", "witness", [0, 1.0]),
     ):
         bad = copy.deepcopy(tree)
         bad[section][key] = value
-        with pytest.raises(ReportParseError):
+        with pytest.raises(ReportParseError, match=f"{key}: expected"):
             report_from_json(json.dumps(bad))
 
 

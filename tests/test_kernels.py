@@ -19,6 +19,7 @@ from sparkcert import (
 )
 from sparkcert import kernels
 from sparkcert import spark as spark_module
+from sparkcert.coherence import coherence_rounding
 from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
 from sparkcert.kernels import (
     CHOLESKY_LEAF,
@@ -150,6 +151,79 @@ def search_matrices(draw, tall=False, rows=None, cols=None):
 TOL_FACTORS = st.one_of(st.just(EPS), st.integers(-9, -1).map(lambda e: 10.0**e))
 
 
+def _gershgorin_margins(matrix) -> list[float]:
+    """Per size k = 1, ..., cols, the Gershgorin margin m of its Gram minors.
+
+    m is 1 less the k - 1 largest coherences and their rounding: every
+    size-k minor of the unit Gram has its eigenvalues within 1 -+ (1 - m).
+    """
+    rows, cols = matrix.shape
+    prefix = matrix.sorted_coherences[1]
+    rounding = coherence_rounding(rows)
+    return [
+        1.0 - (prefix[size - 2] if size > 1 else 0.0) - (size - 1) * rounding
+        for size in range(1, cols + 1)
+    ]
+
+
+def _first_unproven_size_reference(matrix, tol_factor: float) -> int:
+    """The coherence profile's size skip, tested one size at a time.
+
+    Size k is proven independent when its margin m is positive and half
+    of sqrt(m / (2 - m)) clears the cutoff ratio at max(rows, k) plus the
+    SVD's error.
+    """
+    rows = matrix.rows
+    for size, margin in enumerate(_gershgorin_margins(matrix), start=1):
+        if not margin > 0.0:
+            return size
+        ratio = math.sqrt(margin / (2.0 - margin))
+        if not 0.5 * ratio > (tol_factor + spark_module.SVD_ERROR * EPS) * max(rows, size):
+            return size
+    return matrix.cols + 1
+
+
+def _size_thresholds(matrix) -> list[float]:
+    """The tol_factors at which the reference stops proving each size.
+
+    Sizes whose margin is 1e-6 or less are left out: there the rounding of
+    1 - m, not the tolerance, decides.
+    """
+    return [
+        0.5 * math.sqrt(margin / (2.0 - margin)) / max(matrix.rows, size)
+        - spark_module.SVD_ERROR * EPS
+        for size, margin in enumerate(_gershgorin_margins(matrix), start=1)
+        if margin > 1e-6
+    ]
+
+
+@st.composite
+def equiangular_matrices(draw):
+    """Square or tall matrices whose columns all meet at one coherence in [0, 1)."""
+    cols = draw(st.integers(min_value=1, max_value=10))
+    rows = draw(st.integers(min_value=cols, max_value=cols + 2))
+    coherence = draw(st.floats(min_value=0.0, max_value=0.999))
+    data = np.zeros((rows, cols))
+    data[:cols] = np.linalg.cholesky((1.0 - coherence) * np.eye(cols) + coherence).T
+    return build_matrix(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    matrix=st.one_of(search_matrices(), search_matrices(tall=True), equiangular_matrices()),
+    tol_factor=st.one_of(st.just(0.0), TOL_FACTORS),
+)
+def test_first_unproven_size_matches_the_per_size_test(matrix, tol_factor):
+    # tall, square and wide shapes; duplicated, combined, near-orthogonal
+    # and equiangular columns; cutoffs from 0 to past a slack of 1, and on
+    # either side of the cutoff at which each size stops being proven
+    thresholds = [t * (1.0 + side) for t in _size_thresholds(matrix) if t > 0.0
+                  for side in (-1e-6, 1e-6)]
+    for tol in (tol_factor, *thresholds):
+        expected = _first_unproven_size_reference(matrix, tol)
+        assert spark_module._first_unproven_size(matrix, tol) == expected
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     matrix=search_matrices(),
@@ -165,7 +239,7 @@ def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
     # the scan counts no subset of the sizes the coherence profile proves;
     # a wide matrix whose size rows is not proven is first probed there
     rows, cols = matrix.shape
-    first = spark_module._first_unproven_size(matrix, tol_factor)
+    first = _first_unproven_size_reference(matrix, tol_factor)
     scanned = examined - sum(math.comb(cols, size) for size in range(1, first))
     probe = _probe_cost(data, tol_factor) if first <= rows < cols - 1 else 0
     # workers is accepted and ignored: both counts give the same answer

@@ -51,6 +51,31 @@ def test_certify_dimension_checks():
         certify(m, np.zeros(4), np.zeros(4))
 
 
+@pytest.mark.parametrize(
+    "name, value, error, message",
+    [
+        ("x", np.zeros(3), DimensionMismatch, "x must be a vector of length 4, got shape (3,)"),
+        (
+            "x", np.zeros((4, 1)), DimensionMismatch,
+            "x must be a vector of length 4, got shape (4, 1)",
+        ),
+        ("x", np.array([0.0, np.inf, 0.0, 0.0]), NonFiniteEntry, "x contains NaN or infinity"),
+        ("b", np.zeros(4), DimensionMismatch, "b must be a vector of length 3, got shape (4,)"),
+        ("b", np.array([np.nan, 0.0, 0.0]), NonFiniteEntry, "b contains NaN or infinity"),
+    ],
+)
+def test_vector_checks_name_the_bad_argument(name, value, error, message):
+    m = spiked_identity(3)
+    args = {"x": np.zeros(4), "b": np.zeros(3), name: value}
+    with pytest.raises(error) as info:
+        certify(m, args["x"], args["b"])
+    assert str(info.value) == message
+    if name == "b":
+        with pytest.raises(error) as info:
+            sparsest_oracle(m, value, k_max=1)
+        assert str(info.value) == message
+
+
 def test_certify_not_a_solution():
     m = spiked_identity(10)
     x = np.zeros(11)
