@@ -6,9 +6,9 @@ steps:
 
 1. A Cholesky filter. A Cholesky factorization of G_S - delta*I, with
    G_S the subset's unit-diagonal Gram minor (from the unit Gram matrix,
-   which each call builds from `data`) and delta = CHOLESKY_SHIFT * size,
-   passes when every pivot is positive. A subset that passes is
-   independent; the others go on to step 2.
+   which each call builds from `data`) and delta = shift * size, passes
+   when every pivot is positive. Each subset gets its own pass bit. A
+   subset that passes is independent; the others go on to step 2.
 2. SVD on what is left. The columns of the subsets that fail are gathered
    into one (span, rows, size) array, in order, and one stacked
    `np.linalg.svd` decides each of them: it is rank deficient when fewer
@@ -28,12 +28,10 @@ cols - 1 - P[-1] subsets, about cols / size on average.
   size - 1 pivots are positive, and the extension j by its last pivot,
   (1 - delta) - |W[:, j]|^2. A subset's pass bit is both.
 - The subset filter, otherwise: the full-rank and null-vector proofs,
-  whose runs hold one or two subsets, and sizes near cols. One stacked
-  `np.linalg.cholesky` runs on a batch of consecutive subsets' minors. If
-  it succeeds the whole batch passes; if it fails, the batch is split in
-  halves and the Cholesky retried on each, left half first, down to spans
-  of CHOLESKY_LEAF subsets, and a span that still fails goes to the SVD
-  whole.
+  whose runs hold one or two subsets, and sizes near cols. LAPACK's
+  stacked Cholesky factors a batch of consecutive subsets' minors in one
+  call, and fills each minor it cannot factor with NaN: a subset's pass
+  bit is a number in the last entry of its factor.
 
 Both are Cholesky factorizations of the same G_S - delta*I. Row by row,
 the prefix filter computes l_tt = sqrt(a_tt - sum_s l_ts^2) and
@@ -43,15 +41,20 @@ holds for any order of the inner products (Higham, Accuracy and Stability
 of Numerical Algorithms, Thm 10.3), so a factorization whose pivots are
 all positive proves lambda_min(G_S) >= delta up to O((rows + size) *
 size * eps), and lambda_max(G_S) <= trace = size: sigma_min / sigma_max
-of the unit columns is at least about sqrt(CHOLESKY_SHIFT) = 1e-4. The SVD
-cutoff is tol_factor * max(rows, size) times sigma_max, eps * dim at the
-default tolerance, so the SVD would call every passing subset independent
-too. A pivot that overflows or is not a number fails, and its subset goes
-to the SVD. A tolerance coarse enough that tol_factor * dim >=
-PROVEN_RATIO (5e-5) turns the filter off and sends every batch of
-consecutive subsets to the SVD whole. Subsets reach the SVD in order, so
-the first dependent one found is the first in the scan. The decisions,
-witness and subset counts are therefore those of the SVD alone.
+of the unit columns is at least about sqrt(shift). The shift is set by
+the tolerance: with r = 2 * tol_factor * max(rows, size), shift =
+min(1, max(CHOLESKY_SHIFT, r^2)), so a pass proves a ratio of at least
+r, twice the SVD cutoff ratio tol_factor * max(rows, size) (the factor 2
+covers rounding in the factorization and in the SVD's own singular
+values), and at least sqrt(CHOLESKY_SHIFT) = 1e-4, ten orders of
+magnitude above the default cutoff eps * max(rows, size). The SVD would
+call every passing subset independent too. A tolerance with r >= 1 sets
+shift = 1, whose first pivot 1 - size is not positive: nothing passes,
+and every subset goes to the SVD. A pivot that overflows or is not a
+number fails, and its subset goes to the SVD. Subsets reach the SVD in
+order, so the first dependent one found is the first in the scan. The
+decisions, witness and subset counts are therefore those of the SVD
+alone.
 
 A batch has two caps, one per kind of work. GATHER_BYTES (64 KiB) caps
 the subset filter and the SVD at max(rows, size) * size floats per
@@ -69,10 +72,11 @@ Decisions do not depend on the batching.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from itertools import chain, combinations, islice
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .matrix import singular_rank, unit_gram
 
@@ -89,20 +93,11 @@ GATHER_BYTES = 64 * 1024
 # us per subset at 1 MiB against 0.22-2.3 us at 64 KiB.
 PREFIX_BYTES = 1024 * 1024
 
-# The Cholesky runs on G_S - CHOLESKY_SHIFT * size * I. A pass proves
-# lambda_min(G_S) >= 1e-8 * size (less rounding of O((rows + size) * size
-# * eps), far smaller for any matrix that fits in memory) against
+# The floor of the Cholesky filter's shift: at a fine tolerance a pass
+# proves lambda_min(G_S) >= 1e-8 * size (less rounding of O((rows + size)
+# * size * eps), far smaller for any matrix that fits in memory) against
 # lambda_max <= trace = size: sigma_min / sigma_max >= sqrt(1e-8) = 1e-4.
 CHOLESKY_SHIFT = 1e-8
-
-# The ratio a pass proves, with a factor 2 for rounding in the
-# factorization and in the SVD's own singular values; the filter runs only
-# while the SVD cutoff ratio tol_factor * dim stays below it.
-PROVEN_RATIO = 0.5 * math.sqrt(CHOLESKY_SHIFT)
-
-# A batch whose Cholesky fails is split in halves down to spans of this
-# many subsets; only spans that still fail reach the stacked SVD.
-CHOLESKY_LEAF = 8
 
 # The prefix filter runs when cols >= RUN_RATIO * size, where a prefix's
 # run averages about cols / size >= RUN_RATIO subsets. Scanning up to
@@ -124,24 +119,21 @@ def scan_chunk(
     than `size` of its singular values exceed tol_factor * sigma_max *
     max(rows, size); a subset whose shifted Gram minor passes a Cholesky
     factorization is not (see the module docstring). The minors come from
-    the unit Gram matrix of `data`, built on each call that runs a
-    Cholesky filter, so they cannot fall out of step with the columns.
-    Returns (position, indices) of the first rank-deficient subset, or
-    (-1, None) if there is none in the run. Raises ValueError when
-    `count` runs past the last subset.
+    the unit Gram matrix of `data`, built on each call, so they cannot
+    fall out of step with the columns. Returns (position, indices) of the
+    first rank-deficient subset, or (-1, None) if there is none in the
+    run. Raises ValueError when `count` runs past the last subset.
     """
     rows, cols = data.shape
     if count > math.comb(cols, size):
         raise ValueError(f"count {count} exceeds the C({cols}, {size}) subsets")
     dim = max(rows, size)
     per_batch = max(1, GATHER_BYTES // (dim * size * data.itemsize))
-    prove = tol_factor * dim < PROVEN_RATIO
-    gram = unit_gram(data) if prove else None
-    if prove and cols >= RUN_RATIO * size:
-        unsettled = _prefix_failures(gram, size, count, per_batch)
-    else:
-        unsettled = _subset_failures(cols, size, count, per_batch, gram)
-    for positions, idx in unsettled:
+    # r * r, not r ** 2, which raises OverflowError for a huge float
+    r = 2 * tol_factor * dim
+    delta = min(1.0, max(CHOLESKY_SHIFT, r * r)) * size
+    cholesky_filter = _prefix_failures if cols >= RUN_RATIO * size else _subset_failures
+    for positions, idx in cholesky_filter(unit_gram(data), size, count, per_batch, delta):
         s = np.linalg.svd(np.moveaxis(data[:, idx], 0, 1), compute_uv=False)
         dependent = singular_rank(s, tol_factor, dim) < size
         if dependent.any():
@@ -150,16 +142,27 @@ def scan_chunk(
     return -1, None
 
 
-def _subset_failures(
-    cols: int, size: int, count: int, per_batch: int, gram: np.ndarray | None
-) -> Iterator[tuple[Sequence[int], np.ndarray]]:
-    """(positions, indices) of the spans the subset filter cannot settle, in order.
+def _cholesky_passes(minors: np.ndarray) -> np.ndarray:
+    """One pass bit per minor of a (batch, size, size) stack: it has a Cholesky factor.
 
-    Batches of per_batch consecutive subsets are gathered; with no `gram`
-    each goes to the SVD whole.
+    The call is the LAPACK gufunc that np.linalg.cholesky wraps, which
+    fills a minor it cannot factor with NaN where np.linalg.cholesky
+    raises for the whole stack.
     """
-    subsets = combinations(range(cols), size)
-    shift = CHOLESKY_SHIFT * size
+    with np.errstate(all="ignore"):
+        lower = _umath_linalg.cholesky_lo(minors, signature="d->d")
+    return ~np.isnan(lower[:, -1, -1])
+
+
+def _subset_failures(
+    gram: np.ndarray, size: int, count: int, per_batch: int, delta: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(positions, indices) of the subsets the subset filter fails, in order.
+
+    Batches of per_batch consecutive subsets are gathered and their
+    shifted minors factored in one stacked call.
+    """
+    subsets = combinations(range(gram.shape[0]), size)
     done = 0
     while done < count:
         batch = min(per_batch, count - done)
@@ -167,39 +170,16 @@ def _subset_failures(
             chain.from_iterable(islice(subsets, batch)), dtype=np.intp, count=batch * size
         )
         idx = flat.reshape(batch, size)
-        if gram is None:
-            spans = ((0, batch),)
-        else:
-            minors = gram[idx[:, :, None], idx[:, None, :]]
-            minors.reshape(batch, size * size)[:, :: size + 1] -= shift
-            spans = _unsettled(minors, 0, batch)
-        for lo, hi in spans:
-            yield range(done + lo, done + hi), idx[lo:hi]
+        minors = gram[idx[:, :, None], idx[:, None, :]]
+        minors.reshape(batch, size * size)[:, :: size + 1] -= delta
+        failing = np.flatnonzero(~_cholesky_passes(minors))
+        if failing.size:
+            yield done + failing, idx[failing]
         done += batch
 
 
-def _unsettled(minors: np.ndarray, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """The spans of minors[lo:hi] the Cholesky cannot settle, left to right.
-
-    A span whose stacked Cholesky passes holds no dependent subset. One
-    that fails is split in halves, left half first, down to CHOLESKY_LEAF
-    subsets; a leaf that still fails is yielded for the SVD. The spans come
-    lazily and in order, so the first dependent subset in the first span
-    that holds one is the first in the batch.
-    """
-    try:
-        np.linalg.cholesky(minors[lo:hi])
-    except np.linalg.LinAlgError:
-        if hi - lo <= CHOLESKY_LEAF:
-            yield lo, hi
-        else:
-            mid = (lo + hi) // 2
-            yield from _unsettled(minors, lo, mid)
-            yield from _unsettled(minors, mid, hi)
-
-
 def _prefix_failures(
-    gram: np.ndarray, size: int, count: int, per_batch: int
+    gram: np.ndarray, size: int, count: int, per_batch: int, delta: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(positions, indices) of the subsets the prefix filter fails, in order.
 
@@ -210,7 +190,7 @@ def _prefix_failures(
     """
     cols = gram.shape[0]
     steps = size - 1
-    pivot = 1.0 - CHOLESKY_SHIFT * size
+    pivot = 1.0 - delta
     per_prefixes = max(1, PREFIX_BYTES // (max(steps, 1) * cols * gram.itemsize))
     prefixes = combinations(range(cols - 1), steps)
     left = math.comb(cols - 1, steps)

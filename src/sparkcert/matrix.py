@@ -184,8 +184,10 @@ def singular_rank(s: np.ndarray, tol_factor: float, dim: int) -> np.ndarray:
 
     `s` holds singular values in non-increasing order, one set per row
     when stacked; the rank rule of numerical_rank and of the subset scan.
+    A cutoff that overflows is infinite: no singular value exceeds it.
     """
-    return np.count_nonzero(s > tol_factor * s[..., :1] * dim, axis=-1)
+    with np.errstate(over="ignore"):
+        return np.count_nonzero(s > tol_factor * s[..., :1] * dim, axis=-1)
 
 
 def column_submatrix(matrix: DenseMatrix, indices: Sequence[int]) -> np.ndarray:

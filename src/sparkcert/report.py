@@ -230,6 +230,21 @@ def _record(cls: type, fields: dict[str, Codec]) -> Codec:
     return partial(_encode_fields, fields), lambda tree, key: cls(**_decode_fields(fields, tree))
 
 
+def _with_witness_check(codec: Codec) -> Codec:
+    """The spark section's codec, whose witness must hold exactly spark many columns."""
+    encode, decode = codec
+
+    def decode_checked(tree: Any, key: str) -> SparkReport:
+        spark = decode(tree, key)
+        # None for no exact spark and for the infinite one
+        size = spark.exact and spark.exact.value
+        if spark.witness is not None and len(spark.witness) != size:
+            raise ReportParseError("witness: expected as many columns as a finite exact spark")
+        return spark
+
+    return encode, decode_checked
+
+
 # A finite exact spark; the infinite one is {"kind": "infinite"}, nothing more.
 _FINITE_SPARK = _record(SparkValue, {
     "kind": (_same, _checked("'finite', or 'infinite' alone", lambda v: v == "finite")),
@@ -251,22 +266,22 @@ _SECTIONS: dict[str, Codec] = {
     }),
     "coherence": _record(CoherenceSummary, {
         "mutual_coherence": _FLOAT,
-        "coherence_index": _or(_INT, INFINITY_TOKEN, None),
+        "coherence_index": _or(_int_from(1), INFINITY_TOKEN, None),
         "top_coherences": _list_of(_FLOAT),
         "top_coherence_sum": _optional(_FLOAT),
     }),
-    "spark": _record(SparkReport, {
+    "spark": _with_witness_check(_record(SparkReport, {
         "mutual_coherence_bound": _optional(_FLOAT),
-        "coherence_index_bound": _or(_INT, INFINITY_TOKEN, math.inf),
+        "coherence_index_bound": _or(_int_from(2), INFINITY_TOKEN, math.inf),
         "exact": _optional(_or(_FINITE_SPARK, {"kind": "infinite"}, SPARK_INFINITE)),
         "witness": _optional(_WITNESS),
-        "trivial_upper": _optional(_INT),
+        "trivial_upper": _optional(_int_from(2)),
         "search_budget_hit": _BOOL,
         "subsets_examined": _optional(_COUNT),
         "settled_by": _optional((_same, _checked(
             f"one of {list(SETTLED_BY)}", lambda v: v in SETTLED_BY
         ))),
-    }),
+    })),
     "certificate": _optional(_record(UniquenessCertificate, {
         "l0": _COUNT,
         "residual": _FLOAT,

@@ -20,9 +20,10 @@ the exact ones (SVD_ERROR). By interlacing, sigma_min(A_T) >= sigma_k(A_S)
 and sigma_1(A_T) <= sigma_1(A_S), so T's cutoff is at most tol * (s_1 +
 2e) * D. If the SVD decided S, T's computed smallest singular value is at
 least s_k - 2e > m * s_1 * D - 2e, above that cutoff (1 + 8 eps covers
-the rounding). If a Cholesky pass decided S, sigma_k(A_S) >= ~1e-4 *
-sigma_1(A_S), twice the PROVEN_RATIO that m * D must stay below for the
-kernel to run one, so the same holds with orders of magnitude to spare.
+the rounding). If a Cholesky pass decided S, sigma_k(A_S) >= ~2 * m * D
+* sigma_1(A_S): the kernel at tolerance m sets its Cholesky shift so that
+a pass proves twice its SVD cutoff ratio m * D (kernels module), so the
+same holds with that factor 2 to spare.
 
 The lemma settles the search from the top, before the upward scan. All
 three proofs run at the one margin m(tol, rows), and exact_spark tries
@@ -218,12 +219,12 @@ def _first_unproven_size(matrix: DenseMatrix, tol_factor: float) -> int:
     r, so by Gershgorin its eigenvalues lie within 1 -+ (1 - m) for the
     margin m = 1 - prefix_sums[p-1] - p * r, and sigma_min / sigma_max of
     the subset is at least sqrt(m / (2 - m)). Size k is proven independent
-    when half of that ratio (the slack of kernels.PROVEN_RATIO) clears rho,
-    the SVD cutoff ratio tol_factor * rows plus the SVD's own error
-    (SVD_ERROR), so a coarse tolerance proves nothing. That is m > 8 rho^2
-    / (1 + 4 rho^2): the first unproven size is 1 + the coherence index at
-    that slack, 1 when rho >= 1/2 (the slack reaches 1), and cols + 1 when
-    no p <= cols - 1 qualifies.
+    when half of that ratio (the factor 2 a Cholesky pass in the kernel
+    keeps too) clears rho, the SVD cutoff ratio tol_factor * rows plus the
+    SVD's own error (SVD_ERROR), so a coarse tolerance proves nothing.
+    That is m > 8 rho^2 / (1 + 4 rho^2): the first unproven size is 1 +
+    the coherence index at that slack, 1 when rho >= 1/2 (the slack
+    reaches 1), and cols + 1 when no p <= cols - 1 qualifies.
 
     rho takes rows where the rule takes max(rows, k), as no size above
     rows + 1 is reached: a tall matrix has k <= cols <= rows, and for a

@@ -244,11 +244,16 @@ def test_tolerances_must_be_finite_and_non_negative():
         for value in (math.inf, -math.inf, math.nan, -1.0):
             with pytest.raises(ValueError, match=f"{field.name} must be finite and >= 0"):
                 ToleranceConfig(**{field.name: value})
-    # the largest finite ones still make a report that round-trips
+    # the largest finite ones still make a report that round-trips; under
+    # the infinite rank cutoff every column is dependent, and no step warns
+    # of the overflow
     huge = sys.float_info.max
-    tolerances = ToleranceConfig(residual_tol=huge, zero_entry_tol=huge, index_slack=huge)
+    tolerances = ToleranceConfig(
+        residual_tol=huge, zero_entry_tol=huge, index_slack=huge, rank_tol_factor=huge
+    )
     m = spiked_identity(4)
     spark_report = analyze_spark(m, tolerances, compute_exact=True)
+    assert (spark_report.exact, spark_report.witness) == (SparkValue("finite", 1), (0,))
     cert = certify(m, np.ones(5), np.zeros(4), tolerances, exact=spark_report.exact)
     report = build_report(m, "huge", spark_report, tolerances, certificate=cert)
     text = report_to_json(report)
@@ -333,10 +338,23 @@ def test_report_parse_rejects_bad_input():
         ("spark", "witness", [1, 1]),
         ("spark", "witness", [-1, 2]),
         ("spark", "witness", [0, 1.0]),
+        ("coherence", "coherence_index", 0),
+        ("spark", "coherence_index_bound", 1),
+        ("spark", "trivial_upper", 1),
+        # a witness must hold exactly the finite exact spark's many columns
+        ("spark", "witness", [0, 1]),
+        ("spark", "witness", list(range(8))),
+        ("spark", "witness", []),
     ):
         bad = copy.deepcopy(tree)
         bad[section][key] = value
         with pytest.raises(ReportParseError, match=f"{key}: expected"):
+            report_from_json(json.dumps(bad))
+    # and a witness beside no finite exact spark
+    for exact in ({"kind": "infinite"}, None):
+        bad = copy.deepcopy(tree)
+        bad["spark"]["exact"] = exact
+        with pytest.raises(ReportParseError, match="witness: expected"):
             report_from_json(json.dumps(bad))
 
 

@@ -22,11 +22,9 @@ from sparkcert import spark as spark_module
 from sparkcert.coherence import coherence_rounding
 from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
 from sparkcert.kernels import (
-    CHOLESKY_LEAF,
     CHOLESKY_SHIFT,
     GATHER_BYTES,
     PREFIX_BYTES,
-    PROVEN_RATIO,
     RUN_RATIO,
     scan_chunk,
 )
@@ -61,6 +59,18 @@ def test_scan_respects_count():
     assert pos == -1
 
 
+def test_cholesky_passes_one_bit_per_minor():
+    # positive definite, indefinite and singular minors in one stack: only
+    # the first has a Cholesky factor, and the ones that fail raise no
+    # warning and do not fail the others
+    minors = np.array([
+        [[2.0, 1.0], [1.0, 2.0]],
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+    ])
+    assert kernels._cholesky_passes(minors).tolist() == [True, False, False]
+
+
 @pytest.mark.parametrize("gather_bytes", [1, 3 * 3 * 8 * 2, 64 * 1024])
 def test_scan_from_every_start_keeps_lexicographic_order(monkeypatch, gather_bytes):
     # the one dependent triple is (2, 4, 6); a cap of 1 byte makes every
@@ -83,7 +93,8 @@ def test_scan_from_every_start_keeps_lexicographic_order(monkeypatch, gather_byt
 def _dependent(data: np.ndarray, subset: tuple[int, ...], tol_factor: float) -> bool:
     """The rank rule on one subset, by its own SVD."""
     s = np.linalg.svd(data[:, subset], compute_uv=False)
-    cutoff = tol_factor * s[0] * max(data.shape[0], len(subset))
+    # a Python float, whose product overflows to inf without a warning
+    cutoff = tol_factor * float(s[0]) * max(data.shape[0], len(subset))
     return np.count_nonzero(s > cutoff) < len(subset)
 
 
@@ -146,9 +157,19 @@ def search_matrices(draw, tall=False, rows=None, cols=None):
     return build_matrix(data)
 
 
-# the default cutoff, and coarser ones on both sides of the sigma ratio a
-# Cholesky pass proves: above it every batch goes to the SVD
-TOL_FACTORS = st.one_of(st.just(EPS), st.integers(-9, -1).map(lambda e: 10.0**e))
+# the default cutoff; coarser ones, which raise the Cholesky filter's
+# shift above its floor and, from 2 * tol_factor * max(rows, size) >= 1,
+# to 1, where nothing passes; and the largest float, whose SVD cutoff
+# overflows
+TOL_FACTORS = st.one_of(
+    st.just(EPS), st.integers(-9, -1).map(lambda e: 10.0**e), st.just(sys.float_info.max)
+)
+
+
+def _shift(tol_factor: float, dim: int) -> float:
+    """The Cholesky filter's shift per unit of size, as scan_chunk sets it."""
+    r = 2 * tol_factor * dim
+    return min(1.0, max(CHOLESKY_SHIFT, r * r))
 
 
 def _gershgorin_margins(matrix) -> list[float]:
@@ -277,20 +298,24 @@ def test_prefix_filter_passes_only_what_the_svd_proves(matrix, draws):
     size = draws.draw(st.integers(min_value=1, max_value=cols // RUN_RATIO))
     count = draws.draw(st.integers(min_value=1, max_value=math.comb(cols, size)))
     subsets = list(combinations(range(cols), size))[:count]
-    failed = []
-    for positions, idx in kernels._prefix_failures(unit_gram(data), size, count, 7):
-        assert [subsets[p] for p in positions] == [tuple(i) for i in idx]
-        failed.extend(int(p) for p in positions)
-    assert failed == sorted(set(failed))
-    # every subset the filter passes has sigma_min / sigma_max >= PROVEN_RATIO
-    passed = sorted(set(range(count)) - set(failed))
-    if passed:
-        s = np.linalg.svd(np.moveaxis(data[:, [subsets[p] for p in passed]], 0, 1),
-                          compute_uv=False)
-        assert size <= rows
-        assert np.all(s[:, size - 1] >= PROVEN_RATIO * s[:, 0])
-    # and the scan finds the first subset the SVD rule calls dependent
     tol_factor = draws.draw(TOL_FACTORS)
+    shift = _shift(tol_factor, max(rows, size))
+    # the subset filter, on the same subsets, passes the same proof
+    for cholesky_filter in (kernels._prefix_failures, kernels._subset_failures):
+        failed = []
+        for positions, idx in cholesky_filter(unit_gram(data), size, count, 7, shift * size):
+            assert [subsets[p] for p in positions] == [tuple(i) for i in idx]
+            failed.extend(int(p) for p in positions)
+        assert failed == sorted(set(failed))
+        # every subset the filter passes has sigma_min / sigma_max >= half of
+        # sqrt(shift), at least the SVD cutoff ratio tol_factor * max(rows, size)
+        passed = sorted(set(range(count)) - set(failed))
+        if passed:
+            s = np.linalg.svd(np.moveaxis(data[:, [subsets[p] for p in passed]], 0, 1),
+                              compute_uv=False)
+            assert size <= rows
+            assert np.all(s[:, size - 1] >= 0.5 * math.sqrt(shift) * s[:, 0])
+    # and the scan finds the first subset the SVD rule calls dependent
     first = next((k for k, subset in enumerate(subsets) if _dependent(data, subset, tol_factor)),
                  None)
     expected = (-1, None) if first is None else (first, subsets[first])
@@ -348,7 +373,7 @@ def test_null_vector_of_every_column_skips_the_kernel(monkeypatch):
 @pytest.mark.parametrize("tol_factor", [EPS, 1e-3])
 @pytest.mark.parametrize("cols, size", [(7, 3), (12, 3), (6, 1)])
 def test_scan_refuses_a_count_past_the_last_subset(cols, size, tol_factor):
-    # both filters, and no filter at a coarse tolerance
+    # both filters, at a fine shift and a coarse one
     data = _unit(random_matrix(3, cols, seed=0).data)
     total = math.comb(cols, size)
     scan_chunk(data, size, total, tol_factor)
@@ -565,27 +590,29 @@ def test_svd_runs_only_on_batches_the_cholesky_cannot_settle(monkeypatch):
     assert result.subsets_examined == 2**9 - 1
     assert [a.shape for a in calls] == [(1, 8, 9)]
 
-    # a dependent triple amid independent ones: the failing 35-subset batch
-    # is split in halves, and the SVD sees only the leaf that holds it
+    # a dependent triple amid independent ones, in one 35-subset batch of
+    # the subset filter: the SVD sees exactly the subsets up to the witness
+    # whose shifted minor fails the Cholesky, here the witness alone
     calls.clear()
     raw = random_matrix(3, 7, seed=1).data.copy()
     raw[:, 6] = raw[:, 2] - 2.0 * raw[:, 4]
     data = _unit(raw)
     subsets = list(combinations(range(7), 3))
-    assert scan_chunk(data, 3, len(subsets), EPS) == (
-        subsets.index((2, 4, 6)),
-        (2, 4, 6),
-    )
-    (leaf,) = calls
-    assert leaf.shape[0] <= CHOLESKY_LEAF < len(subsets)
-    assert leaf.shape[1:] == (3, 3)
-    assert any(np.array_equal(minor, data[:, [2, 4, 6]]) for minor in leaf)
+    hit = subsets.index((2, 4, 6))
+    assert scan_chunk(data, 3, len(subsets), EPS) == (hit, (2, 4, 6))
+    gram = unit_gram(data)
+    minors = np.array([gram[np.ix_(subset, subset)] for subset in subsets[: hit + 1]])
+    minors -= CHOLESKY_SHIFT * 3 * np.eye(3)
+    failing = [subsets[k] for k in np.flatnonzero(~kernels._cholesky_passes(minors))]
+    assert failing == [(2, 4, 6)]
+    (stack,) = calls
+    assert np.array_equal(stack, np.moveaxis(data[:, failing], 0, 1))
 
     # a wide planted triple takes the prefix filter (12 >= 3 * 3): no
     # LAPACK Cholesky runs, and the SVD sees the witness and only subsets
     # whose Gram minor has an eigenvalue below twice the shift
     calls.clear()
-    monkeypatch.setattr(np.linalg, "cholesky", None)
+    monkeypatch.setattr(kernels, "_cholesky_passes", None)
     raw = random_matrix(3, 12, seed=1).data.copy()
     raw[:, 9] = raw[:, 1] + 2.0 * raw[:, 5]
     data = _unit(raw)
@@ -606,13 +633,13 @@ def test_cholesky_batches_stay_within_gather_bytes(monkeypatch):
     # keeps the size on the subset filter; exact_spark settles random 4x24
     # at size 4, so the size-5 scan is run directly
     stacked = []
-    real_cholesky = np.linalg.cholesky
+    real_passes = kernels._cholesky_passes
 
-    def recording_cholesky(a, *args, **kwargs):
-        stacked.append((a.shape[1:], a.nbytes))
-        return real_cholesky(a, *args, **kwargs)
+    def recording_passes(minors):
+        stacked.append((minors.shape[1:], minors.nbytes))
+        return real_passes(minors)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    monkeypatch.setattr(kernels, "_cholesky_passes", recording_passes)
     result = exact_spark(random_matrix(4, 24, seed=1))
     assert result.spark.value == 5
     pos, hit = scan_chunk(unit_columns(random_matrix(4, 14, seed=1)), 5, math.comb(14, 5), EPS)
@@ -635,7 +662,7 @@ def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     # the prefix filter runs no LAPACK Cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", None)
+    monkeypatch.setattr(kernels, "_cholesky_passes", None)
     largest = []
     numpy_buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
 

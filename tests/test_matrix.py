@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +174,9 @@ def test_numerical_rank_matches_numpy():
 def test_numerical_rank_of_extreme_and_non_finite_input():
     # sigma_max of the unscaled matrix overflows to inf
     assert numerical_rank(np.full((2, 2), 1e308)) == 1
+    # a cutoff past the float range is infinite, with no overflow warning
+    huge = ToleranceConfig(rank_tol_factor=sys.float_info.max)
+    assert numerical_rank(np.eye(3), huge) == 0
     for a in ([[math.inf, 1.0]], [[math.nan]]):
         with pytest.raises(NonFiniteEntry):
             numerical_rank(np.array(a))
