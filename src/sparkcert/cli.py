@@ -9,6 +9,12 @@ Exit codes: 0 success, 1 input error, 2 search budget exceeded,
 In-process use: main(argv) may be called any number of times in one
 process. The parser is built on the first call and reused, because
 parse_args fills a fresh namespace and leaves the parser unchanged.
+
+One parser block and one command function serve analyze and certify:
+certify takes analyze's flags plus --x and --b, and its report is
+analyze's report plus the certificate. Every input file is read by one
+helper, so an input error names its file (<stdin> for -), and at most
+one input may be -.
 """
 
 from __future__ import annotations
@@ -75,14 +81,6 @@ def _add_common_search_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="emit the JSON report")
-    group.add_argument(
-        "--text", action="store_true", help="emit the text report (default)"
-    )
-
-
 def _add_gen_output(parser: argparse.ArgumentParser, make) -> None:
     """Output flags of a gen family; `make(args)` builds its matrix."""
     parser.add_argument("-o", "--output", default=None, help="output file (default stdout)")
@@ -106,37 +104,28 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"sparkcert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser(
-        "analyze", help="coherence bounds and optional exact spark for a matrix file"
-    )
-    p_analyze.add_argument("file", help="matrix file path, or - for stdin")
-    p_analyze.add_argument(
-        "--format", choices=("csv", "mm"), default=None, help="input format (default: sniff)"
-    )
-    p_analyze.add_argument(
-        "--exact", action="store_true", help="also run the exhaustive spark search"
-    )
-    _add_common_search_flags(p_analyze)
-    _add_output_flags(p_analyze)
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_certify = sub.add_parser(
-        "certify", help="uniqueness certificate for a candidate solution of A x = b"
-    )
-    p_certify.add_argument("matrixfile", help="matrix file path, or - for stdin")
-    p_certify.add_argument("--x", required=True, help="candidate solution vector file")
-    p_certify.add_argument("--b", required=True, help="right-hand-side vector file")
-    p_certify.add_argument(
-        "--format", choices=("csv", "mm"), default=None, help="matrix format (default: sniff)"
-    )
-    p_certify.add_argument(
-        "--exact",
-        action="store_true",
-        help="compute the exact spark first to unlock the strongest criterion",
-    )
-    _add_common_search_flags(p_certify)
-    _add_output_flags(p_certify)
-    p_certify.set_defaults(func=_cmd_certify)
+    # certify is analyze plus a candidate (--x, --b) and a certificate
+    for name, summary, metavar, kind, exact_help in (
+        ("analyze", "coherence bounds and optional exact spark for a matrix file",
+         None, "input", "also run the exhaustive spark search"),
+        ("certify", "uniqueness certificate for a candidate solution of A x = b",
+         "matrixfile", "matrix",
+         "compute the exact spark first to unlock the strongest criterion"),
+    ):
+        p_analysis = sub.add_parser(name, help=summary)
+        p_analysis.add_argument("file", metavar=metavar, help="matrix file path, or - for stdin")
+        if name == "certify":
+            p_analysis.add_argument("--x", required=True, help="candidate solution vector file")
+            p_analysis.add_argument("--b", required=True, help="right-hand-side vector file")
+        p_analysis.add_argument(
+            "--format", choices=("csv", "mm"), default=None, help=f"{kind} format (default: sniff)"
+        )
+        p_analysis.add_argument("--exact", action="store_true", help=exact_help)
+        _add_common_search_flags(p_analysis)
+        output = p_analysis.add_mutually_exclusive_group()
+        output.add_argument("--json", action="store_true", help="emit the JSON report")
+        output.add_argument("--text", action="store_true", help="emit the text report (default)")
+        p_analysis.set_defaults(func=_cmd_analyze, x=None, b=None)
 
     p_gen = sub.add_parser("gen", help="write a generated matrix")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
@@ -173,14 +162,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _read_input(path: str) -> str:
+def _source(path: str) -> str:
+    """The label an input file goes by in reports and errors."""
+    return "<stdin>" if path == "-" else path
+
+
+def _parse_input(path: str, parse):
+    """Read the file at `path` (- for stdin) and parse it; every input error names the file."""
     try:
         if path == "-":
-            return sys.stdin.read()
+            return parse(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            return parse(handle.read())
     except UnicodeDecodeError as exc:
-        raise MatrixParseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+        raise MatrixParseError(f"{_source(path)}: not valid UTF-8 (byte {exc.start})") from None
+    except SparkCertError as exc:
+        exc.args = (f"{_source(path)}: {exc}",)
+        raise
 
 
 def _write_output(path: str | None, content: str) -> None:
@@ -201,48 +199,30 @@ def _search_budget(args: argparse.Namespace) -> int:
         raise CliUsageError(str(exc)) from None
 
 
-def _emit_report(args: argparse.Namespace, report) -> None:
-    if args.json:
-        sys.stdout.write(report_to_json(report))
-    else:
-        sys.stdout.write(render_text(report))
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    matrix = parse_matrix_auto(_read_input(args.file), args.format)
+    """analyze, or certify when a candidate (--x, --b) was given."""
+    if [args.file, args.x, args.b].count("-") > 1:
+        raise CliUsageError("at most one input may be - (stdin)")
+    matrix = _parse_input(args.file, lambda text: parse_matrix_auto(text, args.format))
+    candidate = args.x is not None
+    if candidate:
+        x = _parse_input(args.x, parse_vector)
+        b = _parse_input(args.b, parse_vector)
     tolerances = ToleranceConfig()
-    spark_report = analyze_spark(
-        matrix,
-        tolerances,
-        compute_exact=args.exact,
-        budget=_search_budget(args) if args.exact else None,
-    )
-    source = "<stdin>" if args.file == "-" else args.file
-    report = build_report(matrix, source, spark_report, tolerances)
-    _emit_report(args, report)
-    return 2 if spark_report.search_budget_hit else 0
-
-
-def _cmd_certify(args: argparse.Namespace) -> int:
-    matrix = parse_matrix_auto(_read_input(args.matrixfile), args.format)
-    x = parse_vector(_read_input(args.x))
-    b = parse_vector(_read_input(args.b))
-    tolerances = ToleranceConfig()
-    spark_report = analyze_spark(
-        matrix,
-        tolerances,
-        compute_exact=args.exact,
-        budget=_search_budget(args) if args.exact else None,
-    )
-    if spark_report.search_budget_hit:
-        raise BudgetExceeded(spark_report.subsets_examined)
-    certificate = certify(matrix, x, b, tolerances, exact=spark_report.exact)
-    source = "<stdin>" if args.matrixfile == "-" else args.matrixfile
+    budget = _search_budget(args) if args.exact else None
+    spark_report = analyze_spark(matrix, tolerances, compute_exact=args.exact, budget=budget)
+    certificate = None
+    if candidate:
+        if spark_report.search_budget_hit:
+            raise BudgetExceeded(spark_report.subsets_examined)
+        certificate = certify(matrix, x, b, tolerances, exact=spark_report.exact)
     report = build_report(
-        matrix, source, spark_report, tolerances, certificate=certificate
+        matrix, _source(args.file), spark_report, tolerances, certificate=certificate
     )
-    _emit_report(args, report)
-    return 3 if certificate.verdict is Verdict.NOT_A_SOLUTION else 0
+    sys.stdout.write(report_to_json(report) if args.json else render_text(report))
+    if candidate:
+        return 3 if certificate.verdict is Verdict.NOT_A_SOLUTION else 0
+    return 2 if spark_report.search_budget_hit else 0
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -300,10 +280,6 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

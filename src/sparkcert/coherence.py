@@ -92,20 +92,15 @@ def coherence_profile(
     )
 
 
-def top_coherence_sum(matrix: DenseMatrix, count: int | None = None) -> float:
-    """Sum of the largest `count` pairwise coherences of a wide matrix.
+def top_coherence_sum(matrix: DenseMatrix) -> float:
+    """Sum of the largest `rows` pairwise coherences of a wide matrix.
 
-    Defaults count to rows: with more columns than rows that sum always
-    reaches 1, which is what makes the coherence index well defined.
-    Requires rows < cols.
+    With more columns than rows that sum always reaches 1, which is what
+    makes the coherence index well defined. Requires rows < cols.
     """
     if matrix.rows >= matrix.cols:
         raise NotUnderdetermined(
             f"matrix must have rows < cols, got {matrix.rows}x{matrix.cols}"
         )
-    if count is None:
-        count = matrix.rows
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
     prefix = matrix.sorted_coherences[1]
-    return float(prefix[min(count, prefix.size) - 1])
+    return float(prefix[min(matrix.rows, prefix.size) - 1])

@@ -251,8 +251,9 @@ def test_certify_budget_exits_2(capsys, tmp_path):
         capsys, "certify", str(mp), "--x", str(xp), "--b", str(bp),
         "--exact", "--budget", "3",
     )
-    assert code == 2
-    assert "error:" in err
+    # no certificate, so no report: analyze prints one with exit 2
+    assert (code, out) == (2, "")
+    assert err == "error: search budget exhausted after 3 subsets\n"
 
 
 @pytest.mark.parametrize("raw", ["junk", "0", "-5"])
@@ -458,3 +459,95 @@ def test_reused_parser_matches_a_fresh_one(capsys, tmp_path, monkeypatch):
     assert narrow[0] == wide[0] == ("SystemExit", 0)
     # help is wrapped to COLUMNS when it is printed, not when the parser is built
     assert len(narrow[1].splitlines()) > len(wide[1].splitlines())
+
+
+def _write_inputs(tmp_path, files):
+    """Write each name -> text pair under tmp_path; return the paths as strings."""
+    paths = {}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "matrix, x, b, named, message",
+    [
+        ("m.csv", "bad.txt", "b.txt", "bad.txt",
+         "UnparseableNumber: {}: line 1, field 1: not a number"),
+        ("m.csv", "x.txt", "bad.txt", "bad.txt",
+         "UnparseableNumber: {}: line 1, field 1: not a number"),
+        ("m.csv", "x.txt", "nan.txt", "nan.txt",
+         "NonFiniteEntry: {}: vector entry 0 is not finite"),
+        ("ragged.csv", "bad.txt", "b.txt", "ragged.csv",
+         "RaggedRows: {}: line 2: row length differs from the first row"),
+    ],
+    ids=["bad-x", "bad-b", "nan-in-b", "bad-matrix-and-x"],
+)
+def test_input_errors_name_their_file(capsys, tmp_path, matrix, x, b, named, message):
+    paths = _write_inputs(tmp_path, {
+        "m.csv": "1,0,1\n0,1,1\n", "ragged.csv": "1,0,1\n0,1\n", "x.txt": "1\n0\n0\n",
+        "b.txt": "1\n0\n", "bad.txt": "one\n0\n", "nan.txt": "nan\n0\n",
+    })
+    code, out, err = run(capsys, "certify", paths[matrix], "--x", paths[x], "--b", paths[b])
+    assert (code, out) == (1, "")
+    assert err == f"error: {message.format(paths[named])}\n"
+
+
+def test_stdin_input_errors_name_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1,0\n0\n"))
+    code, out, err = run(capsys, "analyze", "-")
+    assert (code, out) == (1, "")
+    assert err == "error: RaggedRows: <stdin>: line 2: row length differs from the first row\n"
+
+
+@pytest.mark.parametrize(
+    "matrix, x, b",
+    [("-", "-", "b.txt"), ("-", "x.txt", "-"), ("m.csv", "-", "-")],
+    ids=["matrix-and-x", "matrix-and-b", "x-and-b"],
+)
+def test_two_stdin_inputs_are_a_usage_error(capsys, tmp_path, monkeypatch, matrix, x, b):
+    paths = _write_inputs(tmp_path, {"m.csv": "1,0,1\n0,1,1\n", "x.txt": "1\n0\n0\n",
+                                     "b.txt": "1\n0\n"})
+    paths["-"] = "-"
+    stdin = io.StringIO("1,0,1\n0,1,1\n1\n0\n0\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, "certify", paths[matrix], "--x", paths[x], "--b", paths[b])
+    assert (code, out) == (1, "")
+    assert err == "error: at most one input may be - (stdin)\n"
+    # refused before any input was read
+    assert stdin.tell() == 0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "mm"])
+def test_certify_report_is_the_analyze_report_plus_a_certificate(capsys, tmp_path, exact, fmt):
+    m = random_matrix(6, 12, seed=7)
+    x = np.zeros(12)
+    x[[2, 9]] = (1.5, -0.5)
+    write = write_matrix_market if fmt == "mm" else write_csv
+    paths = _write_inputs(tmp_path, {f"m.{fmt}": write(m.data), "x.txt": write_vector(x),
+                                     "b.txt": write_vector(m.data @ x)})
+    flags = ["--json", "--exact"] if exact else ["--json"]
+    code_a, analyzed, _ = run(capsys, "analyze", paths[f"m.{fmt}"], *flags)
+    code_c, certified, _ = run(capsys, "certify", paths[f"m.{fmt}"], "--x", paths["x.txt"],
+                               "--b", paths["b.txt"], *flags)
+    assert code_a == code_c == 0
+    head_a, key, tail_a = analyzed.partition('\n  "certificate": ')
+    head_c, key_c, tail_c = certified.partition('\n  "certificate": ')
+    assert key == key_c != ""
+    assert head_a == head_c
+    assert tail_a == "null\n}\n"
+    certificate = json.loads(certified)["certificate"]
+    assert certificate["verdict"] == ("unique_by_spark" if exact else "inconclusive")
+
+
+def test_certify_reads_its_vectors_before_the_search(capsys, tmp_path):
+    # a budget of 1 would stop the search with exit 2; the bad x is found first
+    paths = _write_inputs(tmp_path, {"m.csv": write_csv(random_matrix(4, 9, seed=0).data),
+                                     "x.txt": "zz\n", "b.txt": "0\n0\n0\n0\n"})
+    code, out, err = run(capsys, "certify", paths["m.csv"], "--x", paths["x.txt"],
+                         "--b", paths["b.txt"], "--exact", "--budget", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: UnparseableNumber: ")
+
