@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 import time
 from typing import Sequence
@@ -171,7 +172,9 @@ def _parse_input(path: str, parse):
     """Read the file at `path` (- for stdin) and parse it; every input error names the file."""
     try:
         if path == "-":
-            return parse(sys.stdin.read())
+            # decoded as open() decodes a file: strict UTF-8, universal newlines
+            stdin = io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8")
+            return parse(stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
             return parse(handle.read())
     except UnicodeDecodeError as exc:

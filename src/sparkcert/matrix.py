@@ -26,19 +26,62 @@ def euclidean_norms(arr: np.ndarray) -> tuple[float, ...]:
     """Euclidean norm of each column of a 2-D array, from a correctly rounded sum of squares.
 
     Naive accumulation can be off by 1 ulp, enough to flip borderline
-    coherence sums. Scaling each column by an exact power of two first
-    changes no bit while no square leaves the float64 range; only the
-    final sum, root and scaling run per column. Raises NormOverflow when
-    an entry or a norm lies beyond that range.
+    coherence sums. Each column is scaled by an exact power of two 2**-e
+    that takes its largest magnitude into [0.5, 1), which changes no bit
+    while no square leaves the float64 range. Its n rounded squares s_i
+    then lie in [0, 1), and its norm is ldexp(sqrt(S'), e), where S' is
+    the sum S = sum(s_i) correctly rounded, the value math.fsum gives.
+    Raises NormOverflow when an entry or a norm lies beyond that range.
+
+    S' is decided for all columns at once by an error-free split against
+    a power of two (Rump, Ogita and Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008). Let
+    sigma = 2**k >= n, v = 2**(k - 52) and u = 2**-53.
+
+    - As s_i < 1 <= sigma, fl(sigma + s_i) lies in [sigma, 2 sigma], where
+      the floats are the multiples of v. So q_i = fl(sigma + s_i) - sigma
+      is exact (Sterbenz) and is s_i rounded to a multiple of v, at most
+      1; r_i = s_i - q_i is exact, with |r_i| <= v / 2.
+    - Every partial sum of the q_i is a multiple of v no larger than
+      n <= 2**52 v, hence a float: numpy sums them exactly, in any order,
+      to Q.
+    - numpy's sum R' of the r_i, in any order, is within
+      gamma(n - 1) * sum |r_i| <= 2 (n - 1) u * n v / 2 < E = n**2 * 2**(k - 105)
+      of their exact sum R, where S = Q + R.
+    - c = fl(Q + R') and d = Q + R' - c are exact by Knuth's TwoSum, so
+      |S - c| <= |d| + E.
+    - S rounds to c when it lies within half the gap to c's neighbour on
+      either side; g = c - pred(c), exact by Sterbenz, is the narrower
+      gap (it is half the other one when c is a power of two). fl(g / 2)
+      is g / 2 or, for a subnormal c, 0; as rounding is monotone,
+      fl(|d| + E) < fl(g / 2) implies |d| + E < g / 2, and then S' = c.
+
+    A column that fails the test takes math.fsum: a column of zeros
+    (c = g = 0), or a tie such as (0.5, 2**-28, 2**-28), whose squares
+    sum to 0.25 + 2**-55, the midpoint above 0.25.
     """
     y, exponents = _scaled_by_peak(arr, axis=0)
-    try:
-        return tuple(
-            math.ldexp(math.sqrt(math.fsum(squares)), exponent)
-            for squares, exponent in zip((y * y).T.tolist(), exponents.tolist())
-        )
-    except OverflowError:
-        raise NormOverflow("Euclidean norm exceeds the float64 range") from None
+    squares = np.multiply(y, y, out=y)
+    rows = squares.shape[0]
+    k = (rows - 1).bit_length()
+    sigma = math.ldexp(1.0, k)
+    part = squares + sigma
+    part -= sigma
+    high = part.sum(axis=0)
+    np.subtract(squares, part, out=part)
+    low = part.sum(axis=0)
+    total = high + low
+    back = total - high
+    error = (high - (total - back)) + (low - back)
+    bound = math.ldexp(rows * rows, k - 105)
+    settled = np.abs(error) + bound < (total - np.nextafter(total, 0.0)) / 2
+    for j in np.flatnonzero(~settled).tolist():
+        total[j] = math.fsum(squares[:, j].tolist())
+    with np.errstate(over="ignore"):
+        norms = np.ldexp(np.sqrt(total), exponents)
+    if np.isinf(norms).any():
+        raise NormOverflow("Euclidean norm exceeds the float64 range")
+    return tuple(norms.tolist())
 
 
 def _scaled_by_peak(arr: np.ndarray, axis: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -89,8 +132,18 @@ class DenseMatrix:
         coherences holds every |Gram| entry above the diagonal in
         non-increasing order; prefix_sums holds their running sums.
         """
-        g = gram_matrix(self)
-        vals = np.abs(g[np.triu_indices(self.cols, k=1)])
+        unit = unit_columns(self)
+        product = unit.T @ unit
+        # the strict upper triangle in row-major order, each entry averaged
+        # with its mirror: the rounding of unit_gram's (g + g.T) / 2
+        index = np.arange(self.cols)
+        upper = np.less.outer(index, index)
+        vals = product[upper]
+        vals += product.T[upper]
+        # the product's 8 * cols**2 bytes go before the sort's copies
+        del unit, product, upper
+        vals /= 2.0
+        np.abs(vals, out=vals)
         # Rounding can push a coherence a few ulps past 1 (e.g. duplicated
         # columns); clamp so downstream thresholds see exact 1.
         np.minimum(vals, 1.0, out=vals)

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import pathlib
@@ -11,6 +12,7 @@ import sparkcert.coherence
 import sparkcert.matrix
 import sparkcert.spark
 from sparkcert import (
+    DenseMatrix,
     parse_csv,
     parse_matrix_market,
     random_matrix,
@@ -19,6 +21,18 @@ from sparkcert import (
 )
 from sparkcert.cli import main
 from sparkcert.formats import write_csv, write_matrix_market, write_vector
+
+
+def _stdin(monkeypatch, data):
+    """Give stdin the bytes of `data` (str is UTF-8 encoded).
+
+    The text layer is the one Python puts on stdin in the C locale, which
+    turns a byte that is not UTF-8 into a lone surrogate.
+    """
+    raw = data.encode() if isinstance(data, str) else data
+    stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stream)
+    return stream
 
 
 def run(capsys, *argv):
@@ -99,6 +113,24 @@ def test_analyze_invalid_utf8_exits_1(capsys, tmp_path):
     assert err.startswith("error: MatrixParseError:")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"1,\xff\n", "error: MatrixParseError: {}: not valid UTF-8 (byte 2)\n"),
+        # universal newlines: a lone '\r' and '\r\n' end a line, as '\n' does
+        (b"1,0\r0,0\r\n",
+         "error: ZeroColumn: {}: column 1 has norm below the zero-column tolerance\n"),
+    ],
+    ids=["invalid-utf8", "carriage-returns"],
+)
+def test_stdin_is_decoded_as_a_file_is(capsys, tmp_path, monkeypatch, data, message):
+    path = tmp_path / "m.csv"
+    path.write_bytes(data)
+    assert run(capsys, "analyze", str(path)) == (1, "", message.format(path))
+    _stdin(monkeypatch, data)
+    assert run(capsys, "analyze", "-") == (1, "", message.format("<stdin>"))
+
+
 def test_analyze_missing_file_exits_1(capsys):
     code, out, err = run(capsys, "analyze", "/definitely/not/here.csv")
     assert code == 1
@@ -120,11 +152,8 @@ def test_analyze_usage_error_exits_1(capsys):
 
 
 def test_analyze_stdin_matches_file(capsys, tmp_path, monkeypatch):
-    import io
-    import sys
-
     text = write_csv(spiked_identity(4).data)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    _stdin(monkeypatch, text)
     code, out, err = run(capsys, "analyze", "-", "--exact", "--json")
     assert code == 0
     report = report_from_json(out)
@@ -133,13 +162,10 @@ def test_analyze_stdin_matches_file(capsys, tmp_path, monkeypatch):
 
 
 def test_csv_and_mm_reports_identical_via_stdin(capsys, monkeypatch):
-    import io
-    import sys
-
     m = spiked_identity(6)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(write_csv(m.data)))
+    _stdin(monkeypatch, write_csv(m.data))
     code1, out_csv, _ = run(capsys, "analyze", "-", "--exact", "--json", "--format", "csv")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(write_matrix_market(m.data)))
+    _stdin(monkeypatch, write_matrix_market(m.data))
     code2, out_mm, _ = run(capsys, "analyze", "-", "--exact", "--json", "--format", "mm")
     assert code1 == code2 == 0
     assert out_csv == out_mm
@@ -208,17 +234,27 @@ def test_certify_overflowing_residual_exits_1(capsys, tmp_path):
 
 
 def test_one_coherence_pass_per_command(capsys, tmp_path, monkeypatch):
+    # the coherence pass makes the one Gram product of the whole matrix that
+    # a command needs; a gram_matrix call anywhere would be a second
     calls = []
-    real = sparkcert.matrix.gram_matrix
+    real_gram = sparkcert.matrix.gram_matrix
+    real_pass = DenseMatrix.sorted_coherences.func
 
-    def counting(matrix):
-        calls.append(matrix)
-        return real(matrix)
+    def counting_gram(matrix):
+        calls.append("gram_matrix")
+        return real_gram(matrix)
+
+    def counting_pass(matrix):
+        calls.append("sorted_coherences")
+        return real_pass(matrix)
 
     # patch every module that holds a reference, so no call goes uncounted
     for module in (sparkcert.matrix, sparkcert.coherence, sparkcert.spark):
         if hasattr(module, "gram_matrix"):
-            monkeypatch.setattr(module, "gram_matrix", counting)
+            monkeypatch.setattr(module, "gram_matrix", counting_gram)
+    counted_pass = functools.cached_property(counting_pass)
+    counted_pass.__set_name__(DenseMatrix, "sorted_coherences")
+    monkeypatch.setattr(DenseMatrix, "sorted_coherences", counted_pass)
     m = random_matrix(6, 12, seed=7)
     x = np.zeros(12)
     x[[2, 9]] = (1.5, -0.5)
@@ -232,11 +268,11 @@ def test_one_coherence_pass_per_command(capsys, tmp_path, monkeypatch):
         capsys, "certify", str(mp), "--x", str(xp), "--b", str(bp), "--exact", "--json"
     )
     assert code == 0
-    assert len(calls) == 1
+    assert calls == ["sorted_coherences"]
     calls.clear()
     code, out, err = run(capsys, "analyze", str(mp), "--json")
     assert code == 0
-    assert len(calls) == 1
+    assert calls == ["sorted_coherences"]
 
 
 def test_certify_budget_exits_2(capsys, tmp_path):
@@ -317,12 +353,9 @@ def test_version_flag(capsys):
 
 
 def test_pipe_gen_to_analyze(capsys, monkeypatch):
-    import io
-    import sys
-
     code, gen_out, _ = run(capsys, "gen", "example31", "--n", "10")
     assert code == 0
-    monkeypatch.setattr(sys, "stdin", io.StringIO(gen_out))
+    _stdin(monkeypatch, gen_out)
     code, out, err = run(capsys, "analyze", "-", "--exact", "--json")
     assert code == 0
     tree = json.loads(out)
@@ -358,7 +391,7 @@ def test_exact_report_bytes_for_each_settle_path(capsys, monkeypatch, name, rows
         text = run(capsys, "gen", "example31", "--n", "5")[1]
     else:
         text = "".join(row + "\n" for row in rows)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    _stdin(monkeypatch, text)
     code, out, _ = run(capsys, "analyze", "-", "--exact", "--json", *extra)
     assert code == exit_code
     assert out == (GOLDEN / f"{name}.json").read_text()
@@ -495,7 +528,7 @@ def test_input_errors_name_their_file(capsys, tmp_path, matrix, x, b, named, mes
 
 
 def test_stdin_input_errors_name_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("1,0\n0\n"))
+    _stdin(monkeypatch, "1,0\n0\n")
     code, out, err = run(capsys, "analyze", "-")
     assert (code, out) == (1, "")
     assert err == "error: RaggedRows: <stdin>: line 2: row length differs from the first row\n"
@@ -510,13 +543,12 @@ def test_two_stdin_inputs_are_a_usage_error(capsys, tmp_path, monkeypatch, matri
     paths = _write_inputs(tmp_path, {"m.csv": "1,0,1\n0,1,1\n", "x.txt": "1\n0\n0\n",
                                      "b.txt": "1\n0\n"})
     paths["-"] = "-"
-    stdin = io.StringIO("1,0,1\n0,1,1\n1\n0\n0\n")
-    monkeypatch.setattr(sys, "stdin", stdin)
+    stdin = _stdin(monkeypatch, "1,0,1\n0,1,1\n1\n0\n0\n")
     code, out, err = run(capsys, "certify", paths[matrix], "--x", paths[x], "--b", paths[b])
     assert (code, out) == (1, "")
     assert err == "error: at most one input may be - (stdin)\n"
     # refused before any input was read
-    assert stdin.tell() == 0
+    assert stdin.buffer.tell() == 0
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -19,6 +19,7 @@ from sparkcert import (
     normalize_columns,
     numerical_rank,
     random_matrix,
+    spiked_identity,
 )
 from sparkcert.matrix import euclidean_norm, euclidean_norms
 
@@ -98,6 +99,125 @@ def test_column_norms_match_euclidean_norm_bitwise(seed, rows, scales):
         assert exc.value.index == expected.index(0.0)
     else:
         assert _bits(build_matrix(data, tolerances).column_norms) == _bits(expected)
+
+
+def _fsum_norms(data):
+    """Reference: per column, scale by the peak's power of two, square, math.fsum, sqrt, ldexp.
+
+    Raises OverflowError where a norm lies beyond the float64 range.
+    """
+    norms = []
+    for column in data.T.tolist():
+        exponent = math.frexp(max(map(abs, column)))[1]
+        scaled = [math.ldexp(v, -exponent) for v in column]
+        norms.append(math.ldexp(math.sqrt(math.fsum(v * v for v in scaled)), exponent))
+    return norms
+
+
+# one column each: entries up to 1.5 times a scale (near 1e+-300, subnormal,
+# zero), small integers times powers of two, whose exact sums of squares
+# can fall on a rounding boundary, and mostly zero entries
+_COLUMN_KINDS = [*_COLUMN_SCALES, 1e-305, 2.0**-1070, "dyadic", "sparse"]
+
+
+def _column(rng, rows, kind):
+    if kind == "dyadic":
+        return rng.integers(-4, 5, rows) * np.ldexp(1.0, rng.integers(-30, 1, rows))
+    if kind == "sparse":
+        return rng.standard_normal(rows) * (rng.random(rows) < 0.1)
+    return rng.uniform(-1.5, 1.5, rows) * kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=300),
+    kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=60),
+)
+@example(seed=1, rows=300, kinds=["dyadic"] * 60)
+@example(seed=2, rows=5, kinds=[1e-300, 1e308, 1.0])  # the second norm overflows
+def test_column_norms_match_fsum_per_column_bitwise(seed, rows, kinds):
+    rng = np.random.default_rng(seed)
+    data = np.stack([_column(rng, rows, kind) for kind in kinds], axis=1)
+    try:
+        expected = _fsum_norms(data)
+    except OverflowError:
+        with pytest.raises(NormOverflow):
+            euclidean_norms(data)
+        return
+    assert _bits(euclidean_norms(data)) == _bits(expected)
+
+
+def _power_of_two_tie():
+    """81 powers of two whose squares sum to 1 - 2**-54, the midpoint below 1."""
+    column = [0.5, 0.5]
+    for i in range(2, 55):
+        column += [2.0 ** -(i // 2)] if i % 2 == 0 else [2.0 ** -((i + 1) // 2)] * 2
+    return column
+
+
+@pytest.mark.parametrize(
+    "column, norm",
+    [
+        # squares sum to 0.25 + 2**-55, the midpoint above 0.25: the sum
+        # rounds to even, 0.25
+        ([0.5, 2.0**-28, 2.0**-28], 0.5),
+        # the sum rounds to even, 1, not to its lower neighbour 1 - 2**-53,
+        # whose square root would be 1 - 2**-53
+        (_power_of_two_tie(), 1.0),
+    ],
+    ids=["above-0.25", "below-1"],
+)
+def test_column_norm_of_a_tie_takes_fsum(monkeypatch, column, norm):
+    data = np.array([column, column[::-1]]).T
+    assert _fsum_norms(data) == [norm, norm]
+    calls = []
+    real_fsum = math.fsum
+
+    def counting(values):
+        calls.append(values)
+        return real_fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    assert euclidean_norms(data) == (norm, norm)
+    assert len(calls) == 2
+
+
+def _old_coherence_pass(m):
+    """The pass as first written: the whole symmetrized Gram, read through index arrays."""
+    vals = -np.sort(-np.minimum(np.abs(gram_matrix(m)[np.triu_indices(m.cols, 1)]), 1.0))
+    return vals, np.cumsum(vals)
+
+
+def _duplicated_columns():
+    data = random_matrix(5, 9, seed=2).data.copy()
+    data[:, [4, 7]] = data[:, [1, 1]] * [-3.0, 0.5]
+    return build_matrix(data)
+
+
+def _scaled(scales):
+    data = random_matrix(6, 10, seed=3).data * scales
+    return build_matrix(data, ToleranceConfig(zero_column_tol=0.0))
+
+
+_COHERENCE_PASS_CASES = {
+    **{f"random-{rows}x{cols}": (lambda rows=rows, cols=cols: random_matrix(rows, cols, seed=rows))
+       for rows, cols in [(3, 7), (12, 13), (7, 18), (30, 22), (160, 800)]},
+    "duplicated": _duplicated_columns,
+    "spiked": lambda: spiked_identity(9),
+    "tall": lambda: random_matrix(40, 5, seed=4),
+    "two-columns": lambda: random_matrix(8, 2, seed=6),
+    "one-row": lambda: random_matrix(1, 2, seed=5),
+    "scaled-1e-200": lambda: _scaled(1e-200),
+    "scaled-1e200-and-1e-200": lambda: _scaled(np.where(np.arange(10) % 2, 1e200, 1e-200)),
+}
+
+
+@pytest.mark.parametrize("case", _COHERENCE_PASS_CASES)
+def test_coherence_pass_matches_the_old_pass_bitwise(case):
+    m = _COHERENCE_PASS_CASES[case]()
+    for got, want in zip(m.sorted_coherences, _old_coherence_pass(m)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_build_rejects_bad_shape():
