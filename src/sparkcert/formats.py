@@ -7,9 +7,13 @@ to the dense "array real general" variant with column-major entries.
 All error positions are reported 1-based.
 
 Numbers follow float() syntax once str.strip() has removed the whitespace
-around them. Plain ASCII CSV is converted by numpy's C reader, which
-accepts a subset of that syntax and gives identical values; everything
-else, including every error, takes the float() path.
+around them. Plain ASCII input is converted by one call to numpy's C
+reader, which accepts a subset of that syntax and gives identical values:
+CSV with no blank line among its rows, and Matrix Market (whose size line
+must be line 2) and vectors whose entry lines hold no ',', '#', '%' or
+'\\r' and are not blank. Those entries go to the reader as one
+comma-joined line, which it reads with no per-line cost. Everything else,
+including every error, takes the float() path.
 """
 
 from __future__ import annotations
@@ -75,6 +79,40 @@ def _floats(tokens: Sequence[str], position: Callable[[int], tuple[int, int]]) -
         raise
 
 
+def _c_reader(lines: list[str], shape: tuple[int, int]) -> np.ndarray | None:
+    """numpy's C reader on comma-separated lines, or None where it declines.
+
+    It accepts a subset of float() syntax and gives the same bits, and
+    strips around each field what str.strip() strips, so an empty or
+    all-whitespace field raises. The shape check catches a line that it
+    splits at '\\r'.
+    """
+    try:
+        values = np.loadtxt(
+            lines, np.float64, delimiter=",", comments=None, quotechar=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    return values if values.shape == shape else None
+
+
+def _one_per_line(text: str, start: int, count: int) -> np.ndarray | None:
+    """The `count` numbers of text[start:], one per line; None where the C reader declines.
+
+    The lines go to the reader joined with ',' into one line, the one copy
+    alive while it runs. They may hold no ',', '#', '%' or '\\r'; a blank
+    or whitespace-only line, a trailing one too, becomes a field that the
+    reader rejects.
+    """
+    stop = len(text) - text.endswith("\n")
+    if not text.isascii() or start >= stop:
+        return None
+    if any(text.find(c, start, stop) >= 0 for c in ",#%\r"):
+        return None
+    values = _c_reader([text[start:stop].replace("\n", ",")], (1, count))
+    return None if values is None else values[0]
+
+
 def parse_csv(
     text: str | bytes,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -86,17 +124,9 @@ def parse_csv(
         raise TruncatedData("no matrix rows found")
     lines = [line for _, line in numbered]
     if text.isascii() and all(lines):
-        # numpy's C reader accepts a subset of float() syntax and gives the
-        # same bits; the shape check catches a line that it splits at '\r'.
-        try:
-            values = np.loadtxt(
-                lines, np.float64, delimiter=",", comments=None, quotechar=None, ndmin=2
-            )
-        except ValueError:
-            pass
-        else:
-            if values.shape == (len(lines), lines[0].count(",") + 1):
-                return build_matrix(values, tolerances)
+        values = _c_reader(lines, (len(lines), lines[0].count(",") + 1))
+        if values is not None:
+            return build_matrix(values, tolerances)
     # float() of each field: the only path that reports errors
     rows: list[np.ndarray] = []
     for lineno, line in numbered:
@@ -110,10 +140,12 @@ def parse_csv(
 def parse_vector(text: str | bytes) -> np.ndarray:
     """Parse a one-number-per-line vector file."""
     text = _decode(text)
-    entries = [line for _, line in _lines(text, "#")]
-    if not entries:
-        raise TruncatedData("no vector entries found")
-    arr = _floats(entries, lambda t: (next(islice(_lines(text, "#"), t, None))[0], 1))
+    arr = _one_per_line(text, 0, text.count("\n") + 1 - text.endswith("\n"))
+    if arr is None:
+        entries = [line for _, line in _lines(text, "#")]
+        if not entries:
+            raise TruncatedData("no vector entries found")
+        arr = _floats(entries, lambda t: (next(islice(_lines(text, "#"), t, None))[0], 1))
     if not np.all(np.isfinite(arr)):
         bad = int(np.argwhere(~np.isfinite(arr))[0][0])
         raise NonFiniteEntry(f"vector entry {bad} is not finite")
@@ -126,7 +158,8 @@ def parse_matrix_market(
 ) -> DenseMatrix:
     """Parse a Matrix Market "array real general" file into a DenseMatrix."""
     text = _decode(text)
-    header = _MM_HEADER.match(text.partition("\n")[0])
+    end = text.find("\n")
+    header = _MM_HEADER.match(text, 0, len(text) if end < 0 else end)
     if header is None:
         raise UnsupportedHeader(
             "line 1: expected '%%MatrixMarket matrix array real general'"
@@ -142,6 +175,15 @@ def parse_matrix_market(
         raise UnsupportedHeader(f"unsupported field {field!r}; only 'real'")
     if symmetry != "general":
         raise UnsupportedHeader(f"unsupported symmetry {symmetry!r}; only 'general'")
+
+    # A size line right after the header lets numpy's C reader take the entries.
+    size_end = text.find("\n", end + 1)
+    parts = text[end + 1 : size_end].split() if end < size_end else ()
+    if len(parts) == 2 and all(map(str.isdecimal, parts)):
+        rows, cols = map(int, parts)
+        values = _one_per_line(text, size_end + 1, rows * cols)
+        if values is not None:
+            return build_matrix(values.reshape(cols, rows).T, tolerances)
 
     # One pass keeps the stripped lines that are neither blank nor comments
     # (the header starts with '%', so it goes too): the size line, then the

@@ -136,6 +136,10 @@ def test_parse_matrix_market_truncated():
         parse_matrix_market("%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n")
     with pytest.raises(TruncatedData):
         parse_matrix_market("%%MatrixMarket matrix array real general\n")
+    # bodies of four lines or fields, with three entries
+    for body in ("1\n\n0\n0\n", "1\n \t\n0\n0\n", "1,2\n0\n0\n", "1\n0\n0\n\n"):
+        with pytest.raises(TruncatedData):
+            parse_matrix_market("%%MatrixMarket matrix array real general\n2 2\n" + body)
 
 
 def test_parse_matrix_market_case_insensitive_header():
@@ -166,10 +170,15 @@ def test_write_matrix_market_round_trip():
     assert np.array_equal(again.data, m.data)
 
 
-def test_write_csv_grid_skips_per_token_float(monkeypatch):
-    # a plain ASCII grid goes through numpy's reader, with the same bits
+def _extreme_grid():
     data = random_matrix(7, 9, seed=13).data * np.array([1e-300, 1e300, 1e-310, 1, 2, 3, 4, 5, 6])
     data[0, 3] = -0.0
+    return data
+
+
+def test_write_csv_grid_skips_per_token_float(monkeypatch):
+    # a plain ASCII grid goes through numpy's reader, with the same bits
+    data = _extreme_grid()
     text = write_csv(data)
     tolerances = ToleranceConfig(zero_column_tol=0.0)
 
@@ -179,6 +188,33 @@ def test_write_csv_grid_skips_per_token_float(monkeypatch):
     monkeypatch.setattr("sparkcert.formats._floats", per_token)
     assert parse_csv(text, tolerances).data.tobytes() == data.tobytes()
     assert parse_matrix_auto(text.encode(), None, tolerances).data.tobytes() == data.tobytes()
+
+
+def test_write_matrix_market_skips_per_token_float(monkeypatch):
+    # so do plain ASCII Matrix Market entries and vectors, as one joined line
+    data = _extreme_grid()
+    text = write_matrix_market(data)
+    tolerances = ToleranceConfig(zero_column_tol=0.0)
+
+    def per_token(*args):
+        raise AssertionError("float() path used")
+
+    monkeypatch.setattr("sparkcert.formats._floats", per_token)
+    assert parse_matrix_market(text, tolerances).data.tobytes() == data.tobytes()
+    assert parse_matrix_auto(text.encode(), None, tolerances).data.tobytes() == data.tobytes()
+    column = data[:, 3]
+    assert parse_vector(write_vector(column)).tobytes() == column.tobytes()
+
+
+def test_parse_matrix_market_comment_and_crlf_keep_bits():
+    data = _extreme_grid()
+    text = write_matrix_market(data)
+    lines = text.split("\n")
+    lines.insert(12, "% note")
+    noted = "\n".join(lines)
+    tolerances = ToleranceConfig(zero_column_tol=0.0)
+    for variant in (noted, text.replace("\n", "\r\n"), noted.replace("\n", "\r\n")):
+        assert parse_matrix_market(variant, tolerances).data.tobytes() == data.tobytes()
 
 
 def test_write_vector_round_trip():
@@ -396,6 +432,9 @@ _BAD_TOKEN = st.sampled_from(
     ["x", "1..2", "--1", "1e", "e5", "0x1A", "1 2", "", " ", "\t",
      "1\r2", "#1", '"1"', "1\x0b2", "1_"]
 )
+# Matrix Market's own bad lines, each in place of a CSV bad token: a ','
+# or a '%' mid-line, and a whitespace-only line (not an entry)
+_MM_TOKEN = {"1..2": "1,2", "--1": "1 %c", "e5": " \x1f\t"}
 # (token, whether float() accepts it); one cell in six is bad
 _CELL = st.tuples(st.integers(0, 5), _GOOD_TOKEN, _BAD_TOKEN).map(
     lambda t: (t[1], True) if t[0] else (t[2], False)
@@ -451,16 +490,22 @@ def test_parsers_report_first_error_in_file_order(data):
     _expect(parse_vector, text, vector_error, [v for row in values for v in row])
 
     # Matrix Market: one cell per line after the header and size lines;
-    # blank lines are skipped wherever they are
+    # blank lines are skipped wherever they are. Its lines can hold what a
+    # CSV cell cannot: a ',' or a '%' after the first character.
     mm_lines, entries = [], []
     for cells in lines:
         for token, ok in [("% note", True)] if cells is None else cells:
+            token = _MM_TOKEN.get(token, token)
             mm_lines.append(token)
             if cells is not None and token.strip():
                 entries.append((len(mm_lines) + 2, token, ok))
     n = len(entries)
-    r = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0] or [1]))
-    c = max(n // r, 1) + data.draw(st.sampled_from([0, 0, 0, 1]))
+    # the size is the entry count, or the count of a reader that skipped no
+    # line and split lines at ',', or n + 1 where that count is n too
+    fields = len(mm_lines) + sum(token.count(",") for token in mm_lines)
+    size = max(data.draw(st.sampled_from([n, n, n, max(fields, n + 1)])), 1)
+    r = data.draw(st.sampled_from([d for d in range(1, size + 1) if size % d == 0]))
+    c = size // r
     bad = [line for line, _, ok in entries if not ok]
     mm_error = (
         (TruncatedData, None, None) if r * c != n
