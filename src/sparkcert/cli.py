@@ -36,7 +36,7 @@ from .formats import (
     write_matrix_market,
 )
 from .generators import random_matrix, spiked_identity
-from .report import INFINITY_TOKEN, build_report, render_text, report_to_json, show_number
+from .report import build_report, render_text, report_to_json, show_number
 from .spark import analyze_spark
 from .uniqueness import Verdict, certify
 
@@ -269,7 +269,7 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - start
         if report.search_budget_hit:
             raise BudgetExceeded(report.subsets_examined)
-        exact_shown = show_number(report.exact.value, missing=INFINITY_TOKEN)
+        exact_shown = show_number(report.exact)
         index_shown = show_number(report.coherence_index_bound)
         coherence_shown = show_number(report.mutual_coherence_bound)
         print(

@@ -4,12 +4,14 @@ The coherence index of a matrix is the smallest count p such that the p
 largest pairwise coherences sum to at least 1. It drives a sharper spark
 lower bound than mutual coherence alone. The computed sums are tested
 against 1 less the rounding they may carry, so the index never exceeds
-the one exact arithmetic would give.
+the one exact arithmetic would give. When no prefix sum reaches 1 the
+index is math.inf.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +30,8 @@ class CoherenceProfile:
     i+1 of them. Both are the matrix's read-only cached arrays, so
     profiles do not compare by value. mutual_coherence is coherences[0];
     coherence_index is the smallest p with prefix_sums[p-1] >= 1 -
-    index_slack - p * coherence_rounding(rows), or None when even the full
-    sum falls short (only possible when the whole matrix is close to
+    index_slack - p * coherence_rounding(rows), or math.inf when even the
+    full sum falls short (only possible when the whole matrix is close to
     orthogonal).
     """
 
@@ -37,7 +39,7 @@ class CoherenceProfile:
     coherences: np.ndarray
     prefix_sums: np.ndarray
     mutual_coherence: float
-    coherence_index: int | None
+    coherence_index: int | float
 
 
 def pairwise_coherences(matrix: DenseMatrix) -> np.ndarray:
@@ -49,8 +51,8 @@ def pairwise_coherences(matrix: DenseMatrix) -> np.ndarray:
 
 def smallest_qualifying_prefix(
     prefix_sums: np.ndarray, slack: float, rounding: float
-) -> int | None:
-    """Smallest p (1-based) with prefix_sums[p-1] + p * rounding >= 1 - slack, else None.
+) -> int | float:
+    """Smallest p (1-based) with prefix_sums[p-1] + p * rounding >= 1 - slack, else math.inf.
 
     One bisection finds p, as the key never decreases: prefix_sums is a
     sequential cumsum of non-negative terms (a rounded addition of one
@@ -60,7 +62,7 @@ def smallest_qualifying_prefix(
     i = bisect.bisect_left(
         range(1, n + 1), 1.0 - slack, key=lambda p: prefix_sums[p - 1] + p * rounding
     )
-    return i + 1 if i < n else None
+    return i + 1 if i < n else math.inf
 
 
 def coherence_rounding(rows: int) -> float:

@@ -12,7 +12,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any
 
 from ._version import __version__
@@ -21,7 +21,7 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import ReportParseError
 from .formats import format_float
 from .matrix import DenseMatrix
-from .spark import SETTLED_BY, SPARK_INFINITE, SparkReport, SparkValue
+from .spark import SETTLED_BY, SparkReport
 from .uniqueness import CRITERIA, UniquenessCertificate, Verdict
 
 # 2: the spark section gained settled_by, subsets_examined stopped counting
@@ -47,12 +47,13 @@ class MatrixMeta:
 class CoherenceSummary:
     """Coherence facts carried by a report.
 
-    top_coherence_sum is the sum of the largest `rows` coherences, present
-    only for wide matrices (where it is provably >= 1).
+    coherence_index is the profile's, math.inf when no prefix sum reaches
+    1; top_coherence_sum is the sum of the largest `rows` coherences,
+    present only for wide matrices (where it is provably >= 1).
     """
 
     mutual_coherence: float
-    coherence_index: int | None
+    coherence_index: int | float
     top_coherences: tuple[float, ...]
     top_coherence_sum: float | None
 
@@ -236,20 +237,26 @@ def _with_witness_check(codec: Codec) -> Codec:
 
     def decode_checked(tree: Any, key: str) -> SparkReport:
         spark = decode(tree, key)
-        # None for no exact spark and for the infinite one
-        size = spark.exact and spark.exact.value
-        if spark.witness is not None and len(spark.witness) != size:
+        # no length equals None (no exact spark) or math.inf
+        if spark.witness is not None and len(spark.witness) != spark.exact:
             raise ReportParseError("witness: expected as many columns as a finite exact spark")
         return spark
 
     return encode, decode_checked
 
 
-# A finite exact spark; the infinite one is {"kind": "infinite"}, nothing more.
-_FINITE_SPARK = _record(SparkValue, {
-    "kind": (_same, _checked("'finite', or 'infinite' alone", lambda v: v == "finite")),
-    "value": _INT,
-})
+def _finite_spark_tree(value: Any) -> bool:
+    return (isinstance(value, dict) and value.get("kind") == "finite"
+            and _is_int(value.get("value")) and value["value"] >= 1)
+
+
+# An exact spark n is {"kind": "finite", "value": n}; math.inf is
+# {"kind": "infinite"}, nothing more.
+_EXACT_SPARK = _or((lambda n: {"kind": "finite", "value": n}, _checked(
+    '{"kind": "finite", "value": an integer >= 1} or {"kind": "infinite"}',
+    _finite_spark_tree,
+    itemgetter("value"),
+)), {"kind": "infinite"}, math.inf)
 
 
 # The report after "tool", in schema order: the AnalysisReport fields
@@ -266,14 +273,14 @@ _SECTIONS: dict[str, Codec] = {
     }),
     "coherence": _record(CoherenceSummary, {
         "mutual_coherence": _FLOAT,
-        "coherence_index": _or(_int_from(1), INFINITY_TOKEN, None),
+        "coherence_index": _or(_int_from(1), INFINITY_TOKEN, math.inf),
         "top_coherences": _list_of(_FLOAT),
         "top_coherence_sum": _optional(_FLOAT),
     }),
     "spark": _with_witness_check(_record(SparkReport, {
         "mutual_coherence_bound": _optional(_FLOAT),
         "coherence_index_bound": _or(_int_from(2), INFINITY_TOKEN, math.inf),
-        "exact": _optional(_or(_FINITE_SPARK, {"kind": "infinite"}, SPARK_INFINITE)),
+        "exact": _optional(_EXACT_SPARK),
         "witness": _optional(_WITNESS),
         "trivial_upper": _optional(_int_from(2)),
         "search_budget_hit": _BOOL,
@@ -328,9 +335,9 @@ def report_from_json(text: str) -> AnalysisReport:
         raise ReportParseError(f"malformed report: {exc}") from None
 
 
-def show_number(value: int | float | None, missing: str = "n/a") -> str:
+def show_number(value: int | float | None) -> str:
     if value is None:
-        return missing
+        return "n/a"
     if isinstance(value, float) and math.isinf(value):
         return INFINITY_TOKEN
     if isinstance(value, float):
@@ -346,7 +353,7 @@ def render_text(report: AnalysisReport) -> str:
         f"matrix: {report.matrix.rows} x {report.matrix.cols} "
         f"(source: {report.matrix.source})",
         f"mutual coherence: {show_number(coh.mutual_coherence)}",
-        f"coherence index: {show_number(coh.coherence_index, missing=INFINITY_TOKEN)}",
+        f"coherence index: {show_number(coh.coherence_index)}",
         "top coherences: " + ", ".join(format_float(v) for v in coh.top_coherences),
     ]
     if coh.top_coherence_sum is not None:
@@ -359,8 +366,7 @@ def render_text(report: AnalysisReport) -> str:
         f"spark lower bound (coherence index): {show_number(spk.coherence_index_bound)}"
     )
     if spk.exact is not None:
-        shown = str(spk.exact.value) if spk.exact.is_finite else INFINITY_TOKEN
-        lines.append(f"exact spark: {shown}")
+        lines.append(f"exact spark: {show_number(spk.exact)}")
         if spk.witness is not None:
             lines.append(
                 "dependent columns: " + " ".join(str(i) for i in spk.witness)

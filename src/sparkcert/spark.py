@@ -3,7 +3,9 @@
 The spark of a matrix is the smallest number of columns that are linearly
 dependent, taken as infinite when every column subset is independent.
 Two cheap lower bounds come from the coherence profile; the exact value
-comes from a budgeted exhaustive subset search.
+comes from a budgeted exhaustive subset search. An exact spark, like the
+coherence index and its bound, is a positive int, or math.inf when it is
+infinite, so the three compare directly; None means not computed.
 
 The search tests sizes 1, 2, ... and, within a size, subsets in
 lexicographic order, through the batched Cholesky-then-SVD kernel in the
@@ -113,30 +115,6 @@ SETTLED_BY = (
 
 
 @dataclass(frozen=True)
-class SparkValue:
-    """Exact spark: either a finite positive integer or infinite."""
-
-    kind: str  # "finite" | "infinite"
-    value: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("finite", "infinite"):
-            raise ValueError(f"kind must be 'finite' or 'infinite', got {self.kind!r}")
-        if self.kind == "finite":
-            if self.value is None or self.value < 1:
-                raise ValueError(f"finite spark needs a positive value, got {self.value!r}")
-        elif self.value is not None:
-            raise ValueError("infinite spark carries no value")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-
-SPARK_INFINITE = SparkValue(kind="infinite")
-
-
-@dataclass(frozen=True)
 class SparkSearchResult:
     """Outcome of the exhaustive search.
 
@@ -152,7 +130,7 @@ class SparkSearchResult:
     "null_vector" for the proofs.
     """
 
-    spark: SparkValue
+    spark: int | float
     witness: tuple[int, ...] | None
     subsets_examined: int
     settled_by: str
@@ -163,10 +141,12 @@ class SparkReport:
     """Both lower bounds plus (optionally) the exact search outcome.
 
     mutual_coherence_bound is 1 + 1/(mutual coherence), or None when
-    the mutual coherence is 0;
+    the mutual coherence is 0: there is no bound then, not an infinite
+    one, and schema v3 writes it as null and the text report as n/a;
     coherence_index_bound is 1 + coherence_index, or math.inf when no
     coherence prefix sum reaches 1 (then the spark is provably infinite);
-    exact is None when the search was skipped or aborted, with
+    exact is the spark, math.inf when every column subset is independent,
+    or None when the search was skipped or aborted, with
     search_budget_hit flagging the aborted case; trivial_upper is rows+1
     for wide matrices, None otherwise; settled_by is the search's
     SparkSearchResult.settled_by, None when no search settled.
@@ -174,7 +154,7 @@ class SparkReport:
 
     mutual_coherence_bound: float | None
     coherence_index_bound: int | float
-    exact: SparkValue | None
+    exact: int | float | None
     witness: tuple[int, ...] | None
     trivial_upper: int | None
     search_budget_hit: bool
@@ -199,16 +179,13 @@ def coherence_index_lower_bound(
     matrix: DenseMatrix,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> int | float:
-    """Improved spark lower bound 1 + coherence_index; inf when the index is absent.
+    """Improved spark lower bound 1 + coherence_index; math.inf with an infinite index.
 
     When the full coherence sum stays below 1 every unit-diagonal Gram
     minor is strictly diagonally dominant, hence positive definite, so all
     columns are independent and the spark is infinite.
     """
-    index = coherence_profile(matrix, tolerances).coherence_index
-    if index is None:
-        return math.inf
-    return 1 + index
+    return 1 + coherence_profile(matrix, tolerances).coherence_index
 
 
 def _first_unproven_size(matrix: DenseMatrix, tol_factor: float) -> int:
@@ -239,7 +216,7 @@ def _first_unproven_size(matrix: DenseMatrix, tol_factor: float) -> int:
     index = smallest_qualifying_prefix(
         matrix.sorted_coherences[1][: cols - 1], slack, coherence_rounding(rows)
     )
-    return cols + 1 if index is None else index + 1
+    return min(index, cols) + 1
 
 
 def _margin(tol_factor: float, dim: int) -> float:
@@ -271,7 +248,7 @@ def _scan(
         hit_rank, witness = scan_chunk(data, size, allowed, tol_factor)
         if witness is not None:
             return SparkSearchResult(
-                spark=SparkValue(kind="finite", value=size),
+                spark=size,
                 witness=witness,
                 subsets_examined=examined + hit_rank + 1,
                 settled_by=SETTLED_BY_SEARCH,
@@ -280,7 +257,7 @@ def _scan(
         if allowed < total:
             raise BudgetExceeded(examined)
     return SparkSearchResult(
-        spark=SPARK_INFINITE, witness=None, subsets_examined=examined,
+        spark=math.inf, witness=None, subsets_examined=examined,
         settled_by=SETTLED_BY_SEARCH,
     )
 
@@ -300,8 +277,8 @@ def exact_spark(
     lexicographic order; the first dependent one wins, so the result is
     deterministic and the witness is minimal. Either way spark and
     witness are those of a scan from size 1. Raises BudgetExceeded once
-    `budget` subsets were examined without settling the answer. Returns
-    an infinite spark when all columns are independent. The search runs
+    `budget` subsets were examined without settling the answer. The
+    spark is math.inf when all columns are independent. The search runs
     on one thread: `workers` must be >= 1 and is otherwise ignored.
     """
     if budget is None:
@@ -318,7 +295,7 @@ def exact_spark(
     tol_factor = tolerances.rank_tol_factor
     margin = _margin(tol_factor, rows)
     if rows >= cols and scan_chunk(data, cols, 1, margin)[0] < 0:
-        return SparkSearchResult(SPARK_INFINITE, None, 0, SETTLED_BY_FULL_RANK)
+        return SparkSearchResult(math.inf, None, 0, SETTLED_BY_FULL_RANK)
     first_size = _first_unproven_size(matrix, tol_factor)
     examined = 0
     if first_size <= rows < cols - 1:
@@ -329,9 +306,8 @@ def exact_spark(
         if failed < 0:
             # the scan resumes at size rows + 1, where a subset has only rows
             # singular values: the first is dependent under the rule
-            spark = SparkValue(kind="finite", value=rows + 1)
             return SparkSearchResult(
-                spark, tuple(range(rows + 1)), total + 1, SETTLED_BY_SIZE_PROOF
+                rows + 1, tuple(range(rows + 1)), total + 1, SETTLED_BY_SIZE_PROOF
             )
         examined = failed + 1
     elif 2 <= cols <= rows + 1:
@@ -347,8 +323,7 @@ def exact_spark(
             len(support) > rows
             or scan_chunk(data[:, support], len(support), 1, tol_factor)[1] is not None
         ):
-            spark = SparkValue(kind="finite", value=len(support))
-            return SparkSearchResult(spark, support, 1, SETTLED_BY_NULL_VECTOR)
+            return SparkSearchResult(len(support), support, 1, SETTLED_BY_NULL_VECTOR)
     return _scan(data, tol_factor, budget, first_size, examined)
 
 
@@ -361,7 +336,7 @@ def analyze_spark(
     """Assemble the full spark report for a matrix with at least two columns."""
     if matrix.cols < 2:
         raise TooFewColumns(f"need at least 2 columns, got {matrix.cols}")
-    exact: SparkValue | None = None
+    exact: int | float | None = None
     witness: tuple[int, ...] | None = None
     budget_hit = False
     subsets_examined: int | None = None

@@ -24,7 +24,7 @@ from .errors import (
     NoSolutionWithinKmax,
 )
 from .matrix import DenseMatrix, euclidean_norm
-from .spark import SparkValue, coherence_index_lower_bound, mutual_coherence_lower_bound
+from .spark import coherence_index_lower_bound, mutual_coherence_lower_bound
 
 CRITERION_SPARK = "spark"
 CRITERION_INDEX = "coherence_index"
@@ -47,11 +47,13 @@ class UniquenessCertificate:
     spark_threshold is spark/2 when the exact spark is known and finite,
     None otherwise (with an infinite exact spark the criterion passes
     outright and the threshold stays None); index_threshold is
-    (1 + coherence_index)/2, or inf when the index is absent;
+    (1 + coherence_index)/2, math.inf with an infinite index;
     coherence_threshold is half of spark.mutual_coherence_lower_bound,
     which raises the mutual coherence by coherence_rounding(rows) (to at
     most 1) so that rounding cannot lift it above the spark, or None when
-    the mutual coherence is 0.
+    the mutual coherence is 0. spark_threshold and coherence_threshold
+    keep None, not math.inf, because schema v3 writes them as null and the
+    text report as n/a.
     criteria_passed names every criterion whose strict inequality held;
     verdict reports the strongest of them.
     """
@@ -88,18 +90,19 @@ def certify(
     x: np.ndarray,
     b: np.ndarray,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-    exact: SparkValue | None = None,
+    exact: int | float | None = None,
 ) -> UniquenessCertificate:
     """Certify whether x is the unique sparsest solution of A x = b.
 
     One table lists the criteria, strongest first: spark (threshold
     spark/2), coherence index ((1 + index)/2) and mutual coherence (half
     its bound). A criterion passes when l0 < threshold; an absent
-    threshold passes nothing. Pass the exact spark (when known) to unlock
-    the strongest criterion; an infinite one passes outright. The verdict
-    is the first criterion passed, else INCONCLUSIVE, or NOT_A_SOLUTION
-    with nothing passed when the residual exceeds residual_tol. Raises
-    NormOverflow when A x - b leaves the float64 range.
+    threshold passes nothing. Pass the exact spark (when known: an int, or
+    math.inf) to unlock the strongest criterion; an infinite one passes
+    outright. The verdict is the first criterion passed, else
+    INCONCLUSIVE, or NOT_A_SOLUTION with nothing passed when the residual
+    exceeds residual_tol. Raises NormOverflow when A x - b leaves the
+    float64 range.
     """
     xv = _vector("x", x, matrix.cols)
     bv = _vector("b", b, matrix.rows)
@@ -114,13 +117,12 @@ def certify(
     residual = euclidean_norm(difference)
 
     # full column rank (an infinite spark) allows at most one solution at all
-    full_rank = exact is not None and not exact.is_finite
-    spark_threshold = None if exact is None or full_rank else exact.value / 2.0
+    spark_threshold = None if exact is None else exact / 2.0
     index_threshold = coherence_index_lower_bound(matrix, tolerances) / 2.0
     coherence_bound = mutual_coherence_lower_bound(matrix)
     coherence_threshold = None if coherence_bound is None else coherence_bound / 2.0
     table = (
-        (CRITERION_SPARK, Verdict.UNIQUE_BY_SPARK, math.inf if full_rank else spark_threshold),
+        (CRITERION_SPARK, Verdict.UNIQUE_BY_SPARK, spark_threshold),
         (CRITERION_INDEX, Verdict.UNIQUE_BY_INDEX, index_threshold),
         (CRITERION_COHERENCE, Verdict.UNIQUE_BY_COHERENCE, coherence_threshold),
     )
@@ -133,7 +135,7 @@ def certify(
     return UniquenessCertificate(
         l0=sparsity,
         residual=residual,
-        spark_threshold=spark_threshold,
+        spark_threshold=None if spark_threshold == math.inf else spark_threshold,
         index_threshold=index_threshold,
         coherence_threshold=coherence_threshold,
         criteria_passed=frozenset(name for name, _, _ in passed),

@@ -90,7 +90,7 @@ def test_analyze_json_output(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(path), "--exact", "--json")
     assert code == 0
     report = report_from_json(out)
-    assert report.spark.exact.value == 11
+    assert report.spark.exact == 11
     assert report.spark.coherence_index_bound == 3
     assert report.spark.mutual_coherence_bound == pytest.approx(2.25, abs=1e-12)
     assert report.matrix.source == str(path)
@@ -158,7 +158,7 @@ def test_analyze_stdin_matches_file(capsys, tmp_path, monkeypatch):
     assert code == 0
     report = report_from_json(out)
     assert report.matrix.source == "<stdin>"
-    assert report.spark.exact.value == 5
+    assert report.spark.exact == 5
 
 
 def test_csv_and_mm_reports_identical_via_stdin(capsys, monkeypatch):

@@ -30,7 +30,7 @@ def test_orthogonal_columns(identity3):
     assert np.array_equal(vals, np.zeros(3))
     profile = coherence_profile(identity3)
     assert profile.mutual_coherence == 0.0
-    assert profile.coherence_index is None
+    assert profile.coherence_index == math.inf
 
 
 def test_duplicated_column():
@@ -87,7 +87,7 @@ def test_index_is_minimal():
         m = random_matrix(3, 6, seed=seed)
         profile = coherence_profile(m)
         p = profile.coherence_index
-        assert p is not None
+        assert p != math.inf
         assert profile.prefix_sums[p - 1] >= 1.0
         if p > 1:
             assert profile.prefix_sums[p - 2] < 1.0
@@ -166,5 +166,5 @@ def test_index_matches_a_test_of_every_prefix(coherences, slack, rounding):
     qualifying = [
         p for p in range(1, len(prefix) + 1) if prefix[p - 1] + p * rounding >= 1.0 - slack
     ]
-    expected = qualifying[0] if qualifying else None
+    expected = qualifying[0] if qualifying else math.inf
     assert smallest_qualifying_prefix(prefix, slack, rounding) == expected

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from sparkcert import (
-    SparkValue,
     build_matrix,
     coherence_index_lower_bound,
     exact_spark,
@@ -59,8 +58,8 @@ def _rank(columns: list[list[int]]) -> int:
     return rank
 
 
-def exact_spark_over_q(data: np.ndarray) -> tuple[int | None, tuple[int, ...] | None]:
-    """(spark, first dependent subset in lexicographic order), or (None, None) if infinite.
+def exact_spark_over_q(data: np.ndarray) -> tuple[int | float, tuple[int, ...] | None]:
+    """(spark, first dependent subset in lexicographic order), or (math.inf, None).
 
     Every subset of an independent set is independent, so when all
     subsets of top = min(rows, cols) columns are, no smaller one needs a
@@ -72,7 +71,7 @@ def exact_spark_over_q(data: np.ndarray) -> tuple[int | None, tuple[int, ...] | 
     top = min(data.shape[0], cols)
     if all(_rank([columns[j] for j in subset]) == top
            for subset in combinations(range(cols), top)):
-        return (None, None) if top == cols else (top + 1, tuple(range(top + 1)))
+        return (math.inf, None) if top == cols else (top + 1, tuple(range(top + 1)))
     for size in range(1, cols + 1):
         for subset in combinations(range(cols), size):
             if _rank([columns[j] for j in subset]) < size:
@@ -95,11 +94,9 @@ def _check(data: np.ndarray) -> str:
     spark, witness = exact_spark_over_q(data)
     matrix = build_matrix(data)
     result = exact_spark(matrix)
-    expected = SparkValue("infinite") if spark is None else SparkValue("finite", spark)
-    assert (result.spark, result.witness) == (expected, witness)
-    exact = math.inf if spark is None else spark
-    assert coherence_index_lower_bound(matrix) <= exact
-    assert (mutual_coherence_lower_bound(matrix) or 0.0) <= exact
+    assert (result.spark, result.witness) == (spark, witness)
+    assert coherence_index_lower_bound(matrix) <= spark
+    assert (mutual_coherence_lower_bound(matrix) or 0.0) <= spark
     return result.settled_by
 
 

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -15,7 +16,6 @@ from sparkcert import (
     RaggedRows,
     ReportParseError,
     SparkCertError,
-    SparkValue,
     ToleranceConfig,
     TruncatedData,
     UnparseableNumber,
@@ -259,8 +259,49 @@ def test_report_json_round_trip_infinite_values():
     assert report.spark.coherence_index_bound == math.inf
     parsed = report_from_json(report_to_json(report))
     assert parsed == report
-    assert parsed.spark.exact == SparkValue(kind="infinite")
-    assert parsed.coherence.coherence_index is None
+    assert parsed.spark.exact == math.inf
+    assert parsed.coherence.coherence_index == math.inf
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _spark_number(value) -> bool:
+    """A plain int >= 1 (not a float, not a bool), or math.inf."""
+    return (type(value) is int and value >= 1) or (type(value) is float and value == math.inf)
+
+
+def test_report_from_json_gives_spark_and_index_as_numbers():
+    m = build_matrix(np.eye(4))
+    texts = [path.read_text() for path in sorted(GOLDEN.glob("*.json"))]
+    texts.append(report_to_json(build_report(m, "identity", analyze_spark(m, compute_exact=True))))
+    assert len(texts) == 6
+    for text in texts:
+        report = report_from_json(text)
+        assert _spark_number(report.coherence.coherence_index)
+        exact = report.spark.exact
+        assert exact is None if report.spark.search_budget_hit else _spark_number(exact)
+
+
+@pytest.mark.parametrize("exact", [
+    {"kind": "finite"},
+    {"kind": "finite", "value": 0},
+    {"kind": "finite", "value": -3},
+    {"kind": "finite", "value": 2.0},
+    {"kind": "finite", "value": True},
+    {"kind": "finite", "value": "6"},
+    {"kind": "infinite", "value": 3},
+    {"kind": "bogus"},
+    {"value": 6},
+    "infinity",
+    5,
+    [],
+])
+def test_report_from_json_rejects_malformed_exact_spark(exact):
+    tree = json.loads((GOLDEN / "null_vector.json").read_text())
+    tree["spark"]["exact"] = exact
+    with pytest.raises(ReportParseError, match="exact: expected"):
+        report_from_json(json.dumps(tree))
 
 
 def test_report_json_round_trip_integer_tolerances():
@@ -289,7 +330,7 @@ def test_tolerances_must_be_finite_and_non_negative():
     )
     m = spiked_identity(4)
     spark_report = analyze_spark(m, tolerances, compute_exact=True)
-    assert (spark_report.exact, spark_report.witness) == (SparkValue("finite", 1), (0,))
+    assert (spark_report.exact, spark_report.witness) == (1, (0,))
     cert = certify(m, np.ones(5), np.zeros(4), tolerances, exact=spark_report.exact)
     report = build_report(m, "huge", spark_report, tolerances, certificate=cert)
     text = report_to_json(report)

@@ -29,7 +29,7 @@ from sparkcert.kernels import (
     scan_chunk,
 )
 from sparkcert.matrix import unit_columns, unit_gram
-from sparkcert.spark import SparkSearchResult, SparkValue
+from sparkcert.spark import SparkSearchResult
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -99,7 +99,8 @@ def _dependent(data: np.ndarray, subset: tuple[int, ...], tol_factor: float) -> 
 
 
 def _brute_force(data: np.ndarray, tol_factor: float = EPS):
-    """Spark, witness and subsets examined, one SVD per subset in itertools order."""
+    """Spark (math.inf when none is dependent), witness and subsets examined,
+    one SVD per subset in itertools order."""
     cols = data.shape[1]
     examined = 0
     for size in range(1, cols + 1):
@@ -107,7 +108,7 @@ def _brute_force(data: np.ndarray, tol_factor: float = EPS):
             examined += 1
             if _dependent(data, subset, tol_factor):
                 return size, subset, examined
-    return None, None, examined
+    return math.inf, None, examined
 
 
 def _probe_cost(data: np.ndarray, tol_factor: float) -> int | None:
@@ -266,7 +267,7 @@ def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
     # workers is accepted and ignored: both counts give the same answer
     for workers in (1, 2):
         result = exact_spark(matrix, tolerances, budget=10**9, workers=workers)
-        assert result.spark.value == spark
+        assert result.spark == spark
         assert result.witness == witness
         assert (result.settled_by == "size_proof") == (probe is None)
         assert result.subsets_examined == {
@@ -366,7 +367,7 @@ def test_null_vector_of_every_column_skips_the_kernel(monkeypatch):
 
     monkeypatch.setattr(spark_module, "scan_chunk", counting_scan)
     result = exact_spark(spiked_identity(6))
-    assert result == SparkSearchResult(SparkValue("finite", 7), tuple(range(7)), 1, "null_vector")
+    assert result == SparkSearchResult(7, tuple(range(7)), 1, "null_vector")
     assert calls == [(6, 7)]
 
 
@@ -490,13 +491,10 @@ def test_size_proof_needs_the_margin():
     def settle(factor):
         return exact_spark(m, ToleranceConfig(rank_tol_factor=s[1] / s[0] / 2 * factor))
 
-    three = SparkValue(kind="finite", value=3)
     # probe 1 + pairs 6 + the first triple
-    assert settle(1 - 1e-12) == SparkSearchResult(three, (0, 1, 2), 1 + 6 + 1, "search")
-    assert settle(1 - 1e-10) == SparkSearchResult(three, (0, 1, 2), 6 + 1, "size_proof")
-    assert settle(1 + 1e-12) == SparkSearchResult(
-        SparkValue(kind="finite", value=2), (0, 1), 1 + 1, "search"
-    )
+    assert settle(1 - 1e-12) == SparkSearchResult(3, (0, 1, 2), 1 + 6 + 1, "search")
+    assert settle(1 - 1e-10) == SparkSearchResult(3, (0, 1, 2), 6 + 1, "size_proof")
+    assert settle(1 + 1e-12) == SparkSearchResult(2, (0, 1), 1 + 1, "search")
 
 
 def test_size_proof_counts_toward_the_budget():
@@ -641,7 +639,7 @@ def test_cholesky_batches_stay_within_gather_bytes(monkeypatch):
 
     monkeypatch.setattr(kernels, "_cholesky_passes", recording_passes)
     result = exact_spark(random_matrix(4, 24, seed=1))
-    assert result.spark.value == 5
+    assert result.spark == 5
     pos, hit = scan_chunk(unit_columns(random_matrix(4, 14, seed=1)), 5, math.comb(14, 5), EPS)
     assert (pos, hit) == (0, (0, 1, 2, 3, 4))
     assert (5, 5) in [shape for shape, _ in stacked]

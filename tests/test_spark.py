@@ -12,7 +12,6 @@ from sparkcert import (
     BudgetExceeded,
     NotSquare,
     NotUnitDiagonal,
-    SparkValue,
     ToleranceConfig,
     TooFewColumns,
     analyze_spark,
@@ -31,17 +30,6 @@ from sparkcert.matrix import unit_columns
 from sparkcert.spark import SparkSearchResult
 
 EPS = float(np.finfo(np.float64).eps)
-
-
-def test_spark_value_validation():
-    assert SparkValue(kind="finite", value=3).is_finite
-    assert not SparkValue(kind="infinite").is_finite
-    with pytest.raises(ValueError):
-        SparkValue(kind="finite")
-    with pytest.raises(ValueError):
-        SparkValue(kind="infinite", value=2)
-    with pytest.raises(ValueError):
-        SparkValue(kind="bogus")
 
 
 def test_mutual_coherence_bound_values(identity3, three_column_pair):
@@ -65,37 +53,35 @@ def test_index_bound_values(identity3):
 def test_exact_spark_spiked_family():
     for n in (2, 3, 5):
         result = exact_spark(spiked_identity(n))
-        assert result.spark == SparkValue(kind="finite", value=n + 1)
+        assert result.spark == n + 1
         assert result.witness == tuple(range(n + 1))
 
 
 def test_exact_spark_duplicate_column():
     m = build_matrix([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]])
     result = exact_spark(m)
-    assert result.spark.value == 2
+    assert result.spark == 2
     assert result.witness == (0, 2)
 
 
 def test_exact_spark_full_rank_square(identity3):
     result = exact_spark(identity3)
-    assert result.spark == SparkValue(kind="infinite")
+    assert result.spark == math.inf
     assert result.witness is None
     assert (result.subsets_examined, result.settled_by) == (0, "full_rank")
     # the scan from size 1 examines every subset to reach the same answer
     data = unit_columns(identity3)
     scanned = spark_module._scan(data, EPS, budget=10**9)
-    assert scanned == SparkSearchResult(SparkValue(kind="infinite"), None, 7, "search")
+    assert scanned == SparkSearchResult(math.inf, None, 7, "search")
 
 
 def test_one_svd_settles_spiked_and_full_rank_tall():
     for n in (2, 6, 13):
         result = exact_spark(spiked_identity(n), budget=1)
-        assert result == SparkSearchResult(
-            SparkValue(kind="finite", value=n + 1), tuple(range(n + 1)), 1, "null_vector"
-        )
+        assert result == SparkSearchResult(n + 1, tuple(range(n + 1)), 1, "null_vector")
     # a full-rank tall matrix: no subset examined, where the scan needs 2**22 - 1
     tall = exact_spark(random_matrix(30, 22, seed=41), budget=1)
-    assert tall == SparkSearchResult(SparkValue(kind="infinite"), None, 0, "full_rank")
+    assert tall == SparkSearchResult(math.inf, None, 0, "full_rank")
     # a planted dependency on columns 1, 3 and 4 of a 5x6 matrix
     data = random_matrix(5, 6, seed=3).data.copy()
     data[:, 4] = data[:, 1] - 2.0 * data[:, 3]
@@ -113,9 +99,7 @@ def test_margin_proof_finds_a_column_light_in_the_null_vector():
     # it, since every subset without it passes the margin
     data = random_matrix(5, 6, seed=61).data.copy()
     data[:, 5] = data[:, 0] + 2.0 * data[:, 2] + 1e-9 * data[:, 1]
-    assert exact_spark(build_matrix(data)) == SparkSearchResult(
-        SparkValue(kind="finite", value=4), (0, 1, 2, 5), 1, "null_vector"
-    )
+    assert exact_spark(build_matrix(data)) == SparkSearchResult(4, (0, 1, 2, 5), 1, "null_vector")
 
 
 def test_full_rank_proof_needs_the_margin():
@@ -129,18 +113,15 @@ def test_full_rank_proof_needs_the_margin():
     def settle(factor):
         return exact_spark(m, ToleranceConfig(rank_tol_factor=s[1] / s[0] / 2 * factor))
 
-    infinite = SparkValue(kind="infinite")
-    assert settle(1 - 1e-12) == SparkSearchResult(infinite, None, 1, "search")
-    assert settle(1 - 1e-10) == SparkSearchResult(infinite, None, 0, "full_rank")
-    assert settle(1 + 1e-12) == SparkSearchResult(
-        SparkValue(kind="finite", value=2), (0, 1), 1, "null_vector"
-    )
+    assert settle(1 - 1e-12) == SparkSearchResult(math.inf, None, 1, "search")
+    assert settle(1 - 1e-10) == SparkSearchResult(math.inf, None, 0, "full_rank")
+    assert settle(1 + 1e-12) == SparkSearchResult(2, (0, 1), 1, "null_vector")
 
 
 def test_exact_spark_three_column_pair(three_column_pair):
     # no pair is dependent; all three columns together are
     result = exact_spark(three_column_pair)
-    assert result.spark.value == 3
+    assert result.spark == 3
     assert result.witness == (0, 1, 2)
 
 
@@ -193,7 +174,7 @@ def test_exact_spark_permutation_and_scaling_invariance():
         result = exact_spark(extreme, keep_short)
         assert result == exact_spark(m)
         index_bound = coherence_index_lower_bound(extreme, keep_short)
-        assert result.spark.value >= index_bound >= mutual_coherence_lower_bound(extreme)
+        assert result.spark >= index_bound >= mutual_coherence_lower_bound(extreme)
 
 
 def test_serial_parallel_identical_small():
@@ -230,7 +211,7 @@ def test_analyze_spark_spiked_n10():
     report = analyze_spark(spiked_identity(10), compute_exact=True)
     assert report.mutual_coherence_bound == pytest.approx(2.25, abs=1e-12)
     assert report.coherence_index_bound == 3
-    assert report.exact == SparkValue(kind="finite", value=11)
+    assert report.exact == 11
     assert report.settled_by == "null_vector"
     assert report.trivial_upper == 11
     assert not report.search_budget_hit
@@ -241,7 +222,7 @@ def test_analyze_spark_identity(identity3):
     report = analyze_spark(identity3, compute_exact=True)
     assert report.mutual_coherence_bound is None
     assert report.coherence_index_bound == math.inf
-    assert report.exact == SparkValue(kind="infinite")
+    assert report.exact == math.inf
     assert report.trivial_upper is None
 
 
@@ -251,7 +232,7 @@ def test_analyze_spark_three_column_pair(three_column_pair):
         1.0 + math.sqrt(2.0), abs=1e-12
     )
     assert report.coherence_index_bound == 3
-    assert report.exact.value == 3
+    assert report.exact == 3
 
 
 def test_analyze_spark_skips_exact_by_default(three_column_pair):
@@ -288,23 +269,23 @@ def test_bound_chain_on_random_matrices(seed, scale, noise):
     m = build_matrix(data)
     report = analyze_spark(m, compute_exact=True)
     # the chain holds on the reported values
-    assert report.exact is not None and report.exact.is_finite
-    assert report.exact.value >= report.coherence_index_bound
+    assert report.exact is not None and report.exact != math.inf
+    assert report.exact >= report.coherence_index_bound
     assert report.coherence_index_bound >= report.mutual_coherence_bound
-    assert report.exact.value <= report.trivial_upper
+    assert report.exact <= report.trivial_upper
 
 
 def test_reported_bounds_stay_below_the_spark_under_rounding():
     # the mutual coherence reads 1 - 4 eps; 1 + 1/mu was 2.0000000000000004
     dup = build_matrix([[3.0, 3.0], [3.0, 3.0], [1.0, 1.0]])
     report = analyze_spark(dup, compute_exact=True)
-    assert report.exact.value == 2
+    assert report.exact == 2
     assert report.mutual_coherence_bound == 2.0
     # a tight frame: three unit vectors 120 degrees apart meet the bound
     angles = np.array([0.0, 2.0, 4.0]) * math.pi / 3.0
     frame = build_matrix(np.vstack([np.cos(angles), np.sin(angles)]))
     report = analyze_spark(frame, compute_exact=True)
-    assert report.exact.value == 3
+    assert report.exact == 3
     assert report.coherence_index_bound == 3
     assert 3.0 - 1e-12 < report.mutual_coherence_bound <= 3.0
 
@@ -316,7 +297,7 @@ def test_infinite_index_bound_implies_infinite_spark():
         )
         m = build_matrix(q)
         if coherence_index_lower_bound(m) == math.inf:
-            assert exact_spark(m).spark == SparkValue(kind="infinite")
+            assert exact_spark(m).spark == math.inf
 
 
 def test_is_diagonally_dominant_basic():

@@ -11,7 +11,6 @@ from sparkcert import (
     NonFiniteEntry,
     NormOverflow,
     NoSolutionWithinKmax,
-    SparkValue,
     ToleranceConfig,
     Verdict,
     build_matrix,
@@ -95,7 +94,7 @@ def test_certify_sound_at_extreme_magnitudes():
     b = m.data @ x
     # (0, 1, 0) is a sparser solution, so x must not be certified unique
     assert np.array_equal(m.data @ np.array([0.0, 1.0, 0.0]), b)
-    assert exact_spark(m).spark == SparkValue(kind="finite", value=3)
+    assert exact_spark(m).spark == 3
     assert coherence_index_lower_bound(m) == 3
     cert = certify(m, x, b)
     assert cert.verdict is Verdict.INCONCLUSIVE
@@ -151,7 +150,7 @@ def test_certify_strict_inequality_at_threshold():
     x = np.array([1.0, 0.0, 0.0])
     b = m.data @ x
     spark = exact_spark(m).spark
-    assert spark.value == 2
+    assert spark == 2
     cert = certify(m, x, b, exact=spark)
     assert cert.spark_threshold == 1.0
     assert cert.verdict is Verdict.INCONCLUSIVE
@@ -162,7 +161,7 @@ def test_certify_infinite_spark_always_unique():
     m = build_matrix(np.eye(4))
     x = np.array([1.0, 2.0, 3.0, 4.0])
     b = m.data @ x
-    cert = certify(m, x, b, exact=SparkValue(kind="infinite"))
+    cert = certify(m, x, b, exact=math.inf)
     assert cert.verdict is Verdict.UNIQUE_BY_SPARK
     assert cert.spark_threshold is None
     assert "spark" in cert.criteria_passed
@@ -387,10 +386,8 @@ def certify_cases(draw):
         b[draw(st.integers(0, m.rows - 1))] += draw(st.sampled_from([1e-12, 1e-6, 1.0]))
     exact = draw(st.one_of(
         st.none(),
-        st.just(SparkValue(kind="infinite")),
-        st.integers(min_value=1, max_value=m.cols + 1).map(
-            lambda v: SparkValue(kind="finite", value=v)
-        ),
+        st.just(math.inf),
+        st.integers(min_value=1, max_value=m.cols + 1),
     ))
     return m, x, b, exact
 
@@ -401,9 +398,9 @@ def test_certify_applies_criteria_strongest_first(case):
     m, x, b, exact = case
     cert = certify(m, x, b, exact=exact)
     assert cert.l0 == l0_norm(x)
-    infinite = exact is not None and not exact.is_finite
+    infinite = exact == math.inf
     assert cert.spark_threshold == (
-        exact.value / 2.0 if exact is not None and not infinite else None
+        exact / 2.0 if exact is not None and not infinite else None
     )
     not_a_solution = cert.residual > DEFAULT_TOLERANCES.residual_tol
     assert (cert.verdict is Verdict.NOT_A_SOLUTION) == not_a_solution
