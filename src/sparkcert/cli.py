@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import sys
 import time
 from typing import Sequence
 
 from ._version import __version__
-from .config import ToleranceConfig, default_search_budget
-from .errors import BudgetExceeded, CliUsageError, MatrixParseError, SparkCertError
+from .config import DEFAULT_SEARCH_BUDGET, ToleranceConfig
+from .errors import BudgetExceeded, CliUsageError, SparkCertError
 from .formats import (
+    decode_text,
     parse_matrix_auto,
     parse_vector,
     write_csv,
@@ -69,9 +69,8 @@ def _add_common_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--budget",
         type=_positive_int,
-        default=None,
-        help="max subsets examined by exhaustive searches "
-        "(default: SPARK_CERT_BUDGET env var or 2000000)",
+        default=DEFAULT_SEARCH_BUDGET,
+        help="max subsets examined by exhaustive searches (default %(default)s)",
     )
     parser.add_argument(
         "--workers",
@@ -171,14 +170,13 @@ def _source(path: str) -> str:
 def _parse_input(path: str, parse):
     """Read the file at `path` (- for stdin) and parse it; every input error names the file."""
     try:
+        # the bytes are freed once decoded, before the parse starts
         if path == "-":
-            # decoded as open() decodes a file: strict UTF-8, universal newlines
-            stdin = io.TextIOWrapper(io.BytesIO(sys.stdin.buffer.read()), encoding="utf-8")
-            return parse(stdin.read())
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse(handle.read())
-    except UnicodeDecodeError as exc:
-        raise MatrixParseError(f"{_source(path)}: not valid UTF-8 (byte {exc.start})") from None
+            text = decode_text(sys.stdin.buffer.read())
+        else:
+            with open(path, "rb") as handle:
+                text = decode_text(handle.read())
+        return parse(text)
     except SparkCertError as exc:
         exc.args = (f"{_source(path)}: {exc}",)
         raise
@@ -192,16 +190,6 @@ def _write_output(path: str | None, content: str) -> None:
             handle.write(content)
 
 
-def _search_budget(args: argparse.Namespace) -> int:
-    """--budget, else SPARK_CERT_BUDGET, else the default; a bad variable is a usage error."""
-    if args.budget is not None:
-        return args.budget
-    try:
-        return default_search_budget()
-    except ValueError as exc:
-        raise CliUsageError(str(exc)) from None
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """analyze, or certify when a candidate (--x, --b) was given."""
     if [args.file, args.x, args.b].count("-") > 1:
@@ -212,8 +200,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         x = _parse_input(args.x, parse_vector)
         b = _parse_input(args.b, parse_vector)
     tolerances = ToleranceConfig()
-    budget = _search_budget(args) if args.exact else None
-    spark_report = analyze_spark(matrix, tolerances, compute_exact=args.exact, budget=budget)
+    spark_report = analyze_spark(matrix, tolerances, compute_exact=args.exact, budget=args.budget)
     certificate = None
     if candidate:
         if spark_report.search_budget_hit:
@@ -255,7 +242,6 @@ def _parse_n_list(raw: str) -> list[int]:
 def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     ns = _parse_n_list(args.n_list)
     tolerances = ToleranceConfig()
-    budget = _search_budget(args)
     header = (
         f"{'n':>4} {'rows':>5} {'cols':>5} {'exact_spark':>12} "
         f"{'index_bound':>12} {'coherence_bound':>16} {'subsets':>10} {'seconds':>8} "
@@ -265,7 +251,7 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     for n in ns:
         matrix = spiked_identity(n)
         start = time.perf_counter()
-        report = analyze_spark(matrix, tolerances, compute_exact=True, budget=budget)
+        report = analyze_spark(matrix, tolerances, compute_exact=True, budget=args.budget)
         elapsed = time.perf_counter() - start
         if report.search_budget_hit:
             raise BudgetExceeded(report.subsets_examined)

@@ -1,9 +1,13 @@
-"""Tolerances and resource limits shared by the numeric routines."""
+"""Tolerances and resource limits shared by the numeric routines.
+
+Nothing here reads the environment: the search budget comes only
+through `budget=` arguments (or the CLI's --budget), and
+DEFAULT_SEARCH_BUDGET is what `budget=None` means.
+"""
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +21,6 @@ DEFAULT_RESIDUAL_TOL = 1e-9
 DEFAULT_RANK_TOL_FACTOR = float(np.finfo(np.float64).eps)
 DEFAULT_INDEX_SLACK = 0.0
 DEFAULT_SEARCH_BUDGET = 2_000_000
-
-BUDGET_ENV_VAR = "SPARK_CERT_BUDGET"
 
 
 @dataclass(frozen=True)
@@ -52,17 +54,3 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
-
-
-def default_search_budget() -> int:
-    """Subset budget for exhaustive searches, overridable via the environment."""
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_SEARCH_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
-    return value

@@ -6,6 +6,10 @@ same dialect with one number per line. Matrix Market support is limited
 to the dense "array real general" variant with column-major entries.
 All error positions are reported 1-based.
 
+The parsers take str or bytes. decode_text is the one decoder of bytes,
+for the parsers and the CLI's file and stdin reader alike: strict UTF-8
+with universal newlines, as open() decodes a file.
+
 Numbers follow float() syntax once str.strip() has removed the whitespace
 around them. Plain ASCII input is converted by one call to numpy's C
 reader, which accepts a subset of that syntax and gives identical values:
@@ -40,13 +44,19 @@ _MM_HEADER = re.compile(
 )
 
 
-def _decode(text: str | bytes) -> str:
-    if isinstance(text, bytes):
-        try:
-            return text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MatrixParseError(f"input is not valid UTF-8 (byte {exc.start})") from None
-    return text
+def decode_text(text: str | bytes) -> str:
+    """Bytes decoded as open() decodes a file: strict UTF-8, universal newlines.
+
+    A str is returned as it is.
+    """
+    if isinstance(text, str):
+        return text
+    try:
+        decoded = text.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"not valid UTF-8 (byte {exc.start})") from None
+    # str.replace returns its own string, uncopied, when nothing matches
+    return decoded.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _lines(text: str, comment: str) -> Iterator[tuple[int, str]]:
@@ -118,7 +128,7 @@ def parse_csv(
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DenseMatrix:
     """Parse the CSV dialect into a validated DenseMatrix."""
-    text = _decode(text)
+    text = decode_text(text)
     numbered = list(_lines(text, "#"))
     if not numbered:
         raise TruncatedData("no matrix rows found")
@@ -139,7 +149,7 @@ def parse_csv(
 
 def parse_vector(text: str | bytes) -> np.ndarray:
     """Parse a one-number-per-line vector file."""
-    text = _decode(text)
+    text = decode_text(text)
     arr = _one_per_line(text, 0, text.count("\n") + 1 - text.endswith("\n"))
     if arr is None:
         entries = [line for _, line in _lines(text, "#")]
@@ -157,7 +167,7 @@ def parse_matrix_market(
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DenseMatrix:
     """Parse a Matrix Market "array real general" file into a DenseMatrix."""
-    text = _decode(text)
+    text = decode_text(text)
     end = text.find("\n")
     header = _MM_HEADER.match(text, 0, len(text) if end < 0 else end)
     if header is None:
@@ -220,7 +230,7 @@ def parse_matrix_market(
 
 def sniff_format(text: str | bytes) -> str:
     """Guess 'mm' when the first non-blank line is a Matrix Market header, else 'csv'."""
-    head = _decode(text).lstrip()[:14].lower()
+    head = decode_text(text).lstrip()[:14].lower()
     return "mm" if head.startswith("%%matrixmarket") else "csv"
 
 
@@ -232,7 +242,7 @@ def parse_matrix_auto(
     """Parse with an explicit format ('csv' or 'mm') or by sniffing the header."""
     if fmt not in (None, "csv", "mm"):
         raise MatrixParseError(f"unknown format {fmt!r}; expected 'csv' or 'mm'")
-    text = _decode(text)
+    text = decode_text(text)
     if (fmt or sniff_format(text)) == "mm":
         return parse_matrix_market(text, tolerances)
     return parse_csv(text, tolerances)
@@ -257,11 +267,9 @@ def write_matrix_market(data: np.ndarray) -> str:
     """Serialize a 2-D array as Matrix Market array/real/general."""
     arr = np.asarray(data, dtype=np.float64)
     rows, cols = arr.shape
-    out = ["%%MatrixMarket matrix array real general", f"{rows} {cols}"]
-    for j in range(cols):
-        for i in range(rows):
-            out.append(format_float(arr[i, j]))
-    return "\n".join(out) + "\n"
+    # column-major entry order
+    entries = map(format_float, arr.T.ravel())
+    return "\n".join(["%%MatrixMarket matrix array real general", f"{rows} {cols}", *entries]) + "\n"
 
 
 def write_vector(values: np.ndarray) -> str:

@@ -322,7 +322,7 @@ def report_from_json(text: str) -> AnalysisReport:
     except (ValueError, RecursionError) as exc:
         raise ReportParseError(f"invalid JSON: {exc}") from None
     version = _req(tree, "schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise ReportParseError(f"unsupported schema_version {version!r}")
     try:
         tool = _req(tree, "tool")

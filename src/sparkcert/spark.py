@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import coherence_profile, coherence_rounding, smallest_qualifying_prefix
-from .config import DEFAULT_TOLERANCES, ToleranceConfig, default_search_budget
+from .config import DEFAULT_SEARCH_BUDGET, DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -282,7 +282,7 @@ def exact_spark(
     on one thread: `workers` must be >= 1 and is otherwise ignored.
     """
     if budget is None:
-        budget = default_search_budget()
+        budget = DEFAULT_SEARCH_BUDGET
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     if workers < 1:

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig, default_search_budget
+from .config import DEFAULT_SEARCH_BUDGET, DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -192,7 +192,7 @@ def sparsest_oracle(
     BudgetExceeded once `budget` supports were examined without one.
     """
     if budget is None:
-        budget = default_search_budget()
+        budget = DEFAULT_SEARCH_BUDGET
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     bv = _vector("b", b, matrix.rows)

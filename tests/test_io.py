@@ -38,6 +38,7 @@ from sparkcert import (
     write_matrix_market,
     write_vector,
 )
+from sparkcert import cli
 from sparkcert.formats import format_float, sniff_format
 
 
@@ -382,6 +383,12 @@ def test_report_parse_rejects_bad_input():
         report_from_json("not json at all")
     with pytest.raises(ReportParseError):
         report_from_json('{"schema_version": 4}')
+    # no report holds a version that equals 3 but is not the int 3
+    for version in ("3.0", "true", '"3"'):
+        with pytest.raises(ReportParseError, match="unsupported schema_version"):
+            report_from_json(report_to_json(_full_report()).replace(
+                '"schema_version": 3', f'"schema_version": {version}'
+            ))
     # version 3 added settled_by "size_proof": versions 1 and 2 are rejected
     for old in (1, 2):
         with pytest.raises(ReportParseError, match=f"unsupported schema_version {old}"):
@@ -436,6 +443,58 @@ def test_report_parse_rejects_bad_input():
 
 
 _MM_HEADER = "%%MatrixMarket matrix array real general\n"
+
+
+def _cli_inputs(monkeypatch, capsys, *argv):
+    """The inputs one sparkcert.cli.main call parsed, in the order it read them."""
+    parsed = []
+    read = cli._parse_input
+
+    def recording(path, parse):
+        parsed.append(read(path, parse))
+        return parsed[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_input", recording)
+        cli.main(list(argv))
+    capsys.readouterr()
+    return parsed
+
+
+@pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_bytes_parse_as_a_file_does(eol, tmp_path, monkeypatch, capsys):
+    # universal newlines: a lone '\r' and '\r\n' end a line, as '\n' does
+    csv = f"# A{eol}1,2,3{eol}4,5,6.5{eol}".encode()
+    mm = f"{_MM_HEADER.strip()}{eol}2 3{eol}1{eol}4{eol}2{eol}5{eol}3{eol}6.5{eol}".encode()
+    x = f"1{eol}-2{eol}0.5{eol}".encode()
+    b = f"3{eol}-0.5{eol}".encode()
+    for name, raw in (("m.csv", csv), ("m.mtx", mm), ("x.txt", x), ("b.txt", b)):
+        (tmp_path / name).write_bytes(raw)
+    xp, bp = str(tmp_path / "x.txt"), str(tmp_path / "b.txt")
+    for name, raw, parsers in (
+        ("m.csv", csv, (parse_csv, parse_matrix_auto)),
+        ("m.mtx", mm, (parse_matrix_market, parse_matrix_auto)),
+    ):
+        path = str(tmp_path / name)
+        (matrix,) = _cli_inputs(monkeypatch, capsys, "analyze", path, "--json")
+        assert matrix.data.shape == (2, 3)
+        for parse in parsers:
+            assert parse(raw).data.tobytes() == matrix.data.tobytes()
+        _, xv, bv = _cli_inputs(monkeypatch, capsys, "certify", path, "--x", xp, "--b", bp, "--json")
+        assert (parse_vector(x).tobytes(), parse_vector(b).tobytes()) == (xv.tobytes(), bv.tobytes())
+        assert xv.shape == (3,)
+    # a byte that is not UTF-8: the library names its offset, the CLI the file too
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1,\xff\n")
+    for parse in (parse_csv, parse_vector, parse_matrix_market, parse_matrix_auto):
+        with pytest.raises(MatrixParseError, match=r"^not valid UTF-8 \(byte 2\)$"):
+            parse(bad.read_bytes())
+    for argv in (("analyze", str(bad)), ("certify", path, "--x", str(bad), "--b", bp)):
+        assert cli.main(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: MatrixParseError: {bad}: not valid UTF-8 (byte 2)\n"
+        )
 
 
 @settings(max_examples=300, deadline=None)

@@ -24,6 +24,7 @@ from sparkcert import (
     mutual_coherence_lower_bound,
     numerical_rank,
     random_matrix,
+    sparsest_oracle,
     spiked_identity,
 )
 from sparkcert.matrix import unit_columns
@@ -143,16 +144,25 @@ def test_exact_spark_budget():
 
 
 def test_exact_spark_budget_env(monkeypatch):
+    # the budget comes only through arguments: with budget=None each search
+    # gets DEFAULT_SEARCH_BUDGET whatever SPARK_CERT_BUDGET holds
     m = random_matrix(4, 9, seed=0)
-    monkeypatch.setenv("SPARK_CERT_BUDGET", "10")
-    with pytest.raises(BudgetExceeded):
-        exact_spark(m)
-    monkeypatch.setenv("SPARK_CERT_BUDGET", "0")
-    with pytest.raises(ValueError):
-        exact_spark(m)
-    monkeypatch.setenv("SPARK_CERT_BUDGET", "junk")
-    with pytest.raises(ValueError):
-        exact_spark(m)
+    b = m.data[:, 3] - 2.0 * m.data[:, 5]
+
+    def searches():
+        return (
+            exact_spark(m),
+            analyze_spark(m, compute_exact=True),
+            sparsest_oracle(m, b, k_max=2),
+        )
+
+    monkeypatch.delenv("SPARK_CERT_BUDGET", raising=False)
+    unset = searches()
+    # each search examines more than one subset or support
+    assert unset[0].subsets_examined > 1 and unset[2].supports_examined > 1
+    for raw in ("1", "0", "junk"):
+        monkeypatch.setenv("SPARK_CERT_BUDGET", raw)
+        assert searches() == unset
 
 
 def test_exact_spark_permutation_and_scaling_invariance():
