@@ -6,6 +6,16 @@ lower bound than mutual coherence alone. The computed sums are tested
 against 1 less the rounding they may carry, so the index never exceeds
 the one exact arithmetic would give. When no prefix sum reaches 1 the
 index is math.inf.
+
+Only the head of the sorted coherences is ever read: the mutual
+coherence is the first entry, the index and the subset search's size
+skip test prefix sums against 1 less a slack >= 0, top_coherence_sum
+reads the first `rows`, and a report shows the first
+TOP_COHERENCES_SHOWN. So the matrix keeps the K = min(pairs, max(rows,
+TOP_COHERENCES_SHOWN)) largest, found by a partition rather than a sort
+of every pair (DenseMatrix.sorted_coherences). Once their sum plus its
+rounding allowance reaches 1, p = K passes every prefix test, so no
+test needs a later entry; when it falls short, every pair is kept.
 """
 
 from __future__ import annotations
@@ -18,21 +28,23 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import NotUnderdetermined, TooFewColumns
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, coherence_rounding
 
 
 @dataclass(frozen=True, eq=False)
 class CoherenceProfile:
     """Sorted pairwise coherences of a matrix plus derived summaries.
 
-    coherences holds all cols*(cols-1)/2 off-diagonal Gram magnitudes in
-    non-increasing order; prefix_sums[i] is the running sum of the first
-    i+1 of them. Both are the matrix's read-only cached arrays, so
-    profiles do not compare by value. mutual_coherence is coherences[0];
-    coherence_index is the smallest p with prefix_sums[p-1] >= 1 -
-    index_slack - p * coherence_rounding(rows), or math.inf when even the
-    full sum falls short (only possible when the whole matrix is close to
-    orthogonal).
+    pair_count is cols*(cols-1)/2, the number of off-diagonal pairs.
+    coherences holds the largest of their Gram magnitudes in
+    non-increasing order: the K that DenseMatrix.sorted_coherences keeps,
+    or every pair when those K and their rounding allowance sum to less
+    than 1; prefix_sums[i] is the running sum of the first i+1 of them.
+    Both are the matrix's read-only cached arrays, so profiles do not
+    compare by value. mutual_coherence is coherences[0]; coherence_index
+    is the smallest p with prefix_sums[p-1] >= 1 - index_slack - p *
+    coherence_rounding(rows), or math.inf when even the full sum falls
+    short (only possible when the whole matrix is close to orthogonal).
     """
 
     pair_count: int
@@ -43,7 +55,11 @@ class CoherenceProfile:
 
 
 def pairwise_coherences(matrix: DenseMatrix) -> np.ndarray:
-    """Off-diagonal coherences |a_k . a_j| / (|a_k| |a_j|), non-increasing; read-only, cached."""
+    """The largest off-diagonal coherences |a_k . a_j| / (|a_k| |a_j|), non-increasing.
+
+    The K that DenseMatrix.sorted_coherences keeps, not every pair; a
+    read-only cached array.
+    """
     if matrix.cols < 2:
         raise TooFewColumns(f"need at least 2 columns, got {matrix.cols}")
     return matrix.sorted_coherences[0]
@@ -65,17 +81,6 @@ def smallest_qualifying_prefix(
     return i + 1 if i < n else math.inf
 
 
-def coherence_rounding(rows: int) -> float:
-    """Bound on how far a computed coherence can fall below the exact one.
-
-    Each coherence is a length-rows dot product of computed unit columns,
-    which is off by at most about (rows + 8) * eps, and a prefix sum adds
-    up to 2 * eps per term; twice (rows + 8) * eps covers both. Without it
-    a duplicated column can read 1 - eps and leave the index undefined.
-    """
-    return 2.0 * (rows + 8) * float(np.finfo(np.float64).eps)
-
-
 def coherence_profile(
     matrix: DenseMatrix,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -84,7 +89,7 @@ def coherence_profile(
     vals = pairwise_coherences(matrix)
     prefix = matrix.sorted_coherences[1]
     return CoherenceProfile(
-        pair_count=int(vals.size),
+        pair_count=matrix.cols * (matrix.cols - 1) // 2,
         coherences=vals,
         prefix_sums=prefix,
         mutual_coherence=float(vals[0]),

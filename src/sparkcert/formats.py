@@ -8,7 +8,8 @@ All error positions are reported 1-based.
 
 The parsers take str or bytes. decode_text is the one decoder of bytes,
 for the parsers and the CLI's file and stdin reader alike: strict UTF-8
-with universal newlines, as open() decodes a file.
+with universal newlines, as open() decodes a file, less one leading
+byte-order mark (U+FEFF), which some editors write before the first line.
 
 Numbers follow float() syntax once str.strip() has removed the whitespace
 around them. Plain ASCII input is converted by one call to numpy's C
@@ -47,7 +48,9 @@ _MM_HEADER = re.compile(
 def decode_text(text: str | bytes) -> str:
     """Bytes decoded as open() decodes a file: strict UTF-8, universal newlines.
 
-    A str is returned as it is.
+    One leading byte-order mark is dropped after decoding, so the byte
+    offset of invalid UTF-8 still counts from the first byte. A str is
+    returned as it is.
     """
     if isinstance(text, str):
         return text
@@ -55,7 +58,11 @@ def decode_text(text: str | bytes) -> str:
         decoded = text.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixParseError(f"not valid UTF-8 (byte {exc.start})") from None
-    # str.replace returns its own string, uncopied, when nothing matches
+    if decoded.startswith("\ufeff"):
+        decoded = decoded[1:]
+    # one memchr-speed scan; each replace below scans the whole text
+    if "\r" not in decoded:
+        return decoded
     return decoded.replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -16,6 +16,21 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DimensionMismatch, IndexOutOfRange, NonFiniteEntry, NormOverflow, ZeroColumn
 
+# How many of the largest coherences a report shows; the coherence pass
+# keeps at least this many.
+TOP_COHERENCES_SHOWN = 10
+
+
+def coherence_rounding(rows: int) -> float:
+    """Bound on how far a computed coherence can fall below the exact one.
+
+    Each coherence is a length-rows dot product of computed unit columns,
+    which is off by at most about (rows + 8) * eps, and a prefix sum adds
+    up to 2 * eps per term; twice (rows + 8) * eps covers both. Without it
+    a duplicated column can read 1 - eps and leave the index undefined.
+    """
+    return 2.0 * (rows + 8) * float(np.finfo(np.float64).eps)
+
 
 def euclidean_norm(values: np.ndarray) -> float:
     """Euclidean norm of a vector: euclidean_norms of it as one column."""
@@ -129,8 +144,20 @@ class DenseMatrix:
     def sorted_coherences(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (coherences, prefix_sums), computed once, on first use.
 
-        coherences holds every |Gram| entry above the diagonal in
-        non-increasing order; prefix_sums holds their running sums.
+        coherences holds the K largest |Gram| entries above the diagonal in
+        non-increasing order, K = min(pairs, max(rows, TOP_COHERENCES_SHOWN))
+        of the pairs = cols * (cols - 1) / 2; prefix_sums holds their
+        running sums. Both are bit for bit the first K entries of the
+        arrays a sort of every pair would give. When the K kept sums fall
+        short, prefix_sums[K-1] + K * coherence_rounding(rows) < 1 (a tall
+        matrix close to orthogonal), every pair is kept.
+
+        No reader needs more. Every prefix test is prefix_sums[p-1] +
+        p * coherence_rounding(rows) >= 1 - slack with slack >= 0, which
+        p = K passes once the kept sums reach 1, so the smallest passing p
+        is among the kept ones. The sum of the `rows` largest coherences of
+        a wide matrix is prefix_sums[rows-1], and a report shows the first
+        TOP_COHERENCES_SHOWN.
         """
         unit = unit_columns(self)
         product = unit.T @ unit
@@ -140,18 +167,25 @@ class DenseMatrix:
         upper = np.less.outer(index, index)
         vals = product[upper]
         vals += product.T[upper]
-        # the product's 8 * cols**2 bytes go before the sort's copies
+        # the product's 8 * cols**2 bytes go before the selection and its copies
         del unit, product, upper
         vals /= 2.0
         np.abs(vals, out=vals)
         # Rounding can push a coherence a few ulps past 1 (e.g. duplicated
         # columns); clamp so downstream thresholds see exact 1.
         np.minimum(vals, 1.0, out=vals)
-        vals = -np.sort(-vals)  # a fresh array: no writable base behind it
-        prefix = np.cumsum(vals)
-        vals.setflags(write=False)
+        keep = min(vals.size, max(self.rows, TOP_COHERENCES_SHOWN))
+        if keep < vals.size:
+            # the `keep` largest go to the tail, in no particular order
+            vals.partition(vals.size - keep)
+        top = -np.sort(-vals[vals.size - keep :])  # a fresh array: no writable base
+        prefix = np.cumsum(top)
+        if keep < vals.size and prefix[-1] + keep * coherence_rounding(self.rows) < 1.0:
+            top = -np.sort(-vals)
+            prefix = np.cumsum(top)
+        top.setflags(write=False)
         prefix.setflags(write=False)
-        return vals, prefix
+        return top, prefix
 
 
 def build_matrix(

@@ -20,7 +20,7 @@ from .coherence import coherence_profile, top_coherence_sum
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import ReportParseError
 from .formats import format_float
-from .matrix import DenseMatrix
+from .matrix import TOP_COHERENCES_SHOWN, DenseMatrix
 from .spark import SETTLED_BY, SparkReport
 from .uniqueness import CRITERIA, UniquenessCertificate, Verdict
 
@@ -31,7 +31,6 @@ from .uniqueness import CRITERIA, UniquenessCertificate, Verdict
 # proof's probe beside the scan.
 SCHEMA_VERSION = 3
 TOOL_NAME = "sparkcert"
-TOP_COHERENCES_SHOWN = 10
 
 INFINITY_TOKEN = "infinity"
 

@@ -118,11 +118,13 @@ def test_analyze_invalid_utf8_exits_1(capsys, tmp_path):
     "data, message",
     [
         (b"1,\xff\n", "error: MatrixParseError: {}: not valid UTF-8 (byte 2)\n"),
+        # the offset counts the byte-order mark's three bytes
+        (b"\xef\xbb\xbf1,\xff\n", "error: MatrixParseError: {}: not valid UTF-8 (byte 5)\n"),
         # universal newlines: a lone '\r' and '\r\n' end a line, as '\n' does
         (b"1,0\r0,0\r\n",
          "error: ZeroColumn: {}: column 1 has norm below the zero-column tolerance\n"),
     ],
-    ids=["invalid-utf8", "carriage-returns"],
+    ids=["invalid-utf8", "invalid-utf8-after-bom", "carriage-returns"],
 )
 def test_stdin_is_decoded_as_a_file_is(capsys, tmp_path, monkeypatch, data, message):
     path = tmp_path / "m.csv"
@@ -130,6 +132,21 @@ def test_stdin_is_decoded_as_a_file_is(capsys, tmp_path, monkeypatch, data, mess
     assert run(capsys, "analyze", str(path)) == (1, "", message.format(path))
     _stdin(monkeypatch, data)
     assert run(capsys, "analyze", "-") == (1, "", message.format("<stdin>"))
+
+
+@pytest.mark.parametrize("write", [write_csv, write_matrix_market], ids=["csv", "mm"])
+def test_a_byte_order_mark_is_dropped(capsys, tmp_path, monkeypatch, write):
+    # the format is sniffed past the mark, and the report is the one without it
+    text = write(spiked_identity(4).data).encode()
+    path = tmp_path / "m.txt"
+    runs = []
+    for raw in (text, b"\xef\xbb\xbf" + text):
+        path.write_bytes(raw)
+        from_file = run(capsys, "analyze", str(path), "--json")
+        _stdin(monkeypatch, raw)
+        runs.append((from_file, run(capsys, "analyze", "-", "--json")))
+    assert runs[0][0][0] == runs[0][1][0] == 0
+    assert runs[1] == runs[0]
 
 
 def test_analyze_missing_file_exits_1(capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparkcert import (
@@ -16,7 +16,15 @@ from sparkcert import (
     spiked_identity,
     top_coherence_sum,
 )
+from sparkcert import spark as spark_module
 from sparkcert.coherence import smallest_qualifying_prefix
+from sparkcert.matrix import DenseMatrix
+from sparkcert.report import build_report
+from sparkcert.spark import analyze_spark
+
+from coherence_reference import full_coherence_pass, kept_count
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 def test_single_column_rejected():
@@ -70,12 +78,17 @@ def test_profile_shapes_and_monotonicity():
     m = random_matrix(4, 7, seed=9)
     profile = coherence_profile(m)
     assert profile.pair_count == 7 * 6 // 2
+    # the 10 largest of the 21 pairs, bit for bit the head of a full sort
+    full = full_coherence_pass(m)
+    assert kept_count(m, full[1]) == 10
+    for got, want in zip((profile.coherences, profile.prefix_sums), full):
+        assert got.tobytes() == want[:10].tobytes()
     vals = np.asarray(profile.coherences)
     assert np.all(vals[:-1] >= vals[1:])
     prefix = np.asarray(profile.prefix_sums)
     assert np.all(np.diff(prefix) >= 0)
     # prefix sums strictly increase exactly while coherences stay positive
-    for i in range(1, profile.pair_count):
+    for i in range(1, vals.size):
         if vals[i] > 0:
             assert prefix[i] > prefix[i - 1]
         else:
@@ -168,3 +181,71 @@ def test_index_matches_a_test_of_every_prefix(coherences, slack, rounding):
     ]
     expected = qualifying[0] if qualifying else math.inf
     assert smallest_qualifying_prefix(prefix, slack, rounding) == expected
+
+
+def _near_orthogonal(rows, cols, noise, rng):
+    """Orthonormal columns plus Gaussian noise of the given scale.
+
+    At 1e-4 or less every coherence together sums to less than 1; near
+    3e-3 and 30 columns, the largest `rows` sum to less than 1 and all
+    of them to more.
+    """
+    q = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+    return build_matrix(q + noise * rng.standard_normal((rows, cols)))
+
+
+@st.composite
+def selection_matrices(draw):
+    """Wide, square and tall matrices: random, with duplicated or power-of-two
+    scaled columns, spiked identities, and tall near-orthogonal ones."""
+    kind = draw(st.sampled_from(["random", "duplicated", "scaled", "spiked", "near-orthogonal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "spiked":
+        return spiked_identity(draw(st.integers(2, 40)))
+    if kind == "near-orthogonal":
+        cols = draw(st.integers(6, 30))
+        rows = draw(st.integers(cols, 2 * cols))
+        return _near_orthogonal(rows, cols, 10.0 ** (-draw(st.integers(4, 32)) / 2), rng)
+    rows = draw(st.integers(1, 24))
+    cols = draw(st.integers(2, 40))
+    data = rng.standard_normal((rows, cols))
+    if kind == "duplicated":
+        # copies of columns, scaled by signed powers of two: coherence 1
+        copies = draw(st.integers(1, cols - 1))
+        data[:, rng.integers(0, cols, copies)] = data[:, rng.integers(0, cols, copies)] * (
+            rng.choice([-1.0, 1.0], copies) * np.ldexp(1.0, rng.integers(-8, 9, copies))
+        )
+    elif kind == "scaled":
+        data *= np.ldexp(1.0, rng.integers(-60, 61, cols))
+    return build_matrix(data, ToleranceConfig(zero_column_tol=0.0))
+
+
+def _with_every_pair(m):
+    """A twin of m whose cached coherences are the full sort of every pair."""
+    twin = DenseMatrix(data=m.data, column_norms=m.column_norms)
+    vars(twin)["sorted_coherences"] = full_coherence_pass(twin)
+    return twin
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix=selection_matrices())
+# every pair kept, and a finite index among them past the first 30
+@example(matrix=_near_orthogonal(30, 30, 10.0**-2.5, np.random.default_rng(0)))
+def test_kept_coherences_answer_as_a_full_sort_does(matrix):
+    full = _with_every_pair(matrix)
+    keep = kept_count(matrix, full.sorted_coherences[1])
+    for got, want in zip(matrix.sorted_coherences, full.sorted_coherences):
+        assert got.tobytes() == want[:keep].tobytes()
+    assert coherence_profile(matrix).mutual_coherence == coherence_profile(full).mutual_coherence
+    for slack in (0.0, 1e-3, 0.5):
+        tolerances = ToleranceConfig(index_slack=slack)
+        assert (coherence_profile(matrix, tolerances).coherence_index
+                == coherence_profile(full, tolerances).coherence_index)
+    for tol_factor in (EPS, 1e-9, 1e-3):
+        assert (spark_module._first_unproven_size(matrix, tol_factor)
+                == spark_module._first_unproven_size(full, tol_factor))
+    if matrix.rows < matrix.cols:
+        assert top_coherence_sum(matrix) == top_coherence_sum(full)
+    # top_coherences, with the index and both sums the report carries
+    assert (build_report(matrix, "m", analyze_spark(matrix)).coherence
+            == build_report(full, "m", analyze_spark(full)).coherence)

@@ -39,7 +39,7 @@ from sparkcert import (
     write_vector,
 )
 from sparkcert import cli
-from sparkcert.formats import format_float, sniff_format
+from sparkcert.formats import decode_text, format_float, sniff_format
 
 
 def test_parse_csv_identity():
@@ -83,6 +83,40 @@ def test_parsers_reject_invalid_utf8():
     for parse in (parse_csv, parse_matrix_market, parse_vector):
         with pytest.raises(MatrixParseError):
             parse(b"1,2\n\xff,3\n")
+
+
+def test_parsers_drop_one_leading_byte_order_mark():
+    bom = b"\xef\xbb\xbf"
+    csv = b"1,2,0\n3,4,1\n"
+    mm = b"%%MatrixMarket matrix array real general\n2 3\n1\n3\n2\n4\n0\n1\n"
+    for parse, raw in (
+        (parse_csv, csv), (parse_matrix_auto, csv),
+        (parse_matrix_market, mm), (parse_matrix_auto, mm),
+    ):
+        assert parse(bom + raw).data.tobytes() == parse(raw).data.tobytes()
+    assert parse_vector(bom + b"1\n-2\n").tobytes() == parse_vector(b"1\n-2\n").tobytes()
+    # a second mark is a character of the first field
+    with pytest.raises(UnparseableNumber, match=r"^line 1, field 1: not a number$"):
+        parse_csv(bom + bom + csv)
+    # invalid UTF-8 offsets count from the first byte, the mark's included
+    for parse in (parse_csv, parse_vector, parse_matrix_market, parse_matrix_auto):
+        with pytest.raises(MatrixParseError, match=r"^not valid UTF-8 \(byte 5\)$"):
+            parse(bom + b"1,\xff\n")
+
+
+_LINE_ENDS = st.lists(
+    st.sampled_from(["1", ",", " ", "\n", "\r", "\r\n", "\u00e9", "\u2028"])
+).map("".join)
+
+
+@given(text=st.one_of(st.text(), _LINE_ENDS))
+def test_decode_text_is_a_decode_with_universal_newlines(text):
+    raw = text.encode()
+    expected = text.replace("\r\n", "\n").replace("\r", "\n")
+    # one leading byte-order mark is dropped, a second one kept
+    assert decode_text(b"\xef\xbb\xbf" + raw) == expected
+    if not text.startswith("\ufeff"):
+        assert decode_text(raw) == expected
 
 
 def test_parse_vector_basic():

@@ -31,6 +31,8 @@ from sparkcert.kernels import (
 from sparkcert.matrix import unit_columns, unit_gram
 from sparkcert.spark import SparkSearchResult
 
+from coherence_reference import full_coherence_pass, kept_count
+
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -180,7 +182,7 @@ def _gershgorin_margins(matrix) -> list[float]:
     size-k minor of the unit Gram has its eigenvalues within 1 -+ (1 - m).
     """
     rows, cols = matrix.shape
-    prefix = matrix.sorted_coherences[1]
+    prefix = full_coherence_pass(matrix)[1]
     rounding = coherence_rounding(rows)
     return [
         1.0 - (prefix[size - 2] if size > 1 else 0.0) - (size - 1) * rounding
@@ -239,6 +241,9 @@ def test_first_unproven_size_matches_the_per_size_test(matrix, tol_factor):
     # tall, square and wide shapes; duplicated, combined, near-orthogonal
     # and equiangular columns; cutoffs from 0 to past a slack of 1, and on
     # either side of the cutoff at which each size stops being proven
+    full_prefix = full_coherence_pass(matrix)[1]
+    keep = kept_count(matrix, full_prefix)
+    assert matrix.sorted_coherences[1].tobytes() == full_prefix[:keep].tobytes()
     thresholds = [t * (1.0 + side) for t in _size_thresholds(matrix) if t > 0.0
                   for side in (-1e-6, 1e-6)]
     for tol in (tol_factor, *thresholds):

@@ -23,6 +23,8 @@ from sparkcert import (
 )
 from sparkcert.matrix import euclidean_norm, euclidean_norms
 
+from coherence_reference import full_coherence_pass, kept_count
+
 
 def test_build_identity():
     m = build_matrix([[1.0, 0.0], [0.0, 1.0]])
@@ -183,16 +185,17 @@ def test_column_norm_of_a_tie_takes_fsum(monkeypatch, column, norm):
     assert len(calls) == 2
 
 
-def _old_coherence_pass(m):
-    """The pass as first written: the whole symmetrized Gram, read through index arrays."""
-    vals = -np.sort(-np.minimum(np.abs(gram_matrix(m)[np.triu_indices(m.cols, 1)]), 1.0))
-    return vals, np.cumsum(vals)
-
-
 def _duplicated_columns():
     data = random_matrix(5, 9, seed=2).data.copy()
     data[:, [4, 7]] = data[:, [1, 1]] * [-3.0, 0.5]
     return build_matrix(data)
+
+
+def _near_orthogonal():
+    """60x30 orthonormal columns off by 1e-4: their 435 coherences sum to well below 1."""
+    rng = np.random.default_rng(7)
+    q = np.linalg.qr(rng.standard_normal((60, 30)))[0]
+    return build_matrix(q + 1e-4 * rng.standard_normal((60, 30)))
 
 
 def _scaled(scales):
@@ -210,14 +213,27 @@ _COHERENCE_PASS_CASES = {
     "one-row": lambda: random_matrix(1, 2, seed=5),
     "scaled-1e-200": lambda: _scaled(1e-200),
     "scaled-1e200-and-1e-200": lambda: _scaled(np.where(np.arange(10) % 2, 1e200, 1e-200)),
+    "near-orthogonal": _near_orthogonal,
+}
+
+# K per case: max(rows, 10) of the pairs, every pair when there are no
+# more, and every pair when the near-orthogonal K fall short of 1
+_KEPT = {
+    "random-3x7": 10, "random-12x13": 12, "random-7x18": 10, "random-30x22": 30,
+    "random-160x800": 160, "duplicated": 10, "spiked": 10, "tall": 10, "two-columns": 1,
+    "one-row": 1, "scaled-1e-200": 10, "scaled-1e200-and-1e-200": 10, "near-orthogonal": 435,
 }
 
 
 @pytest.mark.parametrize("case", _COHERENCE_PASS_CASES)
 def test_coherence_pass_matches_the_old_pass_bitwise(case):
+    # the kept entries are bit for bit the leading ones of a full sort
     m = _COHERENCE_PASS_CASES[case]()
-    for got, want in zip(m.sorted_coherences, _old_coherence_pass(m)):
-        assert got.tobytes() == want.tobytes()
+    full = full_coherence_pass(m)
+    keep = kept_count(m, full[1])
+    assert keep == _KEPT[case]
+    for got, want in zip(m.sorted_coherences, full):
+        assert got.tobytes() == want[:keep].tobytes()
 
 
 def test_build_rejects_bad_shape():
