@@ -19,6 +19,13 @@ must be line 2) and vectors whose entry lines hold no ',', '#', '%' or
 '\\r' and are not blank. Those entries go to the reader as one
 comma-joined line, which it reads with no per-line cost. Everything else,
 including every error, takes the float() path.
+
+The writers render each double as format_float does: "%.17g", with ".0"
+appended to the finite integral values below 1e17, which "%.17g" writes
+with neither '.' nor 'e'. Each line (a CSV row, a Matrix Market column of
+entries, or a whole vector) is one % operation on Python floats, with
+"%.1f" for the integral entries, so the parsers return identical bits.
+A writer rejects with DimensionMismatch the shapes its parser rejects.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import (
+    DimensionMismatch,
     MatrixParseError,
     NonFiniteEntry,
     RaggedRows,
@@ -38,7 +46,7 @@ from .errors import (
     UnparseableNumber,
     UnsupportedHeader,
 )
-from .matrix import DenseMatrix, build_matrix
+from .matrix import DenseMatrix, build_matrix, check_matrix_shape
 
 _MM_HEADER = re.compile(
     r"^%%MatrixMarket\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s*$", re.IGNORECASE
@@ -263,23 +271,48 @@ def format_float(value: float) -> str:
     return out
 
 
+def _format_lines(arr: np.ndarray, sep: str) -> list[str]:
+    """Each row of a 2-D array as format_float of its entries joined by sep.
+
+    One % operation renders a row from Python floats, with "%.1f" where
+    the mask finds an entry that format_float gives a ".0" and "%.17g"
+    elsewhere. Rows with no such entry share one format string.
+    """
+    with np.errstate(invalid="ignore"):
+        integral = (np.abs(arr) < 1e17) & (arr == np.trunc(arr))
+    formats = [sep.join(["%.17g"] * arr.shape[1])] * arr.shape[0]
+    for i in np.flatnonzero(integral.any(axis=1)).tolist():
+        formats[i] = sep.join(np.where(integral[i], "%.1f", "%.17g").tolist())
+    return [f % tuple(row) for f, row in zip(formats, arr.tolist())]
+
+
 def write_csv(data: np.ndarray) -> str:
-    """Serialize a 2-D array in the CSV dialect."""
-    arr = np.asarray(data, dtype=np.float64)
-    lines = [",".join(format_float(v) for v in row) for row in arr]
-    return "\n".join(lines) + "\n"
+    """Serialize a 2-D array in the CSV dialect.
+
+    Raises DimensionMismatch unless it has at least one row and one column.
+    """
+    arr = check_matrix_shape(np.asarray(data, dtype=np.float64))
+    return "\n".join(_format_lines(arr, ",")) + "\n"
 
 
 def write_matrix_market(data: np.ndarray) -> str:
-    """Serialize a 2-D array as Matrix Market array/real/general."""
-    arr = np.asarray(data, dtype=np.float64)
+    """Serialize a 2-D array as Matrix Market array/real/general.
+
+    Raises DimensionMismatch unless it has at least one row and one column.
+    """
+    arr = check_matrix_shape(np.asarray(data, dtype=np.float64))
     rows, cols = arr.shape
-    # column-major entry order
-    entries = map(format_float, arr.T.ravel())
+    # column-major entry order: one line of text per column
+    entries = _format_lines(arr.T, "\n")
     return "\n".join(["%%MatrixMarket matrix array real general", f"{rows} {cols}", *entries]) + "\n"
 
 
 def write_vector(values: np.ndarray) -> str:
-    """Serialize a 1-D array one number per line."""
+    """Serialize a 1-D array one number per line.
+
+    Raises DimensionMismatch unless it has at least one entry.
+    """
     arr = np.asarray(values, dtype=np.float64)
-    return "\n".join(format_float(v) for v in arr) + "\n"
+    if arr.ndim != 1 or arr.size < 1:
+        raise DimensionMismatch(f"expected a non-empty 1-D array, got shape {arr.shape}")
+    return _format_lines(arr.reshape(1, -1), "\n")[0] + "\n"

@@ -158,34 +158,66 @@ class DenseMatrix:
         is among the kept ones. The sum of the `rows` largest coherences of
         a wide matrix is prefix_sums[rows-1], and a report shows the first
         TOP_COHERENCES_SHOWN.
+
+        The pass selects from the whole product U^T U, where each pair
+        appears twice: numpy forms a.T @ a exactly symmetric (BLAS syrk and
+        a mirrored triangle, or without BLAS a loop that forms both halves
+        with the same products in the same order), so each pair's two
+        entries are one value, the one unit_gram's (g + g.T) / 2 gives.
+        With the diagonal set below every coherence, the 2K largest entries
+        sorted are each kept value twice, and every other one is kept. A
+        product that was not symmetric could only make the kept prefix sums
+        larger and the mutual coherence no smaller: with the entries sorted
+        as w_1 >= w_2 >= ..., the p-th kept sum w_1 + w_3 + ... + w_(2p-1)
+        is at least half of w_1 + ... + w_2p, hence at least the sum of the
+        p largest means of a pair's two entries. So every bound would stay
+        a lower bound.
         """
         unit = unit_columns(self)
-        product = unit.T @ unit
-        # the strict upper triangle in row-major order, each entry averaged
-        # with its mirror: the rounding of unit_gram's (g + g.T) / 2
-        index = np.arange(self.cols)
-        upper = np.less.outer(index, index)
-        vals = product[upper]
-        vals += product.T[upper]
-        # the product's 8 * cols**2 bytes go before the selection and its copies
-        del unit, product, upper
-        vals /= 2.0
-        np.abs(vals, out=vals)
+        flat = (unit.T @ unit).reshape(-1)
+        del unit
+        np.abs(flat, out=flat)
         # Rounding can push a coherence a few ulps past 1 (e.g. duplicated
         # columns); clamp so downstream thresholds see exact 1.
-        np.minimum(vals, 1.0, out=vals)
-        keep = min(vals.size, max(self.rows, TOP_COHERENCES_SHOWN))
-        if keep < vals.size:
-            # the `keep` largest go to the tail, in no particular order
-            vals.partition(vals.size - keep)
-        top = -np.sort(-vals[vals.size - keep :])  # a fresh array: no writable base
+        np.minimum(flat, 1.0, out=flat)
+        flat[:: self.cols + 1] = -1.0
+        pairs = self.cols * (self.cols - 1) // 2
+        keep = min(pairs, max(self.rows, TOP_COHERENCES_SHOWN))
+        tail = flat
+        if keep < pairs:
+            # the 2 * keep largest go to the tail, in no particular order
+            flat.partition(flat.size - 2 * keep)
+            tail = flat[flat.size - 2 * keep :]
+        top = _leading_pairs(tail, keep)
         prefix = np.cumsum(top)
-        if keep < vals.size and prefix[-1] + keep * coherence_rounding(self.rows) < 1.0:
-            top = -np.sort(-vals)
+        if keep < pairs and prefix[-1] + keep * coherence_rounding(self.rows) < 1.0:
+            top = _leading_pairs(flat, pairs)
             prefix = np.cumsum(top)
         top.setflags(write=False)
         prefix.setflags(write=False)
         return top, prefix
+
+
+def _leading_pairs(entries: np.ndarray, count: int) -> np.ndarray:
+    """The `count` largest pair values, non-increasing, from entries that hold each twice.
+
+    Sorts `entries` in place and copies every other one of its 2 * count
+    largest into a fresh array.
+    """
+    entries.sort()
+    return entries[::-1][: 2 * count : 2].copy()
+
+
+def check_matrix_shape(arr: np.ndarray) -> np.ndarray:
+    """arr itself, once it is 2-D with at least one row and one column.
+
+    Raises DimensionMismatch otherwise.
+    """
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D array, got ndim={arr.ndim}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise DimensionMismatch(f"matrix must be at least 1x1, got shape {arr.shape}")
+    return arr
 
 
 def build_matrix(
@@ -199,11 +231,7 @@ def build_matrix(
     index) if any column norm is <= zero_column_tol. Raises NormOverflow
     when a column norm lies beyond the float64 range.
     """
-    arr = np.array(values, dtype=np.float64, order="C")
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise DimensionMismatch(f"matrix must be at least 1x1, got shape {arr.shape}")
+    arr = check_matrix_shape(np.array(values, dtype=np.float64, order="C"))
     if not np.all(np.isfinite(arr)):
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise NonFiniteEntry(f"entry ({bad[0]}, {bad[1]}) is not finite")

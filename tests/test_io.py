@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparkcert import (
+    DimensionMismatch,
     MatrixParseError,
     NonFiniteEntry,
     RaggedRows,
@@ -262,6 +263,60 @@ def test_format_float_exact():
         assert float(format_float(value)) == value
     assert format_float(2.0) == "2.0"
     assert json.loads(format_float(0.1)) == 0.1
+
+
+# where "%.17g" and "%.1f" meet: signed zeros, integers around 2**53 and
+# below, at and above 1e17, subnormals, extremes and non-finite values
+_WRITER_EDGES = (
+    0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 7.0, 0.5,
+    2.0**53, math.nextafter(2.0**53, 0.0), math.nextafter(2.0**53, math.inf), -(2.0**53),
+    1e16, -1e16, 1e17, -1e17, math.nextafter(1e17, 0.0), math.nextafter(1e17, math.inf),
+    99999999999999984.0, -99999999999999984.0,
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1e300, -1e300, 1e-300, -1e-300,
+    math.inf, -math.inf, math.nan,
+)
+
+
+@st.composite
+def _writer_arrays(draw):
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(1, n), (n, 1), (n, n), (n,)]))
+    entry = st.one_of(st.sampled_from(_WRITER_EDGES), st.floats(width=64))
+    size = math.prod(shape)
+    return np.array(draw(st.lists(entry, min_size=size, max_size=size)), np.float64).reshape(shape)
+
+
+def _joined(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arr=_writer_arrays())
+@example(arr=np.array([_WRITER_EDGES]))
+@example(arr=np.array(_WRITER_EDGES))
+def test_writers_match_a_per_entry_format_float_join(arr):
+    # each writer renders a line with one % operation; the bytes are those
+    # of format_float applied to every entry
+    if arr.ndim == 1:
+        assert write_vector(arr) == _joined(format_float(v) for v in arr)
+        return
+    assert write_csv(arr) == _joined(",".join(format_float(v) for v in row) for row in arr)
+    rows, cols = arr.shape
+    header = ["%%MatrixMarket matrix array real general", f"{rows} {cols}"]
+    assert write_matrix_market(arr) == _joined(header + [format_float(v) for v in arr.T.ravel()])
+
+
+@pytest.mark.parametrize("write", [write_csv, write_matrix_market], ids=["csv", "mm"])
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (2, 0), (1, 1, 1), ()])
+def test_matrix_writers_reject_shapes_their_readers_reject(write, shape):
+    with pytest.raises(DimensionMismatch):
+        write(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3), (0,), ()])
+def test_write_vector_rejects_shapes_its_reader_rejects(shape):
+    with pytest.raises(DimensionMismatch):
+        write_vector(np.ones(shape))
 
 
 def _full_report(with_certificate=True, seed=None):
