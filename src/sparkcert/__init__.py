@@ -5,147 +5,68 @@ profile (pairwise column coherences, the mutual coherence, and the
 coherence index), spark lower bounds derived from that profile together
 with an exact exhaustive spark search, and uniqueness certificates that
 decide when a candidate solution of A x = b is provably the sparsest one.
+
+Names resolve on first use (PEP 562): `import sparkcert` loads only the
+version, and the first read of `sparkcert.certify`, or of the submodule
+`sparkcert.uniqueness`, imports that module and keeps the value here.
 """
 
-from ._version import __version__
-from .coherence import (
-    CoherenceProfile,
-    coherence_profile,
-    pairwise_coherences,
-    top_coherence_sum,
-)
-from .config import ToleranceConfig
-from .errors import (
-    BudgetExceeded,
-    CliUsageError,
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidN,
-    MatrixParseError,
-    NonFiniteEntry,
-    NormOverflow,
-    NoSolutionWithinKmax,
-    NotSquare,
-    NotUnderdetermined,
-    NotUnitDiagonal,
-    RaggedRows,
-    ReportParseError,
-    SparkCertError,
-    TooFewColumns,
-    TruncatedData,
-    UnparseableNumber,
-    UnsupportedHeader,
-    ZeroColumn,
-)
-from .formats import (
-    parse_csv,
-    parse_matrix_auto,
-    parse_matrix_market,
-    parse_vector,
-    write_csv,
-    write_matrix_market,
-    write_vector,
-)
-from .generators import random_matrix, spiked_identity
-from .matrix import (
-    DenseMatrix,
-    build_matrix,
-    column_submatrix,
-    gram_matrix,
-    normalize_columns,
-    numerical_rank,
-)
-from .report import (
-    AnalysisReport,
-    CoherenceSummary,
-    MatrixMeta,
-    build_report,
-    render_text,
-    report_from_json,
-    report_to_json,
-)
-from .spark import (
-    SparkReport,
-    SparkSearchResult,
-    analyze_spark,
-    coherence_index_lower_bound,
-    exact_spark,
-    gram_minor,
-    is_diagonally_dominant,
-    mutual_coherence_lower_bound,
-)
-from .uniqueness import (
-    OracleResult,
-    OracleSolution,
-    UniquenessCertificate,
-    Verdict,
-    certify,
-    l0_norm,
-    sparsest_oracle,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "AnalysisReport",
-    "BudgetExceeded",
-    "CliUsageError",
-    "CoherenceProfile",
-    "CoherenceSummary",
-    "DenseMatrix",
-    "DimensionMismatch",
-    "IndexOutOfRange",
-    "InvalidN",
-    "MatrixMeta",
-    "MatrixParseError",
-    "NoSolutionWithinKmax",
-    "NonFiniteEntry",
-    "NormOverflow",
-    "NotSquare",
-    "NotUnderdetermined",
-    "NotUnitDiagonal",
-    "OracleResult",
-    "OracleSolution",
-    "RaggedRows",
-    "ReportParseError",
-    "SparkCertError",
-    "SparkReport",
-    "SparkSearchResult",
-    "ToleranceConfig",
-    "TooFewColumns",
-    "TruncatedData",
-    "UniquenessCertificate",
-    "UnparseableNumber",
-    "UnsupportedHeader",
-    "Verdict",
-    "ZeroColumn",
-    "analyze_spark",
-    "build_matrix",
-    "build_report",
-    "certify",
-    "coherence_index_lower_bound",
-    "coherence_profile",
-    "column_submatrix",
-    "exact_spark",
-    "gram_matrix",
-    "gram_minor",
-    "is_diagonally_dominant",
-    "l0_norm",
-    "mutual_coherence_lower_bound",
-    "normalize_columns",
-    "numerical_rank",
-    "pairwise_coherences",
-    "parse_csv",
-    "parse_matrix_auto",
-    "parse_matrix_market",
-    "parse_vector",
-    "random_matrix",
-    "render_text",
-    "report_from_json",
-    "report_to_json",
-    "sparsest_oracle",
-    "spiked_identity",
-    "top_coherence_sum",
-    "write_csv",
-    "write_matrix_market",
-    "write_vector",
-]
+from ._version import __version__
+
+# Every submodule, with the public names it defines.
+_EXPORTS = {
+    "cli": (),
+    "coherence": (
+        "CoherenceProfile", "coherence_profile", "pairwise_coherences", "top_coherence_sum",
+    ),
+    "config": ("ToleranceConfig",),
+    "errors": (
+        "BudgetExceeded", "CliUsageError", "DimensionMismatch", "IndexOutOfRange", "InvalidN",
+        "MatrixParseError", "NoSolutionWithinKmax", "NonFiniteEntry", "NormOverflow",
+        "NotSquare", "NotUnderdetermined", "NotUnitDiagonal", "RaggedRows", "ReportParseError",
+        "SparkCertError", "TooFewColumns", "TruncatedData", "UnparseableNumber",
+        "UnsupportedHeader", "ZeroColumn",
+    ),
+    "formats": (
+        "parse_csv", "parse_matrix_auto", "parse_matrix_market", "parse_vector", "write_csv",
+        "write_matrix_market", "write_vector",
+    ),
+    "generators": ("random_matrix", "spiked_identity"),
+    "kernels": (),
+    "matrix": (
+        "DenseMatrix", "build_matrix", "column_submatrix", "gram_matrix", "normalize_columns",
+        "numerical_rank",
+    ),
+    "report": (
+        "AnalysisReport", "CoherenceSummary", "MatrixMeta", "build_report", "render_text",
+        "report_from_json", "report_to_json",
+    ),
+    "spark": (
+        "SparkReport", "SparkSearchResult", "analyze_spark", "coherence_index_lower_bound",
+        "exact_spark", "gram_minor", "is_diagonally_dominant", "mutual_coherence_lower_bound",
+    ),
+    "uniqueness": (
+        "OracleResult", "OracleSolution", "UniquenessCertificate", "Verdict", "certify",
+        "l0_norm", "sparsest_oracle",
+    ),
+}
+# the module each name lives in; a submodule's name maps to itself
+_HOME = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
+
+__all__ = ["__version__", *sorted(name for names in _EXPORTS.values() for name in names)]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -15,6 +15,12 @@ certify takes analyze's flags plus --x and --b, and its report is
 analyze's report plus the certificate. Every input file is read by one
 helper, so an input error names its file (<stdin> for -), and at most
 one input may be -.
+
+Each command imports the modules it runs when it starts: gen loads
+formats and generators, analyze formats, spark and report, certify those
+and uniqueness, bench generators, spark and report. At module level this
+file loads only argparse and the package's version, config and errors,
+so --version, --help and usage errors never import numpy.
 """
 
 from __future__ import annotations
@@ -23,22 +29,11 @@ import argparse
 import functools
 import sys
 import time
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._version import __version__
 from .config import DEFAULT_SEARCH_BUDGET, ToleranceConfig
 from .errors import BudgetExceeded, CliUsageError, SparkCertError
-from .formats import (
-    decode_text,
-    parse_matrix_auto,
-    parse_vector,
-    write_csv,
-    write_matrix_market,
-)
-from .generators import random_matrix, spiked_identity
-from .report import build_report, render_text, report_to_json, show_number
-from .spark import analyze_spark
-from .uniqueness import Verdict, certify
 
 SPIKED_FAMILY = "example31"
 
@@ -81,8 +76,8 @@ def _add_common_search_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_gen_output(parser: argparse.ArgumentParser, make) -> None:
-    """Output flags of a gen family; `make(args)` builds its matrix."""
+def _add_gen_output(parser: argparse.ArgumentParser) -> None:
+    """Output flags of a gen family."""
     parser.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     parser.add_argument(
         "--format",
@@ -91,7 +86,7 @@ def _add_gen_output(parser: argparse.ArgumentParser, make) -> None:
         default="csv",
         help="output format (default csv)",
     )
-    parser.set_defaults(func=_cmd_gen, make=make)
+    parser.set_defaults(func=_cmd_gen)
 
 
 @functools.cache
@@ -134,7 +129,7 @@ def build_parser() -> _Parser:
         SPIKED_FAMILY, help="n x (n+1) identity-plus-spike benchmark matrix"
     )
     p_spiked.add_argument("--n", type=_positive_int, required=True, help="row count (>= 2)")
-    _add_gen_output(p_spiked, lambda args: spiked_identity(args.n))
+    _add_gen_output(p_spiked)
 
     p_random = gen_sub.add_parser("random", help="seeded standard-normal matrix")
     p_random.add_argument("--n", type=_positive_int, required=True, help="row count")
@@ -142,7 +137,7 @@ def build_parser() -> _Parser:
     p_random.add_argument(
         "--seed", type=_non_negative_int, required=True, help="RNG seed (>= 0)"
     )
-    _add_gen_output(p_random, lambda args: random_matrix(args.n, args.m, args.seed))
+    _add_gen_output(p_random)
 
     p_bench = sub.add_parser(
         "bench", help="bounds-vs-exact table for the benchmark family"
@@ -169,6 +164,8 @@ def _source(path: str) -> str:
 
 def _parse_input(path: str, parse):
     """Read the file at `path` (- for stdin) and parse it; every input error names the file."""
+    from .formats import decode_text
+
     try:
         # the bytes are freed once decoded, before the parse starts
         if path == "-":
@@ -192,6 +189,10 @@ def _write_output(path: str | None, content: str) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     """analyze, or certify when a candidate (--x, --b) was given."""
+    from .formats import parse_matrix_auto, parse_vector
+    from .report import build_report, render_text, report_to_json
+    from .spark import analyze_spark
+
     if [args.file, args.x, args.b].count("-") > 1:
         raise CliUsageError("at most one input may be - (stdin)")
     matrix = _parse_input(args.file, lambda text: parse_matrix_auto(text, args.format))
@@ -203,6 +204,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     spark_report = analyze_spark(matrix, tolerances, compute_exact=args.exact, budget=args.budget)
     certificate = None
     if candidate:
+        from .uniqueness import Verdict, certify
+
         if spark_report.search_budget_hit:
             raise BudgetExceeded(spark_report.subsets_examined)
         certificate = certify(matrix, x, b, tolerances, exact=spark_report.exact)
@@ -216,8 +219,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .formats import write_csv, write_matrix_market
+    from .generators import random_matrix, spiked_identity
+
+    if args.family == SPIKED_FAMILY:
+        matrix = spiked_identity(args.n)
+    else:
+        matrix = random_matrix(args.n, args.m, args.seed)
     write = write_matrix_market if args.matrix_format == "mm" else write_csv
-    _write_output(args.output, write(args.make(args).data))
+    _write_output(args.output, write(matrix.data))
     return 0
 
 
@@ -240,6 +250,10 @@ def _parse_n_list(raw: str) -> list[int]:
 
 
 def _cmd_bench_spiked(args: argparse.Namespace) -> int:
+    from .generators import spiked_identity
+    from .report import show_number
+    from .spark import analyze_spark
+
     ns = _parse_n_list(args.n_list)
     tolerances = ToleranceConfig()
     header = (

@@ -8,9 +8,11 @@ DEFAULT_SEARCH_BUDGET is what `budget=None` means.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+# The float64 machine epsilon, 2**-52: a Python float is a C double.
+EPS = sys.float_info.epsilon
 
 DEFAULT_ZERO_COLUMN_TOL = 1e-12
 DEFAULT_ZERO_ENTRY_TOL = 1e-9
@@ -18,7 +20,7 @@ DEFAULT_RESIDUAL_TOL = 1e-9
 # Multiplied by sigma_max * max(rows, columns) of the matrix under test to
 # get the rank cutoff; in the exact search that is max(rows, size) for each
 # column subset. The default matches numpy.linalg.matrix_rank's choice.
-DEFAULT_RANK_TOL_FACTOR = float(np.finfo(np.float64).eps)
+DEFAULT_RANK_TOL_FACTOR = EPS
 DEFAULT_INDEX_SLACK = 0.0
 DEFAULT_SEARCH_BUDGET = 2_000_000
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
+from .config import DEFAULT_TOLERANCES, EPS, ToleranceConfig
 from .errors import DimensionMismatch, IndexOutOfRange, NonFiniteEntry, NormOverflow, ZeroColumn
 
 # How many of the largest coherences a report shows; the coherence pass
@@ -29,7 +29,7 @@ def coherence_rounding(rows: int) -> float:
     up to 2 * eps per term; twice (rows + 8) * eps covers both. Without it
     a duplicated column can read 1 - eps and leave the index undefined.
     """
-    return 2.0 * (rows + 8) * float(np.finfo(np.float64).eps)
+    return 2.0 * (rows + 8) * EPS
 
 
 def euclidean_norm(values: np.ndarray) -> float:

@@ -11,9 +11,10 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ._version import __version__
 from .coherence import coherence_profile, top_coherence_sum
@@ -22,7 +23,9 @@ from .errors import ReportParseError
 from .formats import format_float
 from .matrix import TOP_COHERENCES_SHOWN, DenseMatrix
 from .spark import SETTLED_BY, SparkReport
-from .uniqueness import CRITERIA, UniquenessCertificate, Verdict
+
+if TYPE_CHECKING:
+    from .uniqueness import UniquenessCertificate
 
 # 2: the spark section gained settled_by, subsets_examined stopped counting
 # the sizes the coherence profile proves independent, and the mutual
@@ -97,7 +100,6 @@ def build_report(
 
 
 def _emit(value: Any, indent: int) -> str:
-    pad = "  " * indent
     if value is None:
         return "null"
     if value is True:
@@ -105,7 +107,8 @@ def _emit(value: Any, indent: int) -> str:
     if value is False:
         return "false"
     if isinstance(value, str):
-        return json.dumps(value)
+        # what json.dumps gives a str with its default arguments
+        return encode_basestring_ascii(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -113,19 +116,17 @@ def _emit(value: Any, indent: int) -> str:
             raise ValueError("non-finite float reached the emitter unmapped")
         return format_float(value)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_emit(v, indent + 1)}" for v in value)
-        return "[\n" + inner + f"\n{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_emit(v, indent + 1)}"
-            for k, v in value.items()
-        )
-        return "{\n" + inner + f"\n{pad}}}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+        items = [_emit(v, indent + 1) for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_emit(v, indent + 1)}" for k, v in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+    if not items:
+        return brackets
+    pad = "\n" + "  " * indent
+    return f"{brackets[0]}{pad}  " + f",{pad}  ".join(items) + f"{pad}{brackets[1]}"
 
 
 # Each report field has a codec: an (encode, decode) pair. encode maps the
@@ -179,11 +180,6 @@ _FLOAT: Codec = (float, _checked(
 ))
 _STR: Codec = (_same, _checked("a string", lambda v: isinstance(v, str)))
 _BOOL: Codec = (_same, _checked("true or false", lambda v: isinstance(v, bool)))
-_CRITERIA: Codec = (sorted, _checked(
-    f"a list from {sorted(CRITERIA)}",
-    lambda v: isinstance(v, list) and CRITERIA.issuperset(v),
-    frozenset,
-))
 
 
 def _or(codec: Codec, token: Any, special: Any) -> Codec:
@@ -249,6 +245,31 @@ def _finite_spark_tree(value: Any) -> bool:
             and _is_int(value.get("value")) and value["value"] >= 1)
 
 
+def _on_first_use(build: Callable[[], Codec]) -> Codec:
+    """The codec `build()` returns, built when a value first passes through it."""
+    build = cache(build)
+    return lambda value: build()[0](value), lambda value, key: build()[1](value, key)
+
+
+def _certificate_codec() -> Codec:
+    # uniqueness loads only once a report holds a certificate
+    from .uniqueness import CRITERIA, UniquenessCertificate, Verdict
+
+    return _record(UniquenessCertificate, {
+        "l0": _COUNT,
+        "residual": _FLOAT,
+        "spark_threshold": _optional(_FLOAT),
+        "index_threshold": _or(_FLOAT, INFINITY_TOKEN, math.inf),
+        "coherence_threshold": _optional(_FLOAT),
+        "criteria_passed": (sorted, _checked(
+            f"a list from {sorted(CRITERIA)}",
+            lambda v: isinstance(v, list) and CRITERIA.issuperset(v),
+            frozenset,
+        )),
+        "verdict": (attrgetter("value"), lambda value, key: Verdict(value)),
+    })
+
+
 # An exact spark n is {"kind": "finite", "value": n}; math.inf is
 # {"kind": "infinite"}, nothing more.
 _EXACT_SPARK = _or((lambda n: {"kind": "finite", "value": n}, _checked(
@@ -288,15 +309,7 @@ _SECTIONS: dict[str, Codec] = {
             f"one of {list(SETTLED_BY)}", lambda v: v in SETTLED_BY
         ))),
     })),
-    "certificate": _optional(_record(UniquenessCertificate, {
-        "l0": _COUNT,
-        "residual": _FLOAT,
-        "spark_threshold": _optional(_FLOAT),
-        "index_threshold": _or(_FLOAT, INFINITY_TOKEN, math.inf),
-        "coherence_threshold": _optional(_FLOAT),
-        "criteria_passed": _CRITERIA,
-        "verdict": (attrgetter("value"), lambda value, key: Verdict(value)),
-    })),
+    "certificate": _optional(_on_first_use(_certificate_codec)),
 }
 
 

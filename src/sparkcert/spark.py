@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import coherence_profile, coherence_rounding, smallest_qualifying_prefix
-from .config import DEFAULT_SEARCH_BUDGET, DEFAULT_TOLERANCES, ToleranceConfig
+from .config import DEFAULT_SEARCH_BUDGET, DEFAULT_TOLERANCES, EPS, ToleranceConfig
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -91,8 +91,6 @@ from .kernels import scan_chunk
 from .matrix import DenseMatrix, column_submatrix, unit_columns, unit_gram
 
 UNIT_DIAGONAL_TOL = 1e-12
-
-EPS = float(np.finfo(np.float64).eps)
 
 # LAPACK bounds the error of a computed SVD as p(m, n) * eps * sigma_1, the
 # computed factors being the exact SVD of a matrix that close (LAPACK

@@ -21,7 +21,8 @@ from sparkcert import (
     random_matrix,
     spiked_identity,
 )
-from sparkcert.matrix import euclidean_norm, euclidean_norms
+from sparkcert import config, spark
+from sparkcert.matrix import coherence_rounding, euclidean_norm, euclidean_norms
 
 from coherence_reference import full_coherence_pass, kept_count
 
@@ -316,6 +317,14 @@ def test_numerical_rank_of_extreme_and_non_finite_input():
     for a in ([[math.inf, 1.0]], [[math.nan]]):
         with pytest.raises(NonFiniteEntry):
             numerical_rank(np.array(a))
+
+
+def test_eps_is_numpys_float64_epsilon_bit_for_bit():
+    # config reads it from sys.float_info, which loads no numpy
+    numpy_eps = float(np.finfo(np.float64).eps).hex()
+    for eps in (config.EPS, config.DEFAULT_RANK_TOL_FACTOR, spark.EPS):
+        assert (type(eps), eps.hex()) == (float, numpy_eps)
+    assert coherence_rounding(6).hex() == (28.0 * np.finfo(np.float64).eps).hex()
 
 
 def test_column_submatrix_selects(identity3):
