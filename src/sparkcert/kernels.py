@@ -22,11 +22,15 @@ cols - 1 - P[-1] subsets, about cols / size on average.
 
 - The prefix filter, when cols >= RUN_RATIO * size (runs are long). It
   takes the prefixes in order, combinations(range(cols - 1), size - 1),
-  and runs the Cholesky recurrences of G_P - delta*I in numpy across a
-  batch of them, one step per prefix column, carrying the rows
-  W = L^-1 (G - delta*I)[P, :] over all columns. A prefix passes when its
-  size - 1 pivots are positive, and the extension j by its last pivot,
-  (1 - delta) - |W[:, j]|^2. A subset's pass bit is both.
+  a batch of whole runs at a time. It factors each prefix's own block
+  G_PP - delta*I once, by the Cholesky recurrences in numpy across the
+  batch, one step per prefix column. It lays the batch's subsets out flat,
+  in order, each run holding only the columns j after its prefix, and
+  takes each subset's rows g = G[P, j] through the same steps: forward
+  substitution gives l = L_PP^-1 g, and the last pivot is
+  (1 - delta) - |l|^2. A prefix pivot that is not positive leaves l_tt
+  zero or NaN, so every l of its run holds an infinity or a NaN and its
+  last pivot fails: the last pivot alone is a subset's pass bit.
 - The subset filter, otherwise: the full-rank and null-vector proofs,
   whose runs hold one or two subsets, and sizes near cols. LAPACK's
   stacked Cholesky factors a batch of consecutive subsets' minors in one
@@ -36,7 +40,8 @@ cols - 1 - P[-1] subsets, about cols / size on average.
 Both are Cholesky factorizations of the same G_S - delta*I. Row by row,
 the prefix filter computes l_tt = sqrt(a_tt - sum_s l_ts^2) and
 l_jt = (a_jt - sum_s l_js l_ts) / l_tt, the recurrences LAPACK runs, in
-another order; the last pivot is a_jj - sum_t l_jt^2. Backward stability
+another order: the block of the prefix once, then the row of each
+extension j; the last pivot is a_jj - sum_t l_jt^2. Backward stability
 holds for any order of the inner products (Higham, Accuracy and Stability
 of Numerical Algorithms, Thm 10.3), so a factorization whose pivots are
 all positive proves lambda_min(G_S) >= delta up to O((rows + size) *
@@ -61,17 +66,22 @@ the subset filter and the SVD at max(rows, size) * size floats per
 subset, which bounds both its columns and its Gram minors. Larger
 batches run them no faster, because the small factorizations dominate,
 and a probe that fails early pays only a small first batch. PREFIX_BYTES
-(1 MiB) caps the prefix filter at (size - 1) * cols floats per prefix,
-the rows W it carries. Its numpy calls cost per batch whatever the batch
-holds, so it gains from larger batches until W and its temporaries
-outgrow a core's L2 cache (2 MiB per core on the machine it was sized
-on). Every batch adds its buffers to the process's peak resident set.
+(1 MiB) caps the prefix filter's batch of whole runs (at least one) at
+(size - 1) * (size + 2) / 2 floats per subset, its work rows (the rows g
+and the rows of L_PP it takes from its prefix), and at (size - 1)^2
+floats per prefix, the blocks it factors. Its numpy calls cost per batch
+whatever the batch holds, so it gains from larger batches until the work
+rows outgrow a core's L2 cache (2 MiB per core on the machine it was
+sized on). A probe that fails early still factors its whole first batch.
+The work rows live in one array per thread, kept between calls; every
+other buffer of a batch adds to the process's peak resident set.
 Decisions do not depend on the batching.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Iterator
 from itertools import chain, combinations, islice
 
@@ -84,13 +94,14 @@ from .matrix import singular_rank, unit_gram
 # stacked SVD and size x size Gram minors for the subset filter.
 GATHER_BYTES = 64 * 1024
 
-# Bytes per batch of the prefix filter's rows W, (size - 1) x cols floats
-# per prefix. On 2 vCPUs with 2 MiB of L2 each (OpenBLAS on one thread),
-# in-process CPU for one cycle of the benchmark's exact searches took
-# 25.1-25.9 ms at 64 KiB, 19.5-20.1 ms at 512 KiB, 18.9-20.0 ms at 1 MiB
-# and 20.9-21.5 ms at 2 MiB, where a planted 7x18 factors prefixes well
-# past its witness. Full scans at size = rows, 3x40 to 8x24, took 0.12-0.94
-# us per subset at 1 MiB against 0.22-2.3 us at 64 KiB.
+# Bytes per batch of the prefix filter's work rows, (size - 1) * (size + 2)
+# / 2 floats per subset (and of its blocks, (size - 1)^2 floats per
+# prefix). On 2 vCPUs with 2 MiB of L2 each, full scans at size = rows
+# took 0.171, 0.419, 0.092, 0.149 and 0.576 us per subset at 1 MiB (6x26,
+# 7x21, 4x40, 5x30, 8x24) against 0.101-0.784 at 512 KiB, slower on each,
+# and 0.091-0.477 at 2 MiB, slower on 6x26 and faster on the others, by up
+# to 17%. Every prefix-filter call of the benchmark's exact searches fits
+# one batch at 1 MiB.
 PREFIX_BYTES = 1024 * 1024
 
 # The floor of the Cholesky filter's shift: at a fine tolerance a pass
@@ -100,11 +111,22 @@ PREFIX_BYTES = 1024 * 1024
 CHOLESKY_SHIFT = 1e-8
 
 # The prefix filter runs when cols >= RUN_RATIO * size, where a prefix's
-# run averages about cols / size >= RUN_RATIO subsets. Scanning up to
-# 200,000 subsets of size = rows, it took 0.42-0.88 of the subset
-# filter's time at cols / size = 3 (sizes 4 to 14), 0.37-1.00 at 2.4-2.8
-# and 0.92-1.59 at 2.
+# run averages about cols / size >= RUN_RATIO subsets. On full scans of
+# size = rows it took 0.21-0.66 of the subset filter's time per subset at
+# cols / size = 3-3.5 (sizes 4 to 7), 0.24-0.68 at 2-2.8 (sizes 4 to 10),
+# 0.69-1.17 at 1.5 and 1.09-1.93 at 1.33 (sizes 8 to 15), and 2.2-4.3 on
+# scans of under 100 subsets. A lower ratio loses where a probe fails
+# early: at 2, the failing size-7 probe of a planted 7x18 factors its
+# whole first batch of 31,824 subsets, and exact_spark on it took 5.1-5.4
+# ms against 3.1-3.2 ms at 3.
 RUN_RATIO = 3
+
+# The prefix filter's work array, one per thread, kept between calls and
+# grown to the largest batch. A fresh array per batch goes back to the
+# system when the C allocator trims the top of its heap, and the next call
+# faults its pages in again: about 300 minor faults, and 0.3-0.4 ms of a
+# 0.8 ms call, on a full size-4 scan of 4x24 in a long-lived process.
+_work = threading.local()
 
 
 def scan_chunk(
@@ -183,51 +205,100 @@ def _prefix_failures(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(positions, indices) of the subsets the prefix filter fails, in order.
 
-    Each batch of prefixes carries its rows W in one (size - 1, prefixes,
-    cols) array, which starts as their rows of the Gram matrix and is
-    overwritten step by step; the failures go out in spans of at most
-    per_batch subsets.
+    A batch takes whole runs, at least one and no more than `count` needs,
+    as many as PREFIX_BYTES holds of their work rows (size - 1 floats of g
+    and (size - 1) * size / 2 of L_PP per subset) and of their prefixes'
+    blocks ((size - 1)^2 floats per prefix). The blocks G_PP - delta*I of
+    the batch are factored once, in one (size - 1, size - 1, prefixes)
+    array that starts as the blocks and is overwritten step by step. The
+    subsets are laid out flat, in order, in this thread's work array: the
+    rows g = G[P, j] of each go through the same steps, to l = L_PP^-1 g
+    and the last pivot (1 - delta) - |l|^2. The failures go out in spans
+    of at most per_batch subsets, at their flat positions; nothing of the
+    work array is read after a yield.
     """
     cols = gram.shape[0]
     steps = size - 1
     pivot = 1.0 - delta
-    per_prefixes = max(1, PREFIX_BYTES // (max(steps, 1) * cols * gram.itemsize))
+    entries = gram.ravel()
+    rows = steps * (steps + 3) // 2
+    per_subsets = max(1, PREFIX_BYTES // (max(rows, 1) * gram.itemsize))
+    per_prefixes = max(1, per_subsets // max(steps, 1))
     prefixes = combinations(range(cols - 1), steps)
     left = math.comb(cols - 1, steps)
+    # prefixes taken from `prefixes` but not yet filtered, and their runs
+    pending = np.empty((0, steps), dtype=np.intp)
+    runs = np.empty(0, dtype=np.intp)
     done = 0
     while done < count:
-        # every prefix has at least one extension
-        batch = min(per_prefixes, left, count - done)
-        left -= batch
-        pre = np.fromiter(
-            chain.from_iterable(islice(prefixes, batch)), dtype=np.intp, count=batch * steps
-        ).reshape(batch, steps)
-        # w[t] is row t of W for every prefix of the batch
-        w = gram[pre.T]
-        ok = np.ones(batch, dtype=bool)
-        each = np.arange(batch)
+        want = min(per_subsets, count - done)
+        if runs.sum() < want and left:
+            # every run holds at least one subset, so `want` prefixes do
+            take = min(left, want - len(pending))
+            left -= take
+            taken = np.fromiter(
+                chain.from_iterable(islice(prefixes, take)), dtype=np.intp, count=take * steps
+            )
+            pending = np.concatenate((pending, taken.reshape(take, steps)))
+            # the run of prefix P holds its extensions P[-1] + 1, ..., cols - 1
+            runs = cols - 1 - (pending[:, -1] if steps else np.full(len(pending), -1))
+        ends = np.cumsum(runs)
+        batch = max(1, min(
+            int(np.searchsorted(ends, per_subsets, side="right")),
+            per_prefixes,
+            int(np.searchsorted(ends, count - done)) + 1,
+        ))
+        pre, pending = pending[:batch], pending[batch:]
+        run, runs = runs[:batch].copy(), runs[batch:]
+        ends = ends[:batch]
+        n = min(int(ends[-1]), count - done)
+        run[-1] -= ends[-1] - n
+        # in C order: the gathers below run several times slower on the
+        # transposed view
+        columns = np.ascontiguousarray(pre.T)
+        offsets = columns * cols
+        # w[t, c] holds G[P[t], P[c]] for every prefix of the batch; row t
+        # right of the diagonal becomes row t of L^-1 (G_PP - delta*I) =
+        # L_PP^T and the diagonal l_tt, so w[:t + 1, t] is row t of L_PP
+        w = np.take(entries, offsets[:, None, :] + columns)
+        # subset k of the batch is the extension ext[k] of prefix owner[k]
+        owner = np.repeat(np.arange(batch), run)
+        ext = np.repeat(cols - ends, run)
+        ext += np.arange(n)
+        # this thread's work array (see _work), grown to the batch
+        buffer = getattr(_work, "buffer", None)
+        if buffer is None or buffer.size < rows * n:
+            buffer = _work.buffer = np.empty(rows * n)
+        work = buffer[: rows * n].reshape(rows, n)
+        x, lower = work[:steps], work[steps:]
         with np.errstate(all="ignore"):
             for t in range(steps):
-                # l_ts = W[s, P[t]] for s < t
-                lt = w[:t, each, pre[:, t]]
-                d = pivot - np.einsum("sb,sb->b", lt, lt)
-                ok &= d > 0.0
-                w[t] -= np.einsum("sb,sbc->bc", lt, w[:t])
-                w[t] /= np.sqrt(d)[:, None]
-            passed = pivot - np.einsum("sbc,sbc->bc", w, w) > 0.0
-        # the run of prefix b holds its extensions P[-1] + 1, ..., cols - 1,
-        # so the subsets of the batch are the entries of `passed` right of
-        # P[-1], in row-major order
-        tail = pre[:, -1] if steps else np.full(batch, -1)
-        lengths = cols - 1 - tail
-        n = min(int(lengths.sum()), count - done)
-        failing = (np.arange(cols) > tail[:, None]) & ~(passed & ok[:, None])
-        if failing.any():
-            owner, ext = np.nonzero(failing)
-            positions = (np.cumsum(lengths) - lengths - tail - 1)[owner] + ext
-            failed = np.searchsorted(positions, n)
-            for lo in range(0, failed, per_batch):
-                hi = min(lo + per_batch, failed)
-                idx = np.concatenate((pre[owner[lo:hi]], ext[lo:hi, None]), axis=1)
-                yield done + positions[lo:hi], idx
+                # l_ts for s < t
+                lt = w[:t, t]
+                w[t, t] = np.sqrt(pivot - np.einsum("sb,sb->b", lt, lt))
+                w[t, t + 1 :] -= np.einsum("sb,scb->cb", lt, w[:t, t + 1 :])
+                w[t, t + 1 :] /= w[t, t]
+            # the work rows of every subset, taken from its prefix: the
+            # Gram offsets of P, exact as floats, then the rows of L_PP.
+            # mode="wrap" writes straight into the work array (the indices
+            # are all valid)
+            np.take(
+                np.concatenate((offsets, *(w[: t + 1, t] for t in range(steps))), dtype=np.float64),
+                owner,
+                axis=1,
+                out=work,
+                mode="wrap",
+            )
+            # row t of x becomes row t of g = G[P, ext], then of l = L_PP^-1 g
+            for t in range(steps):
+                np.take(entries, (x[t] + ext).astype(np.intp), out=x[t], mode="wrap")
+            for t in range(steps):
+                row = lower[t * (t + 1) // 2 : (t + 1) * (t + 2) // 2]
+                x[t] -= np.einsum("sn,sn->n", row[:t], x[:t])
+                x[t] /= row[t]
+            passed = pivot - np.einsum("sn,sn->n", x, x) > 0.0
+        failing = np.flatnonzero(~passed)
+        for lo in range(0, failing.size, per_batch):
+            f = failing[lo : lo + per_batch]
+            yield done + f, np.column_stack((pre[owner[f]], ext[f]))
         done += n

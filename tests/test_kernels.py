@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import tracemalloc
 from itertools import combinations
 from unittest import mock
@@ -345,6 +346,99 @@ def test_prefix_batches_do_not_change_the_answer(matrix, draws):
     assert len(answers) == 1
 
 
+@pytest.mark.parametrize("cap", [1, PREFIX_BYTES])
+@pytest.mark.parametrize("size", [3, 4])
+def test_a_failing_prefix_sends_its_whole_run_to_the_svd(size, cap):
+    # columns 1 and 2 are parallel up to 1e-6 of a column from elsewhere:
+    # every block holding both fails (its pivot, about 1e-12, is below
+    # delta = 1e-8 * size), though the SVD calls their subsets independent.
+    # Column 9 is planted from columns 4 and 6. A cap of 1 byte makes every
+    # prefix its own batch
+    raw = random_matrix(4, 15, seed=2).data.copy()
+    raw[:, 2] = raw[:, 1] + 1e-6 * random_matrix(4, 1, seed=3).data[:, 0]
+    raw[:, 9] = raw[:, 4] - 2.0 * raw[:, 6]
+    data = _unit(raw)
+    subsets = list(combinations(range(15), size))
+    # the run of the first prefix that holds columns 1 and 2, cut after column 7
+    mid = subsets.index((*range(size - 3), 1, 2, 7)) + 1
+    with mock.patch.object(kernels, "PREFIX_BYTES", cap):
+        for count in (len(subsets), mid):
+            failed = []
+            for positions, idx in kernels._prefix_failures(
+                unit_gram(data), size, count, 5, CHOLESKY_SHIFT * size
+            ):
+                assert [subsets[p] for p in positions] == [tuple(i) for i in idx]
+                failed.extend(subsets[p] for p in positions)
+            parallel = [subset for subset in subsets[:count] if {1, 2} <= set(subset)]
+            assert parallel and set(parallel) <= set(failed)
+            assert not any(_dependent(data, subset, EPS) for subset in parallel)
+            first = next((k for k in range(count) if _dependent(data, subsets[k], EPS)), None)
+            expected = (-1, None) if first is None else (first, subsets[first])
+            assert scan_chunk(data, size, count, EPS) == expected
+
+
+def test_prefix_filter_reads_no_work_row_after_a_yield():
+    # two scans of one thread share its work array: interleaving their
+    # spans gives the spans of each alone. Only the subsets that hold a
+    # planted dependency fail
+    wide = random_matrix(4, 24, seed=1).data.copy()
+    wide[:, 20] = wide[:, 3] - wide[:, 7] + wide[:, 11]
+    narrow = random_matrix(3, 14, seed=2).data.copy()
+    narrow[:, 10] = narrow[:, 2] + narrow[:, 5]
+    narrow[:, 12] = narrow[:, 1] - narrow[:, 4]
+    scans = [
+        (unit_gram(_unit(wide)), 4, math.comb(24, 4)),
+        (unit_gram(_unit(narrow)), 3, math.comb(14, 3)),
+    ]
+
+    def spans(gram, size, count):
+        return kernels._prefix_failures(gram, size, count, 1, CHOLESKY_SHIFT * size)
+
+    alone = [[(p.tolist(), i.tolist()) for p, i in spans(*scan)] for scan in scans]
+    interleaved = [[], []]
+    generators = [spans(*scan) for scan in scans]
+    while generators[0] or generators[1]:
+        for k, generator in enumerate(generators):
+            if generator:
+                positions, idx = next(generator, (None, None))
+                if positions is None:
+                    generators[k] = None
+                else:
+                    interleaved[k].append((positions.tolist(), idx.tolist()))
+    assert interleaved == alone
+    assert all(len(spans_of_scan) > 1 for spans_of_scan in alone)
+
+
+def test_prefix_filter_threads_keep_their_own_work_arrays():
+    # every thread scans with its own work array: answers match the serial ones
+    cases = [(unit_columns(random_matrix(4, 24, seed=seed)), 4) for seed in range(4)]
+    for k, (data, size) in enumerate(cases):
+        raw = data.copy()
+        raw[:, 20] = raw[:, 3 + k] - raw[:, 7]
+        cases[k] = (_unit(raw), size)
+    expected = [scan_chunk(data, size, math.comb(24, size), EPS) for data, size in cases]
+    answers = [[] for _ in cases]
+
+    def work(k):
+        data, size = cases[k]
+        for _ in range(20):
+            answers[k].append(scan_chunk(data, size, math.comb(24, size), EPS))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(cases))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [[answer] * 20 for answer in expected]
+    assert all(answer[0] >= 0 for answer in expected)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     matrix=st.integers(min_value=1, max_value=9).flatmap(
@@ -655,7 +749,9 @@ def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
     # size 5 of a 4x24 matrix takes the prefix filter: every subset fails
     # it (rank 4 < 5) and goes on to the SVD. The largest numpy buffer alive
     # at any line of the kernel, by tracemalloc, stays within PREFIX_BYTES,
-    # and every stack the SVD sees within GATHER_BYTES
+    # and every stack the SVD sees within GATHER_BYTES. The first batch
+    # fills the cap with whole runs; the work array the filter keeps
+    # between calls starts empty, so that it is allocated while traced
     stacks = []
     real_svd = np.linalg.svd
 
@@ -666,6 +762,7 @@ def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     # the prefix filter runs no LAPACK Cholesky
     monkeypatch.setattr(kernels, "_cholesky_passes", None)
+    monkeypatch.setattr(kernels, "_work", threading.local())
     largest = []
     numpy_buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
 
@@ -686,6 +783,7 @@ def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
         sys.settrace(None)
         tracemalloc.stop()
     assert (pos, hit) == (0, (0, 1, 2, 3, 4))
-    # the rows W of a batch of prefixes: (size - 1) * cols floats each
+    # the work rows of a batch of subsets: (size - 1) * (size + 2) / 2
+    # floats each
     assert PREFIX_BYTES // 2 < max(largest) <= PREFIX_BYTES
     assert stacks and max(stacks) <= GATHER_BYTES
