@@ -32,7 +32,7 @@ import time
 from collections.abc import Sequence
 
 from ._version import __version__
-from .config import DEFAULT_SEARCH_BUDGET, ToleranceConfig
+from .config import DEFAULT_SEARCH_BUDGET
 from .errors import BudgetExceeded, CliUsageError, SparkCertError
 
 SPIKED_FAMILY = "example31"
@@ -200,18 +200,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if candidate:
         x = _parse_input(args.x, parse_vector)
         b = _parse_input(args.b, parse_vector)
-    tolerances = ToleranceConfig()
-    spark_report = analyze_spark(matrix, tolerances, compute_exact=args.exact, budget=args.budget)
+    spark_report = analyze_spark(matrix, compute_exact=args.exact, budget=args.budget)
     certificate = None
     if candidate:
         from .uniqueness import Verdict, certify
 
         if spark_report.search_budget_hit:
             raise BudgetExceeded(spark_report.subsets_examined)
-        certificate = certify(matrix, x, b, tolerances, exact=spark_report.exact)
-    report = build_report(
-        matrix, _source(args.file), spark_report, tolerances, certificate=certificate
-    )
+        certificate = certify(matrix, x, b, exact=spark_report.exact)
+    report = build_report(matrix, _source(args.file), spark_report, certificate=certificate)
     sys.stdout.write(report_to_json(report) if args.json else render_text(report))
     if candidate:
         return 3 if certificate.verdict is Verdict.NOT_A_SOLUTION else 0
@@ -255,7 +252,6 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     from .spark import analyze_spark
 
     ns = _parse_n_list(args.n_list)
-    tolerances = ToleranceConfig()
     header = (
         f"{'n':>4} {'rows':>5} {'cols':>5} {'exact_spark':>12} "
         f"{'index_bound':>12} {'coherence_bound':>16} {'subsets':>10} {'seconds':>8} "
@@ -265,7 +261,7 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     for n in ns:
         matrix = spiked_identity(n)
         start = time.perf_counter()
-        report = analyze_spark(matrix, tolerances, compute_exact=True, budget=args.budget)
+        report = analyze_spark(matrix, compute_exact=True, budget=args.budget)
         elapsed = time.perf_counter() - start
         if report.search_budget_hit:
             raise BudgetExceeded(report.subsets_examined)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 # The float64 machine epsilon, 2**-52: a Python float is a C double.
 EPS = sys.float_info.epsilon
@@ -47,12 +47,10 @@ class ToleranceConfig:
 
     def __post_init__(self) -> None:
         # a report embeds every tolerance, and its JSON holds finite numbers
-        for name in (
-            "zero_column_tol", "zero_entry_tol", "residual_tol", "rank_tol_factor", "index_slack"
-        ):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not (0.0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+                raise ValueError(f"{field.name} must be finite and >= 0, got {value!r}")
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

@@ -14,11 +14,12 @@ byte-order mark (U+FEFF), which some editors write before the first line.
 Numbers follow float() syntax once str.strip() has removed the whitespace
 around them. Plain ASCII input is converted by one call to numpy's C
 reader, which accepts a subset of that syntax and gives identical values:
-CSV with no blank line among its rows, and Matrix Market (whose size line
-must be line 2) and vectors whose entry lines hold no ',', '#', '%' or
-'\\r' and are not blank. Those entries go to the reader as one
-comma-joined line, which it reads with no per-line cost. Everything else,
-including every error, takes the float() path.
+CSV with no blank line among its rows, and vectors and Matrix Market
+bodies (the lines after the size line, whatever comment and blank lines
+come before it) whose lines hold no ',', '#', '%' or '\\r' and are not
+blank. Those entries go to the reader as one comma-joined line, which it
+reads with no per-line cost. Everything else, including every error,
+takes the float() path.
 
 The writers render each double as format_float does: "%.17g", with ".0"
 appended to the finite integral values below 1e17, which "%.17g" writes
@@ -51,6 +52,10 @@ from .matrix import DenseMatrix, build_matrix, check_matrix_shape
 _MM_HEADER = re.compile(
     r"^%%MatrixMarket\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s*$", re.IGNORECASE
 )
+# A line that is neither blank nor a comment: its first character that
+# str.strip() keeps (exactly what \s matches) is not '%'. Each search is
+# linear, as [^\S\n]* stops at the end of its line.
+_MM_CONTENT_LINE = re.compile(r"^[^\S\n]*[^%\s]", re.MULTILINE)
 
 
 def decode_text(text: str | bytes) -> str:
@@ -201,44 +206,42 @@ def parse_matrix_market(
     if symmetry != "general":
         raise UnsupportedHeader(f"unsupported symmetry {symmetry!r}; only 'general'")
 
-    # A size line right after the header lets numpy's C reader take the entries.
-    size_end = text.find("\n", end + 1)
-    parts = text[end + 1 : size_end].split() if end < size_end else ()
-    if len(parts) == 2 and all(map(str.isdecimal, parts)):
-        rows, cols = map(int, parts)
-        values = _one_per_line(text, size_end + 1, rows * cols)
-        if values is not None:
-            return build_matrix(values.reshape(cols, rows).T, tolerances)
-
-    # One pass keeps the stripped lines that are neither blank nor comments
-    # (the header starts with '%', so it goes too): the size line, then the
-    # entries. Line numbers are worked out again only for an error message.
-    entries = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "%"]
-
-    def lineno(k: int) -> int:
-        return next(islice((n for n, line in _lines(text, "%") if line), k, None))
-
-    if not entries:
+    # the size line: the first line after the header that is neither blank
+    # nor a comment
+    found = _MM_CONTENT_LINE.search(text, end + 1)
+    if found is None:
         raise TruncatedData("missing size line")
-    size_line = entries.pop(0)
+    size_lineno = text.count("\n", 0, found.start()) + 1
+    start = text.find("\n", found.start()) + 1 or len(text)
+    size_line = text[found.start() : start].strip()
     parts = size_line.split()
     if len(parts) != 2:
-        raise MatrixParseError(f"line {lineno(0)}: expected 'rows cols', got {size_line!r}")
+        raise MatrixParseError(f"line {size_lineno}: expected 'rows cols', got {size_line!r}")
     try:
         rows, cols = int(parts[0]), int(parts[1])
     except ValueError:
         raise MatrixParseError(
-            f"line {lineno(0)}: expected integer dimensions, got {size_line!r}"
+            f"line {size_lineno}: expected integer dimensions, got {size_line!r}"
         ) from None
     if rows < 1 or cols < 1:
-        raise MatrixParseError(f"line {lineno(0)}: dimensions must be positive")
+        raise MatrixParseError(f"line {size_lineno}: dimensions must be positive")
 
     needed = rows * cols
-    if len(entries) != needed:
-        raise TruncatedData(
-            f"expected {needed} entries for a {rows}x{cols} matrix, found {len(entries)}"
-        )
-    values = _floats(entries, lambda t: (lineno(t + 1), 1))
+    values = _one_per_line(text, start, needed)
+    if values is None:
+        # float() of each line after the size line that is neither blank nor
+        # a comment; line numbers are worked out again only for an error message
+        body = text[start:]
+        entries = [line for line in map(str.strip, body.split("\n")) if line and line[0] != "%"]
+        if len(entries) != needed:
+            # a product of over 600 digits may pass Python's int-to-str
+            # digit limit (640 at its lowest), so it is named by its factors
+            expected = needed if needed.bit_length() <= 2000 else f"{rows}*{cols}"
+            raise TruncatedData(
+                f"expected {expected} entries for a {rows}x{cols} matrix, found {len(entries)}"
+            )
+        numbers = (size_lineno + n for n, line in _lines(body, "%") if line)
+        values = _floats(entries, lambda t: (next(islice(numbers, t, None)), 1))
     # column-major entry order
     return build_matrix(values.reshape(cols, rows).T, tolerances)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
@@ -284,13 +284,7 @@ _EXACT_SPARK = _or((lambda n: {"kind": "finite", "value": n}, _checked(
 _SECTIONS: dict[str, Codec] = {
     "matrix": _record(MatrixMeta, {"rows": _int_from(1), "cols": _int_from(1), "source": _STR}),
     "seed": _optional(_INT),
-    "tolerances": _record(ToleranceConfig, {
-        "zero_column_tol": _FLOAT,
-        "zero_entry_tol": _FLOAT,
-        "residual_tol": _FLOAT,
-        "rank_tol_factor": _FLOAT,
-        "index_slack": _FLOAT,
-    }),
+    "tolerances": _record(ToleranceConfig, {f.name: _FLOAT for f in fields(ToleranceConfig)}),
     "coherence": _record(CoherenceSummary, {
         "mutual_coherence": _FLOAT,
         "coherence_index": _or(_int_from(1), INFINITY_TOKEN, math.inf),

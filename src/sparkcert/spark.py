@@ -82,7 +82,6 @@ from .coherence import coherence_profile, coherence_rounding, smallest_qualifyin
 from .config import DEFAULT_SEARCH_BUDGET, DEFAULT_TOLERANCES, EPS, ToleranceConfig
 from .errors import (
     BudgetExceeded,
-    DimensionMismatch,
     NotSquare,
     NotUnitDiagonal,
     TooFewColumns,
@@ -383,7 +382,5 @@ def is_diagonally_dominant(g_minor: np.ndarray) -> bool:
 
 def gram_minor(matrix: DenseMatrix, indices: tuple[int, ...]) -> np.ndarray:
     """Unit-diagonal Gram minor of the selected columns, for dominance tests."""
-    if len(indices) < 1:
-        raise DimensionMismatch("at least one column index is required")
-    column_submatrix(matrix, indices)  # validates ordering and range
+    column_submatrix(matrix, indices)  # validates emptiness, ordering and range
     return unit_gram(unit_columns(matrix, list(indices)))

@@ -178,6 +178,24 @@ def test_parse_matrix_market_truncated():
             parse_matrix_market("%%MatrixMarket matrix array real general\n2 2\n" + body)
 
 
+@pytest.mark.parametrize("lead", ["", "% c\n\n", " \t\n%%x\n  % c\n"],
+                         ids=["size-line-2", "comment-blank", "blank-comments"])
+@pytest.mark.parametrize("rest, message", [
+    ("", "missing size line"),
+    ("7 x\n1\n", "line {size}: expected integer dimensions, got '7 x'"),
+    ("0 3\n", "line {size}: dimensions must be positive"),
+    ("1 2 3\n1\n", "line {size}: expected 'rows cols', got '1 2 3'"),
+    ("2 1\n1\n", "expected 2 entries for a 2x1 matrix, found 1"),
+    ("2 1\n% c\n1\nx\n", "line {entry}, field 1: not a number"),
+], ids=["missing", "not-integer", "zero", "three-fields", "short", "bad-entry"])
+def test_parse_matrix_market_errors_name_their_lines(lead, rest, message):
+    # a bad size line or entry after comment and blank lines names its line
+    size = 2 + lead.count("\n")
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix_market(_MM_HEADER + lead + rest)
+    assert str(exc.value) == message.format(size=size, entry=size + 3)
+
+
 def test_parse_matrix_market_case_insensitive_header():
     text = "%%matrixmarket MATRIX Array Real GENERAL\n1 2\n1\n1\n"
     m = parse_matrix_market(text)
@@ -227,17 +245,22 @@ def test_write_csv_grid_skips_per_token_float(monkeypatch):
 
 
 def test_write_matrix_market_skips_per_token_float(monkeypatch):
-    # so do plain ASCII Matrix Market entries and vectors, as one joined line
+    # so do plain ASCII Matrix Market entries and vectors, as one joined
+    # line, whatever comment and blank lines come before the size line
+    # (scipy.io.mmwrite writes a '%' line); a blank line of a million
+    # spaces must not make the size line's search backtrack
     data = _extreme_grid()
-    text = write_matrix_market(data)
+    header, rest = write_matrix_market(data).split("\n", 1)
     tolerances = ToleranceConfig(zero_column_tol=0.0)
 
     def per_token(*args):
         raise AssertionError("float() path used")
 
     monkeypatch.setattr("sparkcert.formats._floats", per_token)
-    assert parse_matrix_market(text, tolerances).data.tobytes() == data.tobytes()
-    assert parse_matrix_auto(text.encode(), None, tolerances).data.tobytes() == data.tobytes()
+    for lead in ("", "%\n", "% c\n\n \t\n%%x\n", " " * 10**6 + "\n"):
+        text = header + "\n" + lead + rest
+        assert parse_matrix_market(text, tolerances).data.tobytes() == data.tobytes()
+        assert parse_matrix_auto(text.encode(), None, tolerances).data.tobytes() == data.tobytes()
     column = data[:, 3]
     assert parse_vector(write_vector(column)).tobytes() == column.tobytes()
 
@@ -601,6 +624,8 @@ def test_bytes_parse_as_a_file_does(eol, tmp_path, monkeypatch, capsys):
 @example("1.5e308\n1.5e308\n")
 @example(_MM_HEADER + "2 1\n1.5e308\n1.5e308\n")
 @example(_MM_HEADER + "99999999999 99999999999\n1\n")
+@example(_MM_HEADER + "9" * 5000 + " 2\n1\n")
+@example(_MM_HEADER + "1" + "0" * 2200 + " 1" + "0" * 2200 + "\n1\n")
 @example("1e999\n")
 def test_parsers_raise_only_library_errors(raw):
     for parse in (parse_csv, parse_matrix_market, parse_vector):
@@ -678,16 +703,18 @@ def test_parsers_report_first_error_in_file_order(data):
     _expect(parse_csv, text, csv_error, values)
     _expect(parse_vector, text, vector_error, [v for row in values for v in row])
 
-    # Matrix Market: one cell per line after the header and size lines;
-    # blank lines are skipped wherever they are. Its lines can hold what a
-    # CSV cell cannot: a ',' or a '%' after the first character.
+    # Matrix Market: the header, comment and blank lines, the size line,
+    # then one cell per line; blank lines are skipped wherever they are. Its
+    # lines can hold what a CSV cell cannot: a ',' or a '%' after the first
+    # character.
+    lead = data.draw(st.lists(st.sampled_from(["% c", "", " \t", "%"]), max_size=2))
     mm_lines, entries = [], []
     for cells in lines:
         for token, ok in [("% note", True)] if cells is None else cells:
             token = _MM_TOKEN.get(token, token)
             mm_lines.append(token)
             if cells is not None and token.strip():
-                entries.append((len(mm_lines) + 2, token, ok))
+                entries.append((len(lead) + len(mm_lines) + 2, token, ok))
     n = len(entries)
     # the size is the entry count, or the count of a reader that skipped no
     # line and split lines at ',', or n + 1 where that count is n too
@@ -704,7 +731,7 @@ def test_parsers_report_first_error_in_file_order(data):
     mm_values = None
     if mm_error is None:
         mm_values = np.array([float(t.strip()) for _, t, _ in entries]).reshape(c, r).T
-    mm_text = "\n".join([_MM_HEADER.strip(), f"{r} {c}", *mm_lines]) + trailing
+    mm_text = "\n".join([_MM_HEADER.strip(), *lead, f"{r} {c}", *mm_lines]) + trailing
     _expect(parse_matrix_market, mm_text, mm_error, mm_values)
 
 
