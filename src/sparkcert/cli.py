@@ -149,7 +149,7 @@ def build_parser() -> _Parser:
     p_bench_spiked.add_argument(
         "--n-list",
         default="2,5,10,17",
-        help="comma-separated row counts (default 2,5,10,17)",
+        help="comma-separated row counts (default %(default)s)",
     )
     _add_common_search_flags(p_bench_spiked)
     p_bench_spiked.set_defaults(func=_cmd_bench_spiked)
@@ -252,12 +252,12 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
     from .spark import analyze_spark
 
     ns = _parse_n_list(args.n_list)
-    header = (
-        f"{'n':>4} {'rows':>5} {'cols':>5} {'exact_spark':>12} "
-        f"{'index_bound':>12} {'coherence_bound':>16} {'subsets':>10} {'seconds':>8} "
-        f"{'settled_by':>11}"
+    # (title, width) of each column, for the header and every row
+    columns = (
+        ("n", 4), ("rows", 5), ("cols", 5), ("exact_spark", 12), ("index_bound", 12),
+        ("coherence_bound", 16), ("subsets", 10), ("seconds", 8), ("settled_by", 11),
     )
-    print(header)
+    print(" ".join(f"{title:>{width}}" for title, width in columns))
     for n in ns:
         matrix = spiked_identity(n)
         start = time.perf_counter()
@@ -265,14 +265,12 @@ def _cmd_bench_spiked(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - start
         if report.search_budget_hit:
             raise BudgetExceeded(report.subsets_examined)
-        exact_shown = show_number(report.exact)
-        index_shown = show_number(report.coherence_index_bound)
-        coherence_shown = show_number(report.mutual_coherence_bound)
-        print(
-            f"{n:>4} {matrix.rows:>5} {matrix.cols:>5} {exact_shown:>12} "
-            f"{index_shown:>12} {coherence_shown:>16} {report.subsets_examined:>10} "
-            f"{elapsed:>8.3f} {report.settled_by:>11}"
+        cells = (
+            n, matrix.rows, matrix.cols, show_number(report.exact),
+            show_number(report.coherence_index_bound), show_number(report.mutual_coherence_bound),
+            report.subsets_examined, f"{elapsed:.3f}", report.settled_by,
         )
+        print(" ".join(f"{cell:>{width}}" for cell, (_, width) in zip(cells, columns)))
     return 0
 
 

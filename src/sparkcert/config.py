@@ -1,8 +1,9 @@
 """Tolerances and resource limits shared by the numeric routines.
 
 Nothing here reads the environment: the search budget comes only
-through `budget=` arguments (or the CLI's --budget), and
-DEFAULT_SEARCH_BUDGET is what `budget=None` means.
+through `budget=` arguments (or the CLI's --budget), and search_budget
+states what `budget=None` means (DEFAULT_SEARCH_BUDGET) and which
+budgets are valid.
 """
 
 from __future__ import annotations
@@ -54,3 +55,12 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()
+
+
+def search_budget(budget: int | None) -> int:
+    """The budget of a search: DEFAULT_SEARCH_BUDGET for None; raises ValueError below 1."""
+    if budget is None:
+        return DEFAULT_SEARCH_BUDGET
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
+    return budget

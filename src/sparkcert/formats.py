@@ -12,14 +12,15 @@ with universal newlines, as open() decodes a file, less one leading
 byte-order mark (U+FEFF), which some editors write before the first line.
 
 Numbers follow float() syntax once str.strip() has removed the whitespace
-around them. Plain ASCII input is converted by one call to numpy's C
-reader, which accepts a subset of that syntax and gives identical values:
-CSV with no blank line among its rows, and vectors and Matrix Market
-bodies (the lines after the size line, whatever comment and blank lines
-come before it) whose lines hold no ',', '#', '%' or '\\r' and are not
-blank. Those entries go to the reader as one comma-joined line, which it
-reads with no per-line cost. Everything else, including every error,
-takes the float() path.
+around them. Input is converted by one call to numpy's C reader, which
+accepts a subset of that syntax and gives identical values: CSV with no
+blank line among its rows, and vectors and Matrix Market bodies (the
+lines after the size line, whatever comment and blank lines come before
+it) whose lines hold no ',', '#', '%' or '\\r' and are not blank. Those
+entries go to the reader as one comma-joined line, which it reads with
+no per-line cost. A field with a non-ASCII character other than the
+whitespace around it, such as a Unicode digit, goes to float(), as does
+everything else, including every error.
 
 The writers render each double as format_float does: "%.17g", with ".0"
 appended to the finite integral values below 1e17, which "%.17g" writes
@@ -114,8 +115,11 @@ def _c_reader(lines: list[str], shape: tuple[int, int]) -> np.ndarray | None:
 
     It accepts a subset of float() syntax and gives the same bits, and
     strips around each field what str.strip() strips, so an empty or
-    all-whitespace field raises. The shape check catches a line that it
-    splits at '\\r'.
+    all-whitespace field raises. It reads a field only up to its first
+    non-ASCII character and declines unless whitespace follows, so a
+    field that float() reads differently never passes. The shape check
+    catches a line that it splits at '\\r' and a blank line, which it
+    skips.
     """
     try:
         values = np.loadtxt(
@@ -132,12 +136,11 @@ def _one_per_line(text: str, start: int, count: int) -> np.ndarray | None:
     The lines go to the reader joined with ',' into one line, the one copy
     alive while it runs. They may hold no ',', '#', '%' or '\\r'; a blank
     or whitespace-only line, a trailing one too, becomes a field that the
-    reader rejects.
+    reader rejects, like a field with a non-ASCII character other than
+    the whitespace around it.
     """
     stop = len(text) - text.endswith("\n")
-    if not text.isascii() or start >= stop:
-        return None
-    if any(text.find(c, start, stop) >= 0 for c in ",#%\r"):
+    if start >= stop or any(text.find(c, start, stop) >= 0 for c in ",#%\r"):
         return None
     values = _c_reader([text[start:stop].replace("\n", ",")], (1, count))
     return None if values is None else values[0]
@@ -153,10 +156,9 @@ def parse_csv(
     if not numbered:
         raise TruncatedData("no matrix rows found")
     lines = [line for _, line in numbered]
-    if text.isascii() and all(lines):
-        values = _c_reader(lines, (len(lines), lines[0].count(",") + 1))
-        if values is not None:
-            return build_matrix(values, tolerances)
+    values = _c_reader(lines, (len(lines), lines[0].count(",") + 1))
+    if values is not None:
+        return build_matrix(values, tolerances)
     # float() of each field: the only path that reports errors
     rows: list[np.ndarray] = []
     for lineno, line in numbered:

@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import InvalidN
-from .matrix import DenseMatrix, build_matrix, euclidean_norm, euclidean_norms
+from .errors import InvalidN, ZeroColumn
+from .matrix import DenseMatrix, build_matrix
 
 
 def spiked_identity(n: int) -> DenseMatrix:
@@ -39,16 +39,17 @@ def random_matrix(
 
     The generator algorithm is fixed (numpy PCG64 + standard_normal with
     float64 output), so identical seeds give identical matrices on every
-    platform. Columns that land below the zero-column tolerance are
-    redrawn from the same stream; with normal entries this is a
-    probability-zero event in practice but keeps the contract total.
+    platform. A column that lands below the zero-column tolerance, the
+    first that build_matrix names, is redrawn from the same stream until
+    it passes; with normal entries this is a probability-zero event in
+    practice but keeps the contract total.
     """
     if rows < 1 or cols < 1:
         raise InvalidN(f"rows and cols must be >= 1, got {rows}x{cols}")
     rng = np.random.Generator(np.random.PCG64(seed))
     data = rng.standard_normal((rows, cols))
-    for j, norm in enumerate(euclidean_norms(data)):
-        while norm <= tolerances.zero_column_tol:
-            data[:, j] = rng.standard_normal(rows)
-            norm = euclidean_norm(data[:, j])
-    return build_matrix(data, tolerances)
+    while True:
+        try:
+            return build_matrix(data, tolerances)
+        except ZeroColumn as exc:
+            data[:, exc.index] = rng.standard_normal(rows)

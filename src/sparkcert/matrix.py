@@ -136,8 +136,7 @@ class DenseMatrix:
         return (self.rows, self.cols)
 
     def column(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.cols:
-            raise IndexOutOfRange(f"column index {j} outside [0, {self.cols})")
+        column_submatrix(self, [j])  # validates the index
         return self.data[:, j]
 
     @cached_property
@@ -251,9 +250,7 @@ def unit_columns(matrix: DenseMatrix, indices: Sequence[int] | slice = slice(Non
 
 def normalize_columns(matrix: DenseMatrix) -> DenseMatrix:
     """Return a copy with every column scaled to unit Euclidean norm."""
-    scaled = unit_columns(matrix)
-    scaled.setflags(write=False)
-    return DenseMatrix(data=scaled, column_norms=euclidean_norms(scaled))
+    return build_matrix(unit_columns(matrix))
 
 
 def unit_gram(unit: np.ndarray) -> np.ndarray:
@@ -280,14 +277,14 @@ def numerical_rank(
     """Number of singular values above rank_tol_factor * sigma_max * max(shape).
 
     The SVD runs on the matrix scaled by a power of two, which keeps
-    sigma_max finite and the rank unchanged. Raises NonFiniteEntry for a
-    NaN or infinite entry.
+    sigma_max finite and the rank unchanged. A 2-D array with no entries
+    has rank 0; any other shape check_matrix_shape rejects. Raises
+    NonFiniteEntry for a NaN or infinite entry.
     """
     a = np.asarray(arr, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got ndim={a.ndim}")
-    if a.size == 0:
+    if a.ndim == 2 and a.size == 0:
         return 0
+    check_matrix_shape(a)
     if not np.all(np.isfinite(a)):
         raise NonFiniteEntry("matrix has an entry that is not finite")
     s = np.linalg.svd(_scaled_by_peak(a, axis=None)[0], compute_uv=False)

@@ -79,13 +79,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import coherence_profile, coherence_rounding, smallest_qualifying_prefix
-from .config import DEFAULT_SEARCH_BUDGET, DEFAULT_TOLERANCES, EPS, ToleranceConfig
-from .errors import (
-    BudgetExceeded,
-    NotSquare,
-    NotUnitDiagonal,
-    TooFewColumns,
-)
+from .config import DEFAULT_TOLERANCES, EPS, ToleranceConfig, search_budget
+from .errors import BudgetExceeded, NotSquare, NotUnitDiagonal
 from .kernels import scan_chunk
 from .matrix import DenseMatrix, column_submatrix, unit_columns, unit_gram
 
@@ -278,10 +273,7 @@ def exact_spark(
     spark is math.inf when all columns are independent. The search runs
     on one thread: `workers` must be >= 1 and is otherwise ignored.
     """
-    if budget is None:
-        budget = DEFAULT_SEARCH_BUDGET
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+    budget = search_budget(budget)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     # Rank is invariant under positive column scaling, and the cutoff is
@@ -330,9 +322,13 @@ def analyze_spark(
     compute_exact: bool = False,
     budget: int | None = None,
 ) -> SparkReport:
-    """Assemble the full spark report for a matrix with at least two columns."""
-    if matrix.cols < 2:
-        raise TooFewColumns(f"need at least 2 columns, got {matrix.cols}")
+    """Assemble the full spark report for a matrix with at least two columns.
+
+    The bounds come first: they raise TooFewColumns for fewer columns
+    before any search runs.
+    """
+    mutual_coherence_bound = mutual_coherence_lower_bound(matrix)
+    coherence_index_bound = coherence_index_lower_bound(matrix, tolerances)
     exact: int | float | None = None
     witness: tuple[int, ...] | None = None
     budget_hit = False
@@ -350,8 +346,8 @@ def analyze_spark(
             subsets_examined = exc.subsets_examined
     trivial_upper = matrix.rows + 1 if matrix.rows < matrix.cols else None
     return SparkReport(
-        mutual_coherence_bound=mutual_coherence_lower_bound(matrix),
-        coherence_index_bound=coherence_index_lower_bound(matrix, tolerances),
+        mutual_coherence_bound=mutual_coherence_bound,
+        coherence_index_bound=coherence_index_bound,
         exact=exact,
         witness=witness,
         trivial_upper=trivial_upper,

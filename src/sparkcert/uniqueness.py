@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import DEFAULT_SEARCH_BUDGET, DEFAULT_TOLERANCES, ToleranceConfig
+from .config import DEFAULT_TOLERANCES, ToleranceConfig, search_budget
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -191,10 +191,7 @@ def sparsest_oracle(
     support and returns all accepted supports of that size. Raises
     BudgetExceeded once `budget` supports were examined without one.
     """
-    if budget is None:
-        budget = DEFAULT_SEARCH_BUDGET
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+    budget = search_budget(budget)
     bv = _vector("b", b, matrix.rows)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")

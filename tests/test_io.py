@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import sys
+import unicodedata
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from sparkcert import (
     write_vector,
 )
 from sparkcert import cli
-from sparkcert.formats import decode_text, format_float, sniff_format
+from sparkcert.formats import _c_reader, decode_text, format_float, sniff_format
 
 
 def test_parse_csv_identity():
@@ -231,24 +232,26 @@ def _extreme_grid():
 
 
 def test_write_csv_grid_skips_per_token_float(monkeypatch):
-    # a plain ASCII grid goes through numpy's reader, with the same bits
+    # a written grid goes through numpy's reader, with the same bits, also
+    # after a comment line that is not ASCII
     data = _extreme_grid()
-    text = write_csv(data)
     tolerances = ToleranceConfig(zero_column_tol=0.0)
 
     def per_token(*args):
         raise AssertionError("float() path used")
 
     monkeypatch.setattr("sparkcert.formats._floats", per_token)
-    assert parse_csv(text, tolerances).data.tobytes() == data.tobytes()
-    assert parse_matrix_auto(text.encode(), None, tolerances).data.tobytes() == data.tobytes()
+    for lead in ("", "# café\n"):
+        text = lead + write_csv(data)
+        assert parse_csv(text, tolerances).data.tobytes() == data.tobytes()
+        assert parse_matrix_auto(text.encode(), None, tolerances).data.tobytes() == data.tobytes()
 
 
 def test_write_matrix_market_skips_per_token_float(monkeypatch):
-    # so do plain ASCII Matrix Market entries and vectors, as one joined
-    # line, whatever comment and blank lines come before the size line
-    # (scipy.io.mmwrite writes a '%' line); a blank line of a million
-    # spaces must not make the size line's search backtrack
+    # so do written Matrix Market entries and vectors, as one joined line,
+    # whatever comment and blank lines come before the size line
+    # (scipy.io.mmwrite writes a '%' line), ASCII or not; a blank line of
+    # a million spaces must not make the size line's search backtrack
     data = _extreme_grid()
     header, rest = write_matrix_market(data).split("\n", 1)
     tolerances = ToleranceConfig(zero_column_tol=0.0)
@@ -257,12 +260,31 @@ def test_write_matrix_market_skips_per_token_float(monkeypatch):
         raise AssertionError("float() path used")
 
     monkeypatch.setattr("sparkcert.formats._floats", per_token)
-    for lead in ("", "%\n", "% c\n\n \t\n%%x\n", " " * 10**6 + "\n"):
+    for lead in ("", "%\n", "% c\n\n \t\n%%x\n", " " * 10**6 + "\n", "% café\n"):
         text = header + "\n" + lead + rest
         assert parse_matrix_market(text, tolerances).data.tobytes() == data.tobytes()
         assert parse_matrix_auto(text.encode(), None, tolerances).data.tobytes() == data.tobytes()
     column = data[:, 3]
     assert parse_vector(write_vector(column)).tobytes() == column.tobytes()
+
+
+def test_c_reader_takes_only_fields_that_float_reads_alike():
+    # numpy's reader reads a field only up to its first non-ASCII character
+    # and declines it unless whitespace follows, so whatever it takes,
+    # float() of the stripped field reads with the same bits: checked with
+    # every whitespace and decimal-digit character before, after and inside
+    # a number, alone and between two fields
+    chars = [
+        c for c in map(chr, range(sys.maxunicode + 1))
+        if c.isspace() or unicodedata.category(c) == "Nd"
+    ]
+    for c in chars:
+        for field in (c + "1.5", "1.5" + c, "1" + c + "5"):
+            for lines, shape, k in (([field], (1, 1), 0), (["0," + field + ",2"], (1, 3), 1)):
+                values = _c_reader(lines, shape)
+                if values is not None:
+                    want = np.float64(float(field.strip()))
+                    assert values[0, k].tobytes() == want.tobytes(), repr(field)
 
 
 def test_parse_matrix_market_comment_and_crlf_keep_bits():

@@ -319,6 +319,16 @@ def test_numerical_rank_of_extreme_and_non_finite_input():
             numerical_rank(np.array(a))
 
 
+def test_numerical_rank_shapes():
+    # a 2-D array with no entries has rank 0; other shapes are rejected as
+    # build_matrix rejects them
+    for shape in ((0, 3), (3, 0)):
+        assert numerical_rank(np.zeros(shape)) == 0
+    for a in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match=rf"^expected a 2-D array, got ndim={a.ndim}$"):
+            numerical_rank(a)
+
+
 def test_eps_is_numpys_float64_epsilon_bit_for_bit():
     # config reads it from sys.float_info, which loads no numpy
     numpy_eps = float(np.finfo(np.float64).eps).hex()
@@ -355,3 +365,21 @@ def test_random_matrix_seed_sensitivity():
     a = random_matrix(3, 4, seed=1)
     b = random_matrix(3, 4, seed=2)
     assert not np.array_equal(a.data, b.data)
+
+
+def test_random_matrix_redraws_columns_from_the_same_stream():
+    # a coarse zero-column tolerance makes columns land below it; each is
+    # redrawn in column order until it passes, as this loop does
+    redrawn = 0
+    for rows, cols, tol in ((1, 40, 0.5), (1, 40, 1.5), (2, 30, 1.0), (3, 7, 0.0)):
+        for seed in range(5):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            want = rng.standard_normal((rows, cols))
+            for j, norm in enumerate(euclidean_norms(want)):
+                while norm <= tol:
+                    want[:, j] = rng.standard_normal(rows)
+                    norm = euclidean_norm(want[:, j])
+                    redrawn += 1
+            got = random_matrix(rows, cols, seed, ToleranceConfig(zero_column_tol=tol))
+            assert got.data.tobytes() == want.tobytes()
+    assert redrawn > 0

@@ -213,8 +213,9 @@ def test_workers_start_no_thread(monkeypatch):
 
 
 def test_analyze_spark_requires_two_columns():
-    with pytest.raises(TooFewColumns):
-        analyze_spark(build_matrix([[1.0], [0.0]]))
+    for compute_exact in (False, True):
+        with pytest.raises(TooFewColumns):
+            analyze_spark(build_matrix([[1.0], [0.0]]), compute_exact=compute_exact)
 
 
 def test_analyze_spark_spiked_n10():
