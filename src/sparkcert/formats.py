@@ -119,8 +119,11 @@ def _c_reader(lines: list[str], shape: tuple[int, int]) -> np.ndarray | None:
     non-ASCII character and declines unless whitespace follows, so a
     field that float() reads differently never passes. The shape check
     catches a line that it splits at '\\r' and a blank line, which it
-    skips.
+    skips. Lines that are all empty are declined without a call, because
+    the reader warns on input with no data.
     """
+    if not any(lines):
+        return None
     try:
         values = np.loadtxt(
             lines, np.float64, delimiter=",", comments=None, quotechar=None, ndmin=2

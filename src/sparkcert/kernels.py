@@ -76,13 +76,38 @@ sized on). A probe that fails early still factors its whole first batch.
 The work rows live in one array per thread, kept between calls; every
 other buffer of a batch adds to the process's peak resident set.
 Decisions do not depend on the batching.
+
+Each filter comes in two parts, a plan and the arithmetic. The plan is
+the index arrays of its batches, and depends on the shape and the cap
+alone: for the subset filter, the offsets in the flat Gram matrix of
+each subset's minor; for the prefix filter, the prefix of each subset,
+the offsets of the rows g of each subset, and those of the blocks G_PP
+of each prefix. Its builder takes the subsets and prefixes from
+itertools.combinations and lays out the batches above. The arithmetic
+reads the Gram matrix through the plan, factors, and reads the columns
+of the subsets it fails back from their offsets. Plans stay in one
+cache, `_plans`, by builder and every argument of the builder: cols,
+size, count, the cap in subsets (from GATHER_BYTES or PREFIX_BYTES) and
+the index type. It holds at most PLAN_BYTES (4 MiB), each plan counted
+at its bound, and drops the least recently used first; a larger plan
+comes from its builder batch by batch and is not kept. Each batch of a
+kept plan is built on first use, once, so a scan that stops early builds
+no more of it than before. The arrays are read-only, take the smallest
+unsigned type that holds their indices (2 bytes below 256 columns) and
+hold no data: each call builds the Gram matrix from `data` and reads it
+through the same indices a fresh plan would hold, so a kept plan cannot
+fall out of step with the data, and the decisions, witness and subset
+counts are those of a fresh plan. A process that scans many matrices of
+one shape builds each plan once.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator
+from collections import OrderedDict
+from collections.abc import Callable, Iterator
+from functools import partial
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -121,6 +146,12 @@ CHOLESKY_SHIFT = 1e-8
 # ms against 3.1-3.2 ms at 3.
 RUN_RATIO = 3
 
+# Bytes of the plans that _plans keeps, each counted at its bound. The
+# benchmark's exact searches keep 10 plans: 0.52 MB of arrays, counted at
+# 3.6 MB, 3.1 MB of it the plan of planted 7x18's failing size-7 probe,
+# which builds the first of its 191 batches.
+PLAN_BYTES = 4 * 1024 * 1024
+
 # The prefix filter's work array, one per thread, kept between calls and
 # grown to the largest batch. A fresh array per batch goes back to the
 # system when the C allocator trims the top of its heap, and the next call
@@ -141,8 +172,9 @@ def scan_chunk(
     than `size` of its singular values exceed tol_factor * sigma_max *
     max(rows, size); a subset whose shifted Gram minor passes a Cholesky
     factorization is not (see the module docstring). The minors come from
-    the unit Gram matrix of `data`, built on each call, so they cannot
-    fall out of step with the columns. Returns (position, indices) of the
+    the unit Gram matrix of `data`, built on each call, through index
+    arrays that depend on the shape alone, so they cannot fall out of
+    step with the columns. Returns (position, indices) of the
     first rank-deficient subset, or (-1, None) if there is none in the
     run. Raises ValueError when `count` runs past the last subset.
     """
@@ -181,22 +213,42 @@ def _subset_failures(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(positions, indices) of the subsets the subset filter fails, in order.
 
-    Batches of per_batch consecutive subsets are gathered and their
-    shifted minors factored in one stacked call.
+    Batches of per_batch consecutive subsets come from the plan
+    (`_subset_plan`), and their shifted minors are factored in one
+    stacked call.
     """
-    subsets = combinations(range(gram.shape[0]), size)
+    cols = gram.shape[0]
+    entries = gram.ravel()
+    index = np.min_scalar_type(cols * cols - 1)
+    # the plan holds size^2 offsets per subset
+    nbytes = count * size * size * index.itemsize
+    done = 0
+    for (flat,) in _plans.batches(nbytes, _subset_plan, cols, size, count, per_batch, index):
+        minors = np.take(entries, flat)
+        minors.reshape(len(flat), size * size)[:, :: size + 1] -= delta
+        failing = np.flatnonzero(~_cholesky_passes(minors))
+        if failing.size:
+            # row a of a minor starts at the offset of G[S[a], S[0]]
+            yield done + failing, flat[failing, :, 0] // cols
+        done += len(flat)
+
+
+def _subset_plan(
+    cols: int, size: int, count: int, per_batch: int, index: np.dtype
+) -> Iterator[tuple[np.ndarray]]:
+    """The subset filter's batches of per_batch subsets: the Gram offsets of their minors.
+
+    Entry [k, a, b] of a batch's (batch, size, size) array is the offset
+    of G[S[a], S[b]] in the flat Gram matrix, for its k-th subset S.
+    """
+    subsets = combinations(range(cols), size)
     done = 0
     while done < count:
         batch = min(per_batch, count - done)
-        flat = np.fromiter(
-            chain.from_iterable(islice(subsets, batch)), dtype=np.intp, count=batch * size
-        )
-        idx = flat.reshape(batch, size)
-        minors = gram[idx[:, :, None], idx[:, None, :]]
-        minors.reshape(batch, size * size)[:, :: size + 1] -= delta
-        failing = np.flatnonzero(~_cholesky_passes(minors))
-        if failing.size:
-            yield done + failing, idx[failing]
+        idx = np.fromiter(
+            chain.from_iterable(islice(subsets, batch)), dtype=index, count=batch * size
+        ).reshape(batch, size)
+        yield (idx[:, :, None] * cols + idx[:, None, :],)
         done += batch
 
 
@@ -205,17 +257,14 @@ def _prefix_failures(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(positions, indices) of the subsets the prefix filter fails, in order.
 
-    A batch takes whole runs, at least one and no more than `count` needs,
-    as many as PREFIX_BYTES holds of their work rows (size - 1 floats of g
-    and (size - 1) * size / 2 of L_PP per subset) and of their prefixes'
-    blocks ((size - 1)^2 floats per prefix). The blocks G_PP - delta*I of
-    the batch are factored once, in one (size - 1, size - 1, prefixes)
-    array that starts as the blocks and is overwritten step by step. The
-    subsets are laid out flat, in order, in this thread's work array: the
-    rows g = G[P, j] of each go through the same steps, to l = L_PP^-1 g
-    and the last pivot (1 - delta) - |l|^2. The failures go out in spans
-    of at most per_batch subsets, at their flat positions; nothing of the
-    work array is read after a yield.
+    Batches of whole runs come from the plan (`_prefix_plan`). The blocks
+    G_PP - delta*I of a batch are factored once, in one (size - 1,
+    size - 1, prefixes) array that starts as the blocks and is overwritten
+    step by step. The subsets are laid out flat, in order, in this
+    thread's work array: the rows g = G[P, j] of each go through the same
+    steps, to l = L_PP^-1 g and the last pivot (1 - delta) - |l|^2. The
+    failures go out in spans of at most per_batch subsets, at their flat
+    positions; nothing of the work array is read after a yield.
     """
     cols = gram.shape[0]
     steps = size - 1
@@ -223,10 +272,72 @@ def _prefix_failures(
     entries = gram.ravel()
     rows = steps * (steps + 3) // 2
     per_subsets = max(1, PREFIX_BYTES // (max(rows, 1) * gram.itemsize))
+    index = np.min_scalar_type(max(cols * cols, per_subsets) - 1)
+    # the plan holds size + 1 indices per subset and (size - 1)^2 per
+    # prefix, and a subset has one prefix
+    prefixes = min(count, math.comb(cols - 1, steps))
+    nbytes = (count * (size + 1) + prefixes * steps * steps) * index.itemsize
+    done = 0
+    for owner, gidx, widx in _plans.batches(
+        nbytes, _prefix_plan, cols, size, count, per_subsets, index
+    ):
+        n = len(owner)
+        # w[t, c] holds G[P[t], P[c]] for every prefix of the batch; row t
+        # right of the diagonal becomes row t of L^-1 (G_PP - delta*I) =
+        # L_PP^T and the diagonal l_tt, so w[:t + 1, t] is row t of L_PP
+        w = np.take(entries, widx)
+        # this thread's work array (see _work), grown to the batch
+        buffer = getattr(_work, "buffer", None)
+        if buffer is None or buffer.size < rows * n:
+            buffer = _work.buffer = np.empty(rows * n)
+        work = buffer[: rows * n].reshape(rows, n)
+        x, lower = work[:steps], work[steps:]
+        with np.errstate(all="ignore"):
+            for t in range(steps):
+                # l_ts for s < t
+                lt = w[:t, t]
+                w[t, t] = np.sqrt(pivot - np.einsum("sb,sb->b", lt, lt))
+                w[t, t + 1 :] -= np.einsum("sb,scb->cb", lt, w[:t, t + 1 :])
+                w[t, t + 1 :] /= w[t, t]
+            # the work rows of every subset: the rows of L_PP, taken from
+            # its prefix, and g = G[P, j]. mode="wrap" writes straight into
+            # the work array (the indices are all valid)
+            np.take(
+                w.transpose(1, 0, 2)[np.tri(steps, dtype=bool)], owner, axis=1, out=lower,
+                mode="wrap",
+            )
+            np.take(entries, gidx[:steps], out=x, mode="wrap")
+            # row t of x becomes row t of l = L_PP^-1 g
+            for t in range(steps):
+                row = lower[t * (t + 1) // 2 : (t + 1) * (t + 2) // 2]
+                x[t] -= np.einsum("sn,sn->n", row[:t], x[:t])
+                x[t] /= row[t]
+            passed = pivot - np.einsum("sn,sn->n", x, x) > 0.0
+        failing = np.flatnonzero(~passed)
+        for lo in range(0, failing.size, per_batch):
+            f = failing[lo : lo + per_batch]
+            # row t of gidx holds the offsets of G[S[t], j]
+            yield done + f, gidx[:, f].T // cols
+        done += n
+
+
+def _prefix_plan(
+    cols: int, size: int, count: int, per_subsets: int, index: np.dtype
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The prefix filter's batches of whole runs: (owner, gidx, widx) of each.
+
+    A batch takes whole runs, at least one and no more than `count` needs,
+    at most per_subsets subsets and per_subsets // (size - 1) prefixes.
+    Its k-th subset S is its prefix P = S[:-1], the owner[k]-th of the
+    batch, and a column j after it. gidx[t, k] is the offset of G[S[t], j]
+    in the flat Gram matrix, and widx[s, c, p] that of G[P[s], P[c]] for
+    the p-th prefix P of the batch.
+    """
+    steps = size - 1
     per_prefixes = max(1, per_subsets // max(steps, 1))
     prefixes = combinations(range(cols - 1), steps)
     left = math.comb(cols - 1, steps)
-    # prefixes taken from `prefixes` but not yet filtered, and their runs
+    # prefixes taken from `prefixes` but not yet planned, and their runs
     pending = np.empty((0, steps), dtype=np.intp)
     runs = np.empty(0, dtype=np.intp)
     done = 0
@@ -253,52 +364,88 @@ def _prefix_failures(
         ends = ends[:batch]
         n = min(int(ends[-1]), count - done)
         run[-1] -= ends[-1] - n
-        # in C order: the gathers below run several times slower on the
+        # in C order: the gathers run several times slower on the
         # transposed view
-        columns = np.ascontiguousarray(pre.T)
-        offsets = columns * cols
-        # w[t, c] holds G[P[t], P[c]] for every prefix of the batch; row t
-        # right of the diagonal becomes row t of L^-1 (G_PP - delta*I) =
-        # L_PP^T and the diagonal l_tt, so w[:t + 1, t] is row t of L_PP
-        w = np.take(entries, offsets[:, None, :] + columns)
-        # subset k of the batch is the extension ext[k] of prefix owner[k]
-        owner = np.repeat(np.arange(batch), run)
+        columns = np.ascontiguousarray(pre.T, dtype=index)
+        owner = np.repeat(np.arange(batch, dtype=index), run)
+        # the column j of each subset
         ext = np.repeat(cols - ends, run)
         ext += np.arange(n)
-        # this thread's work array (see _work), grown to the batch
-        buffer = getattr(_work, "buffer", None)
-        if buffer is None or buffer.size < rows * n:
-            buffer = _work.buffer = np.empty(rows * n)
-        work = buffer[: rows * n].reshape(rows, n)
-        x, lower = work[:steps], work[steps:]
-        with np.errstate(all="ignore"):
-            for t in range(steps):
-                # l_ts for s < t
-                lt = w[:t, t]
-                w[t, t] = np.sqrt(pivot - np.einsum("sb,sb->b", lt, lt))
-                w[t, t + 1 :] -= np.einsum("sb,scb->cb", lt, w[:t, t + 1 :])
-                w[t, t + 1 :] /= w[t, t]
-            # the work rows of every subset, taken from its prefix: the
-            # Gram offsets of P, exact as floats, then the rows of L_PP.
-            # mode="wrap" writes straight into the work array (the indices
-            # are all valid)
-            np.take(
-                np.concatenate((offsets, *(w[: t + 1, t] for t in range(steps))), dtype=np.float64),
-                owner,
-                axis=1,
-                out=work,
-                mode="wrap",
-            )
-            # row t of x becomes row t of g = G[P, ext], then of l = L_PP^-1 g
-            for t in range(steps):
-                np.take(entries, (x[t] + ext).astype(np.intp), out=x[t], mode="wrap")
-            for t in range(steps):
-                row = lower[t * (t + 1) // 2 : (t + 1) * (t + 2) // 2]
-                x[t] -= np.einsum("sn,sn->n", row[:t], x[:t])
-                x[t] /= row[t]
-            passed = pivot - np.einsum("sn,sn->n", x, x) > 0.0
-        failing = np.flatnonzero(~passed)
-        for lo in range(0, failing.size, per_batch):
-            f = failing[lo : lo + per_batch]
-            yield done + f, np.column_stack((pre[owner[f]], ext[f]))
+        ext = ext.astype(index)
+        gidx = np.empty((size, n), dtype=index)
+        np.take(columns, owner, axis=1, out=gidx[:steps])
+        gidx[steps] = ext
+        gidx *= cols
+        gidx += ext
+        yield owner, gidx, columns[:, None, :] * cols + columns
         done += n
+
+
+class _Plan:
+    """The batches of one plan, each built once, on first use, and kept.
+
+    One thread at a time takes a batch from the builder. A builder that
+    raises (an interrupt, a MemoryError) is replaced by a fresh one past
+    the batches kept, so the plan never ends early.
+    """
+
+    def __init__(self, build: Callable[[], Iterator[tuple[np.ndarray, ...]]]) -> None:
+        self._build = build
+        self._source = build()
+        self._batches: list[tuple[np.ndarray, ...]] = []
+        self._lock = threading.Lock()
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, ...]]:
+        k = 0
+        while True:
+            if k == len(self._batches):
+                with self._lock:
+                    if k == len(self._batches):
+                        try:
+                            batch = next(self._source, None)
+                        except BaseException:
+                            self._source = islice(self._build(), k, None)
+                            raise
+                        if batch is None:
+                            return
+                        for array in batch:
+                            array.flags.writeable = False
+                        self._batches.append(batch)
+            yield self._batches[k]
+            k += 1
+
+
+class _PlanCache:
+    """Plans by builder and arguments, as many as PLAN_BYTES holds.
+
+    Each plan counts at its bound in bytes; the least recently used go
+    first. The lock guards the table.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._plans: OrderedDict[tuple, tuple[_Plan, int]] = OrderedDict()
+        self.nbytes = 0
+
+    def batches(self, nbytes: int, build: Callable, *args) -> Iterator[tuple[np.ndarray, ...]]:
+        """The batches of build(*args), a plan of at most nbytes.
+
+        A plan larger than PLAN_BYTES comes from the builder and is not kept.
+        """
+        if nbytes > PLAN_BYTES:
+            return build(*args)
+        key = (build, *args)
+        with self._lock:
+            entry = self._plans.get(key)
+            if entry is None:
+                entry = self._plans[key] = (_Plan(partial(build, *args)), nbytes)
+                self.nbytes += nbytes
+                while self.nbytes > PLAN_BYTES:
+                    _, (_, dropped) = self._plans.popitem(last=False)
+                    self.nbytes -= dropped
+            else:
+                self._plans.move_to_end(key)
+        return iter(entry[0])
+
+
+_plans = _PlanCache()

@@ -1,8 +1,10 @@
 import functools
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -103,6 +105,23 @@ def test_analyze_ragged_csv_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 1
     assert "RaggedRows" in err
+
+
+def test_a_csv_with_no_data_prints_the_error_alone(tmp_path):
+    # a blank line and a comment: stderr holds the error line and no
+    # warning of numpy's reader, under Python's default warning filters
+    path = tmp_path / "f.csv"
+    path.write_text("\n# c\n")
+    env = dict(os.environ)
+    package_root = str(pathlib.Path(sparkcert.cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run(
+        [sys.executable, "-m", "sparkcert.cli", "analyze", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"error: UnparseableNumber: {path}: line 1, field 1: not a number\n"
 
 
 def test_analyze_invalid_utf8_exits_1(capsys, tmp_path):

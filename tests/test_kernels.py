@@ -25,6 +25,7 @@ from sparkcert.config import DEFAULT_ZERO_COLUMN_TOL
 from sparkcert.kernels import (
     CHOLESKY_SHIFT,
     GATHER_BYTES,
+    PLAN_BYTES,
     PREFIX_BYTES,
     RUN_RATIO,
     scan_chunk,
@@ -439,6 +440,191 @@ def test_prefix_filter_threads_keep_their_own_work_arrays():
     assert all(answer[0] >= 0 for answer in expected)
 
 
+def _spans(cholesky_filter, data, size, count, tol_factor):
+    """The (positions, indices) spans of a Cholesky filter, as lists, at scan_chunk's settings."""
+    dim = max(data.shape[0], size)
+    per_batch = max(1, kernels.GATHER_BYTES // (dim * size * data.itemsize))
+    spans = cholesky_filter(unit_gram(data), size, count, per_batch, _shift(tol_factor, dim) * size)
+    return [(positions.tolist(), idx.tolist()) for positions, idx in spans]
+
+
+def _planted(rows, cols, seed, support):
+    """Unit columns of a random matrix whose column support[-1] is a mix of the others."""
+    raw = random_matrix(rows, cols, seed=seed).data.copy()
+    raw[:, support[-1]] = raw[:, support[:-1]] @ np.arange(1.0, len(support))
+    return _unit(raw)
+
+
+@pytest.mark.parametrize("caps", [(1, 1), (GATHER_BYTES, PREFIX_BYTES)], ids=["1B", "default"])
+def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, caps):
+    # both filters on every size of 4x12, on whole sizes and on counts that
+    # stop part way through a run; the warm call reads the plan the cold
+    # one kept
+    monkeypatch.setattr(kernels, "GATHER_BYTES", caps[0])
+    monkeypatch.setattr(kernels, "PREFIX_BYTES", caps[1])
+    data = _planted(4, 12, 5, [1, 4, 7])
+    for size in range(1, 6):
+        subsets = list(combinations(range(12), size))
+        # the run of prefix (0, ..., size - 2), cut before column 9
+        mid = subsets.index((*range(size - 1), 9)) if size > 1 else 9
+        for count in (len(subsets), mid):
+            for tol_factor in (EPS, 1e-6, 1e-3, 0.3):
+                for cholesky_filter in (kernels._prefix_failures, kernels._subset_failures):
+                    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+                    cold = _spans(cholesky_filter, data, size, count, tol_factor)
+                    (plan,) = [plan for plan, _ in kernels._plans._plans.values()]
+                    assert _spans(cholesky_filter, data, size, count, tol_factor) == cold
+                    assert [plan for plan, _ in kernels._plans._plans.values()] == [plan]
+                    assert all(
+                        [subsets[p] for p in positions] == [tuple(i) for i in idx]
+                        for positions, idx in cold
+                    )
+                monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+                cold = scan_chunk(data, size, count, tol_factor)
+                assert scan_chunk(data, size, count, tol_factor) == cold
+                first = next(
+                    (k for k in range(count) if _dependent(data, subsets[k], tol_factor)), None
+                )
+                assert cold == ((-1, None) if first is None else (first, subsets[first]))
+
+
+def test_a_changed_cap_builds_a_fresh_plan(monkeypatch):
+    # a plan is kept by its caps: a scan after a cap changes builds the plan
+    # of the new batches, and the plan of the old caps is still kept
+    built = []
+    for name in ("_prefix_plan", "_subset_plan"):
+        def counting(*args, real=getattr(kernels, name), name=name):
+            built.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, name, counting)
+    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+    # 24 >= 3 * 4 takes the prefix filter, 10 < 3 * 4 the subset filter
+    cases = [
+        ("PREFIX_BYTES", "_prefix_plan", _planted(4, 24, 1, [3, 7, 11, 20])),
+        ("GATHER_BYTES", "_subset_plan", _planted(4, 10, 1, [1, 5, 8])),
+    ]
+    for cap, builder, data in cases:
+        count = math.comb(data.shape[1], 4)
+        default = getattr(kernels, cap)
+        built.clear()
+        answer = scan_chunk(data, 4, count, EPS)
+        assert answer[0] >= 0
+        assert scan_chunk(data, 4, count, EPS) == answer
+        assert built == [builder]
+        monkeypatch.setattr(kernels, cap, 1)
+        assert scan_chunk(data, 4, count, EPS) == answer
+        assert built == [builder] * 2
+        monkeypatch.setattr(kernels, cap, default)
+        assert scan_chunk(data, 4, count, EPS) == answer
+        assert built == [builder] * 2
+    assert len(kernels._plans._plans) == 4
+
+
+def test_kept_plans_are_read_only(monkeypatch):
+    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+    scan_chunk(_planted(4, 24, 1, [3, 7, 11, 20]), 4, math.comb(24, 4), EPS)
+    scan_chunk(_planted(4, 10, 1, [1, 5, 8]), 4, math.comb(10, 4), EPS)
+    plans = [plan for plan, _ in kernels._plans._plans.values()]
+    arrays = [array for plan in plans for batch in plan._batches for array in batch]
+    assert len(plans) == 2 and len(arrays) > 2
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
+
+
+def test_plan_cache_stays_within_plan_bytes(monkeypatch):
+    # every plan counts at its bound, which holds its arrays; the least
+    # recently used go first, and a plan larger than the cache is built and
+    # not kept
+    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+    monkeypatch.setattr(kernels, "PLAN_BYTES", 64 * 1024)
+    scanned = []
+    for cols in range(6, 33, 2):
+        data = _unit(random_matrix(3, cols, seed=cols).data)
+        for size in (2, 3, 4):
+            scan_chunk(data, size, math.comb(cols, size), EPS)
+            scanned.append((cols, size))
+            kept = list(kernels._plans._plans.values())
+            assert kernels._plans.nbytes == sum(nbytes for _, nbytes in kept) <= 64 * 1024
+            for plan, nbytes in kept:
+                assert sum(a.nbytes for batch in plan._batches for a in batch) <= nbytes
+    assert 2 <= len(kept) < len(scanned)
+    # in the order they were used; the size-4 plan of 3x32, C(32, 4)
+    # subsets of 5 indices of 2 bytes, is larger than the cache
+    keys = [key[1:3] for key in kernels._plans._plans]
+    assert keys == [shape for shape in scanned if shape in keys]
+    assert keys[-1] == (32, 3)
+
+
+def test_threads_share_kept_plans(monkeypatch):
+    # four threads scan four shapes, each in its own order, from an empty
+    # cache so small that the two larger plans do not fit together: they
+    # build, read and drop the same plans at once. Every answer is the
+    # first subset that the SVD rule calls dependent
+    cases = [
+        (_planted(4, 24, 2, [2, 9, 13, 21]), 4),
+        (_planted(5, 17, 3, [1, 4, 6, 8, 16]), 5),
+        (_planted(3, 14, 4, [5, 9, 12]), 3),
+        (_planted(6, 11, 5, [0, 3, 4, 7, 10]), 5),
+    ]
+    expected = []
+    for data, size in cases:
+        subsets = combinations(range(data.shape[1]), size)
+        expected.append(next(
+            (k, subset) for k, subset in enumerate(subsets) if _dependent(data, subset, EPS)
+        ))
+    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+    monkeypatch.setattr(kernels, "PLAN_BYTES", 200 * 1024)
+    answers = [[] for _ in cases]
+    lock = threading.Lock()
+
+    def work(shift):
+        for _ in range(10):
+            for k in range(len(cases)):
+                case = (k + shift) % len(cases)
+                data, size = cases[case]
+                answer = scan_chunk(data, size, math.comb(data.shape[1], size), EPS)
+                with lock:
+                    answers[case].append(answer)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert answers == [[answer] * 40 for answer in expected]
+
+
+def test_a_plan_whose_builder_raises_is_built_again_past_its_kept_batches():
+    # an interrupt inside the builder leaves the two batches kept; the next
+    # reader gets all four, the last two from a second builder
+    calls = []
+
+    def build():
+        calls.append(len(calls))
+        for k in range(4):
+            if calls == [0] and k == 2:
+                raise KeyboardInterrupt
+            yield (np.array([k]),)
+
+    plan = kernels._Plan(build)
+    seen = []
+    with pytest.raises(KeyboardInterrupt):
+        for (batch,) in plan:
+            seen.append(int(batch[0]))
+    assert seen == [0, 1]
+    assert [int(batch[0]) for (batch,) in plan] == [0, 1, 2, 3]
+    assert calls == [0, 1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     matrix=st.integers(min_value=1, max_value=9).flatmap(
@@ -750,8 +936,9 @@ def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
     # it (rank 4 < 5) and goes on to the SVD. The largest numpy buffer alive
     # at any line of the kernel, by tracemalloc, stays within PREFIX_BYTES,
     # and every stack the SVD sees within GATHER_BYTES. The first batch
-    # fills the cap with whole runs; the work array the filter keeps
-    # between calls starts empty, so that it is allocated while traced
+    # fills the cap with whole runs; the work array and the plan cache,
+    # which the filter keeps between calls, start empty, so that the work
+    # array and the plan are allocated while traced
     stacks = []
     real_svd = np.linalg.svd
 
@@ -763,6 +950,7 @@ def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
     # the prefix filter runs no LAPACK Cholesky
     monkeypatch.setattr(kernels, "_cholesky_passes", None)
     monkeypatch.setattr(kernels, "_work", threading.local())
+    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
     largest = []
     numpy_buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
 
