@@ -83,22 +83,27 @@ alone: for the subset filter, the offsets in the flat Gram matrix of
 each subset's minor; for the prefix filter, the prefix of each subset,
 the offsets of the rows g of each subset, and those of the blocks G_PP
 of each prefix. Its builder takes the subsets and prefixes from
-itertools.combinations and lays out the batches above. The arithmetic
-reads the Gram matrix through the plan, factors, and reads the columns
-of the subsets it fails back from their offsets. Plans stay in one
-cache, `_plans`, by builder and every argument of the builder: cols,
-size, count, the cap in subsets (from GATHER_BYTES or PREFIX_BYTES) and
-the index type. It holds at most PLAN_BYTES (4 MiB), each plan counted
-at its bound, and drops the least recently used first; a larger plan
-comes from its builder batch by batch and is not kept. Each batch of a
-kept plan is built on first use, once, so a scan that stops early builds
-no more of it than before. The arrays are read-only, take the smallest
-unsigned type that holds their indices (2 bytes below 256 columns) and
-hold no data: each call builds the Gram matrix from `data` and reads it
-through the same indices a fresh plan would hold, so a kept plan cannot
-fall out of step with the data, and the decisions, witness and subset
-counts are those of a fresh plan. A process that scans many matrices of
-one shape builds each plan once.
+itertools.combinations, lays out the batches above, and gives the arrays
+the smallest unsigned type that holds their indices (2 bytes below 256
+columns). The arithmetic reads the Gram matrix through the plan,
+factors, and reads the columns of the subsets it fails back from their
+offsets. Plans stay in one table, `_plans`, by builder and every
+argument of the builder: cols, size, count and the cap in subsets (from
+GATHER_BYTES or PREFIX_BYTES). A kept plan is an immutable tuple of the
+read-only batches that one scan built, counted at the bytes of their
+arrays; the table holds at most PLAN_BYTES (4 MiB) of them and drops the
+least recently used first. A scan reads the kept batches and, unless the
+plan is whole, builds on past them with a fresh builder, which builds
+the kept batches again to skip them. When it ends, at the last batch, at
+a hit or on an exception, it keeps what it built if that is more than
+the table holds and fits in PLAN_BYTES, and it collects nothing past
+PLAN_BYTES. So a scan that stops early builds no more than before and
+keeps just that, and a plan too large to keep comes from its builder
+batch by batch. The arrays hold no data: each call builds the Gram
+matrix from `data` and reads it through the same indices a fresh plan
+would hold, so a kept plan cannot fall out of step with the data, and
+the decisions, witness and subset counts are those of a fresh plan. A
+process that scans many matrices of one shape builds each plan once.
 """
 
 from __future__ import annotations
@@ -107,7 +112,6 @@ import math
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
-from functools import partial
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -146,10 +150,9 @@ CHOLESKY_SHIFT = 1e-8
 # ms against 3.1-3.2 ms at 3.
 RUN_RATIO = 3
 
-# Bytes of the plans that _plans keeps, each counted at its bound. The
-# benchmark's exact searches keep 10 plans: 0.52 MB of arrays, counted at
-# 3.6 MB, 3.1 MB of it the plan of planted 7x18's failing size-7 probe,
-# which builds the first of its 191 batches.
+# Bytes of the arrays of the plans that _plans keeps. The benchmark's exact
+# searches keep 10 plans, counted at 0.52 MB; planted 7x18's failing
+# size-7 probe keeps the first of its 191 batches, 16 kB.
 PLAN_BYTES = 4 * 1024 * 1024
 
 # The prefix filter's work array, one per thread, kept between calls and
@@ -219,11 +222,8 @@ def _subset_failures(
     """
     cols = gram.shape[0]
     entries = gram.ravel()
-    index = np.min_scalar_type(cols * cols - 1)
-    # the plan holds size^2 offsets per subset
-    nbytes = count * size * size * index.itemsize
     done = 0
-    for (flat,) in _plans.batches(nbytes, _subset_plan, cols, size, count, per_batch, index):
+    for (flat,) in _batches(_subset_plan, cols, size, count, per_batch):
         minors = np.take(entries, flat)
         minors.reshape(len(flat), size * size)[:, :: size + 1] -= delta
         failing = np.flatnonzero(~_cholesky_passes(minors))
@@ -233,14 +233,13 @@ def _subset_failures(
         done += len(flat)
 
 
-def _subset_plan(
-    cols: int, size: int, count: int, per_batch: int, index: np.dtype
-) -> Iterator[tuple[np.ndarray]]:
+def _subset_plan(cols: int, size: int, count: int, per_batch: int) -> Iterator[tuple[np.ndarray]]:
     """The subset filter's batches of per_batch subsets: the Gram offsets of their minors.
 
     Entry [k, a, b] of a batch's (batch, size, size) array is the offset
     of G[S[a], S[b]] in the flat Gram matrix, for its k-th subset S.
     """
+    index = np.min_scalar_type(cols * cols - 1)
     subsets = combinations(range(cols), size)
     done = 0
     while done < count:
@@ -272,15 +271,8 @@ def _prefix_failures(
     entries = gram.ravel()
     rows = steps * (steps + 3) // 2
     per_subsets = max(1, PREFIX_BYTES // (max(rows, 1) * gram.itemsize))
-    index = np.min_scalar_type(max(cols * cols, per_subsets) - 1)
-    # the plan holds size + 1 indices per subset and (size - 1)^2 per
-    # prefix, and a subset has one prefix
-    prefixes = min(count, math.comb(cols - 1, steps))
-    nbytes = (count * (size + 1) + prefixes * steps * steps) * index.itemsize
     done = 0
-    for owner, gidx, widx in _plans.batches(
-        nbytes, _prefix_plan, cols, size, count, per_subsets, index
-    ):
+    for owner, gidx, widx in _batches(_prefix_plan, cols, size, count, per_subsets):
         n = len(owner)
         # w[t, c] holds G[P[t], P[c]] for every prefix of the batch; row t
         # right of the diagonal becomes row t of L^-1 (G_PP - delta*I) =
@@ -322,7 +314,7 @@ def _prefix_failures(
 
 
 def _prefix_plan(
-    cols: int, size: int, count: int, per_subsets: int, index: np.dtype
+    cols: int, size: int, count: int, per_subsets: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The prefix filter's batches of whole runs: (owner, gidx, widx) of each.
 
@@ -334,6 +326,7 @@ def _prefix_plan(
     the p-th prefix P of the batch.
     """
     steps = size - 1
+    index = np.min_scalar_type(max(cols * cols, per_subsets) - 1)
     per_prefixes = max(1, per_subsets // max(steps, 1))
     prefixes = combinations(range(cols - 1), steps)
     left = math.comb(cols - 1, steps)
@@ -381,71 +374,52 @@ def _prefix_plan(
         done += n
 
 
-class _Plan:
-    """The batches of one plan, each built once, on first use, and kept.
+def _batches(build: Callable, *args) -> Iterator[tuple[np.ndarray, ...]]:
+    """The batches of build(*args): those kept in `_plans`, then a fresh builder's.
 
-    One thread at a time takes a batch from the builder. A builder that
-    raises (an interrupt, a MemoryError) is replaced by a fresh one past
-    the batches kept, so the plan never ends early.
+    A reader yields the kept batches and, unless the plan is whole, builds
+    on past them. When it ends (at the last batch, when its consumer stops
+    early, or on an exception) it keeps what it built in place of the kept
+    plan, if that is more batches, or the whole plan, and their arrays fit
+    in PLAN_BYTES. It collects nothing once they do not.
     """
-
-    def __init__(self, build: Callable[[], Iterator[tuple[np.ndarray, ...]]]) -> None:
-        self._build = build
-        self._source = build()
-        self._batches: list[tuple[np.ndarray, ...]] = []
-        self._lock = threading.Lock()
-
-    def __iter__(self) -> Iterator[tuple[np.ndarray, ...]]:
-        k = 0
-        while True:
-            if k == len(self._batches):
-                with self._lock:
-                    if k == len(self._batches):
-                        try:
-                            batch = next(self._source, None)
-                        except BaseException:
-                            self._source = islice(self._build(), k, None)
-                            raise
-                        if batch is None:
-                            return
-                        for array in batch:
-                            array.flags.writeable = False
-                        self._batches.append(batch)
-            yield self._batches[k]
-            k += 1
-
-
-class _PlanCache:
-    """Plans by builder and arguments, as many as PLAN_BYTES holds.
-
-    Each plan counts at its bound in bytes; the least recently used go
-    first. The lock guards the table.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._plans: OrderedDict[tuple, tuple[_Plan, int]] = OrderedDict()
-        self.nbytes = 0
-
-    def batches(self, nbytes: int, build: Callable, *args) -> Iterator[tuple[np.ndarray, ...]]:
-        """The batches of build(*args), a plan of at most nbytes.
-
-        A plan larger than PLAN_BYTES comes from the builder and is not kept.
-        """
-        if nbytes > PLAN_BYTES:
-            return build(*args)
-        key = (build, *args)
-        with self._lock:
-            entry = self._plans.get(key)
-            if entry is None:
-                entry = self._plans[key] = (_Plan(partial(build, *args)), nbytes)
-                self.nbytes += nbytes
-                while self.nbytes > PLAN_BYTES:
-                    _, (_, dropped) = self._plans.popitem(last=False)
-                    self.nbytes -= dropped
+    key = (build, *args)
+    with _lock:
+        kept, nbytes, whole = _plans.get(key, ((), 0, False))
+        if key in _plans:
+            _plans.move_to_end(key)
+    yield from kept
+    if whole:
+        return
+    built = list(kept)
+    try:
+        for batch in islice(build(*args), len(kept), None):
+            for array in batch:
+                array.flags.writeable = False
+                nbytes += array.nbytes
+            if nbytes <= PLAN_BYTES:
+                built.append(batch)
             else:
-                self._plans.move_to_end(key)
-        return iter(entry[0])
+                built.clear()
+            yield batch
+        whole = True
+    finally:
+        if nbytes <= PLAN_BYTES:
+            plan = (tuple(built), nbytes, whole)
+            with _lock:
+                current = _plans.get(key, ((), 0, False))
+                if len(built) > len(current[0]) or whole and not current[2]:
+                    _plans[key] = plan
+                    _plans.move_to_end(key)
+                    while sum(entry[1] for entry in _plans.values()) > PLAN_BYTES:
+                        _plans.popitem(last=False)
 
 
-_plans = _PlanCache()
+# Kept plans by builder and arguments, least recently used first: each an
+# immutable (batches, nbytes, whole), nbytes the bytes of its arrays and
+# whole true when it holds every batch. The lock guards the table alone.
+# It is reentrant because the garbage collector may close a reader left in
+# a reference cycle (by a kept traceback), and the reader then keeps its
+# plan, while this thread holds the lock.
+_plans: OrderedDict[tuple, tuple] = OrderedDict()
+_lock = threading.RLock()

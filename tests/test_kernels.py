@@ -1,8 +1,11 @@
+import gc
 import math
 import sys
 import threading
 import tracemalloc
-from itertools import combinations
+import weakref
+from collections import OrderedDict
+from itertools import combinations, islice
 from unittest import mock
 
 import numpy as np
@@ -455,6 +458,11 @@ def _planted(rows, cols, seed, support):
     return _unit(raw)
 
 
+def _kept(batches):
+    """The arrays of kept batches, in order."""
+    return [array for batch in batches for array in batch]
+
+
 @pytest.mark.parametrize("caps", [(1, 1), (GATHER_BYTES, PREFIX_BYTES)], ids=["1B", "default"])
 def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, caps):
     # both filters on every size of 4x12, on whole sizes and on counts that
@@ -470,16 +478,17 @@ def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, caps):
         for count in (len(subsets), mid):
             for tol_factor in (EPS, 1e-6, 1e-3, 0.3):
                 for cholesky_filter in (kernels._prefix_failures, kernels._subset_failures):
-                    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+                    monkeypatch.setattr(kernels, "_plans", OrderedDict())
                     cold = _spans(cholesky_filter, data, size, count, tol_factor)
-                    (plan,) = [plan for plan, _ in kernels._plans._plans.values()]
+                    (plan,) = kernels._plans.values()
+                    assert plan[2]
                     assert _spans(cholesky_filter, data, size, count, tol_factor) == cold
-                    assert [plan for plan, _ in kernels._plans._plans.values()] == [plan]
+                    assert len(kernels._plans) == 1 and next(iter(kernels._plans.values())) is plan
                     assert all(
                         [subsets[p] for p in positions] == [tuple(i) for i in idx]
                         for positions, idx in cold
                     )
-                monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+                monkeypatch.setattr(kernels, "_plans", OrderedDict())
                 cold = scan_chunk(data, size, count, tol_factor)
                 assert scan_chunk(data, size, count, tol_factor) == cold
                 first = next(
@@ -498,7 +507,7 @@ def test_a_changed_cap_builds_a_fresh_plan(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(kernels, name, counting)
-    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
     # 24 >= 3 * 4 takes the prefix filter, 10 < 3 * 4 the subset filter
     cases = [
         ("PREFIX_BYTES", "_prefix_plan", _planted(4, 24, 1, [3, 7, 11, 20])),
@@ -518,15 +527,15 @@ def test_a_changed_cap_builds_a_fresh_plan(monkeypatch):
         monkeypatch.setattr(kernels, cap, default)
         assert scan_chunk(data, 4, count, EPS) == answer
         assert built == [builder] * 2
-    assert len(kernels._plans._plans) == 4
+    assert len(kernels._plans) == 4
 
 
 def test_kept_plans_are_read_only(monkeypatch):
-    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
     scan_chunk(_planted(4, 24, 1, [3, 7, 11, 20]), 4, math.comb(24, 4), EPS)
     scan_chunk(_planted(4, 10, 1, [1, 5, 8]), 4, math.comb(10, 4), EPS)
-    plans = [plan for plan, _ in kernels._plans._plans.values()]
-    arrays = [array for plan in plans for batch in plan._batches for array in batch]
+    plans = list(kernels._plans.values())
+    arrays = [array for batches, _, _ in plans for array in _kept(batches)]
     assert len(plans) == 2 and len(arrays) > 2
     for array in arrays:
         assert not array.flags.writeable
@@ -535,10 +544,9 @@ def test_kept_plans_are_read_only(monkeypatch):
 
 
 def test_plan_cache_stays_within_plan_bytes(monkeypatch):
-    # every plan counts at its bound, which holds its arrays; the least
-    # recently used go first, and a plan larger than the cache is built and
-    # not kept
-    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+    # every plan counts at the bytes of its arrays; the least recently used
+    # go first, and a plan larger than the cache is built and not kept
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
     monkeypatch.setattr(kernels, "PLAN_BYTES", 64 * 1024)
     scanned = []
     for cols in range(6, 33, 2):
@@ -546,23 +554,200 @@ def test_plan_cache_stays_within_plan_bytes(monkeypatch):
         for size in (2, 3, 4):
             scan_chunk(data, size, math.comb(cols, size), EPS)
             scanned.append((cols, size))
-            kept = list(kernels._plans._plans.values())
-            assert kernels._plans.nbytes == sum(nbytes for _, nbytes in kept) <= 64 * 1024
-            for plan, nbytes in kept:
-                assert sum(a.nbytes for batch in plan._batches for a in batch) <= nbytes
+            kept = list(kernels._plans.values())
+            assert sum(nbytes for _, nbytes, _ in kept) <= 64 * 1024
+            for batches, nbytes, _ in kept:
+                assert sum(a.nbytes for a in _kept(batches)) == nbytes
     assert 2 <= len(kept) < len(scanned)
-    # in the order they were used; the size-4 plan of 3x32, C(32, 4)
-    # subsets of 5 indices of 2 bytes, is larger than the cache
-    keys = [key[1:3] for key in kernels._plans._plans]
+    # in the order they were used; the size-4 plan of 3x32, whose first
+    # batch alone is larger than the cache, is not kept
+    keys = [key[1:3] for key in kernels._plans]
     assert keys == [shape for shape in scanned if shape in keys]
     assert keys[-1] == (32, 3)
+    # a scan that reads the oldest kept plan makes it the most recent
+    cols, size = keys[0]
+    scan_chunk(_unit(random_matrix(3, cols, seed=cols).data), size, math.comb(cols, size), EPS)
+    assert [key[1:3] for key in kernels._plans] == [*keys[1:], keys[0]]
+
+
+def test_a_scan_that_stops_early_keeps_the_batches_it_built(monkeypatch):
+    # planted 7x18's size-7 probe (C(18, 7) subsets, 167 to a batch of the
+    # subset filter) fails in its first batch: it keeps that batch alone,
+    # 167 minors of 7 x 7 two-byte offsets, and a second probe reads it
+    built = []
+
+    def counting(*args, real=kernels._subset_plan):
+        for batch in real(*args):
+            built.append(batch)
+            yield batch
+
+    monkeypatch.setattr(kernels, "_subset_plan", counting)
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    raw = random_matrix(7, 18, seed=7).data.copy()
+    raw[:, 13] = raw[:, [2, 3, 5, 6]] @ np.array([1.0, -2.0, 2.0, -1.0])
+    data = _unit(raw)
+    answer = scan_chunk(data, 7, math.comb(18, 7), EPS)
+    assert answer[0] >= 0
+    ((batches, nbytes, whole),) = kernels._plans.values()
+    assert len(built) == len(batches) == 1 and not whole
+    assert nbytes == sum(a.nbytes for a in _kept(batches)) == 167 * 7 * 7 * 2 == 16_366
+    assert all(a is b for a, b in zip(_kept(batches), _kept(built)))
+    assert scan_chunk(data, 7, math.comb(18, 7), EPS) == answer
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("cols", [10, 24], ids=["subset", "prefix"])
+def test_a_reader_past_a_kept_partial_plan_extends_it(monkeypatch, cols):
+    # small caps give size 4 many batches. A scan that hits at position 0
+    # keeps the first batch; a scan whose hit is the last subset reads it,
+    # builds on and keeps every batch, and a scan with no hit reads them
+    # and keeps the plan as whole. The plan holds the arrays of a cold
+    # plan, and each scan gives a cold plan's answer
+    monkeypatch.setattr(kernels, "GATHER_BYTES", 4 * 4 * 8 * 8)
+    monkeypatch.setattr(kernels, "PREFIX_BYTES", 9 * 8 * 40)
+    count = math.comb(cols, 4)
+    scans = [
+        (_planted(4, cols, 1, [0, 1, 2, 3]), (0, (0, 1, 2, 3))),
+        (_planted(4, cols, 2, [*range(cols - 4, cols)]), (count - 1, (*range(cols - 4, cols),))),
+        (_unit(random_matrix(4, cols, seed=3).data), (-1, None)),
+    ]
+    for data, answer in scans:
+        monkeypatch.setattr(kernels, "_plans", OrderedDict())
+        assert scan_chunk(data, 4, count, EPS) == answer
+    (key,) = kernels._plans
+    fresh = _kept(key[0](*key[1:]))
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    kept = []
+    for data, answer in scans:
+        assert scan_chunk(data, 4, count, EPS) == answer
+        kept.append(kernels._plans[key])
+    assert len(kept[0][0]) == 1 and len(kept[1][0]) == len(kept[2][0]) > 2
+    assert [whole for _, _, whole in kept] == [False, False, True]
+    batches, nbytes, _ = kept[2]
+    assert nbytes == sum(a.nbytes for a in fresh) and len(_kept(batches)) == len(fresh)
+    for array, cold in zip(_kept(batches), fresh):
+        assert array.dtype == cold.dtype and np.array_equal(array, cold)
+
+
+def test_a_plan_larger_than_plan_bytes_is_never_collected_past_them(monkeypatch):
+    # a reader collects the batches it builds until they pass PLAN_BYTES,
+    # then drops them and keeps nothing; no more than PLAN_BYTES of them are
+    # alive at once besides the batch in hand
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    monkeypatch.setattr(kernels, "PLAN_BYTES", 350)
+    alive = []
+
+    def build():
+        for _ in range(10):
+            array = np.zeros(100, dtype=np.uint8)
+            alive.append(weakref.ref(array))
+            yield (array,)
+
+    collected = []
+    for (batch,) in kernels._batches(build):
+        collected.append(sum(100 for ref in alive[:-1] if ref() is not None))
+    assert collected == [0, 100, 200, 0, 0, 0, 0, 0, 0, 0]
+    assert not kernels._plans
+    # a real scan of a plan larger than the cache keeps nothing either
+    scan_chunk(_unit(random_matrix(4, 24, seed=1).data), 4, math.comb(24, 4), EPS)
+    assert not kernels._plans
+
+
+def test_a_builder_that_raises_keeps_the_batches_it_built(monkeypatch):
+    # an interrupt inside the builder after two batches keeps those two;
+    # the next reader gets all four, the last two from a second builder
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    calls = []
+
+    def build():
+        calls.append(len(calls))
+        for k in range(4):
+            if calls == [0] and k == 2:
+                raise KeyboardInterrupt
+            yield (np.array([k], dtype=np.int64),)
+
+    seen = []
+    with pytest.raises(KeyboardInterrupt):
+        for (batch,) in kernels._batches(build):
+            seen.append(int(batch[0]))
+    assert seen == [0, 1]
+    ((batches, nbytes, whole),) = kernels._plans.values()
+    assert [int(a[0]) for a in _kept(batches)] == [0, 1] and nbytes == 16 and not whole
+    assert [int(batch[0]) for (batch,) in kernels._batches(build)] == [0, 1, 2, 3]
+    assert calls == [0, 1]
+    ((batches, nbytes, whole),) = kernels._plans.values()
+    assert [int(a[0]) for a in _kept(batches)] == [0, 1, 2, 3] and nbytes == 32 and whole
+
+
+def test_a_reader_the_garbage_collector_closes_inside_the_lock_keeps_its_plan(monkeypatch):
+    # a reader left in a reference cycle is closed by the garbage
+    # collector, here while its thread holds the table's lock: it keeps the
+    # batch it built and does not wait on the lock forever
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+
+    def build():
+        for k in range(3):
+            yield (np.array([k], dtype=np.int64),)
+
+    reader = kernels._batches(build)
+    next(reader)
+    cycle = [reader]
+    cycle.append(cycle)
+    del reader, cycle
+
+    def collect():
+        with kernels._lock:
+            gc.collect()
+
+    thread = threading.Thread(target=collect, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    ((batches, nbytes, whole),) = kernels._plans.values()
+    assert [int(a[0]) for a in _kept(batches)] == [0] and nbytes == 8 and not whole
+
+
+@pytest.mark.parametrize("longer_first", [True, False])
+def test_readers_extending_one_partial_plan_keep_the_longer(monkeypatch, longer_first):
+    # two threads read the same kept batch and build on past it, one to four
+    # batches and one to two; whichever ends last, the four are kept
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+
+    def build():
+        for k in range(6):
+            yield (np.array([k], dtype=np.int64),)
+
+    def read(n, started=None, go=None):
+        reader = kernels._batches(build)
+        seen = [int(next(reader)[0][0])]
+        if started:
+            started.set()
+            assert go.wait(timeout=60)
+        seen += [int(batch[0][0]) for batch in islice(reader, n - 1)]
+        reader.close()
+        return seen
+
+    assert read(1) == [0]
+    started, go = threading.Event(), threading.Event()
+    first, second = (4, 2) if longer_first else (2, 4)
+    results = []
+    thread = threading.Thread(target=lambda: results.append(read(second, started, go)))
+    thread.start()
+    assert started.wait(timeout=60)
+    assert read(first) == list(range(first))
+    go.set()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and results == [list(range(second))]
+    ((batches, nbytes, whole),) = kernels._plans.values()
+    assert [int(a[0]) for a in _kept(batches)] == [0, 1, 2, 3] and nbytes == 32 and not whole
 
 
 def test_threads_share_kept_plans(monkeypatch):
     # four threads scan four shapes, each in its own order, from an empty
     # cache so small that the two larger plans do not fit together: they
     # build, read and drop the same plans at once. Every answer is the
-    # first subset that the SVD rule calls dependent
+    # first subset that the SVD rule calls dependent, and every kept plan
+    # counts at its arrays
     cases = [
         (_planted(4, 24, 2, [2, 9, 13, 21]), 4),
         (_planted(5, 17, 3, [1, 4, 6, 8, 16]), 5),
@@ -575,7 +760,7 @@ def test_threads_share_kept_plans(monkeypatch):
         expected.append(next(
             (k, subset) for k, subset in enumerate(subsets) if _dependent(data, subset, EPS)
         ))
-    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
     monkeypatch.setattr(kernels, "PLAN_BYTES", 200 * 1024)
     answers = [[] for _ in cases]
     lock = threading.Lock()
@@ -601,28 +786,9 @@ def test_threads_share_kept_plans(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert answers == [[answer] * 40 for answer in expected]
-
-
-def test_a_plan_whose_builder_raises_is_built_again_past_its_kept_batches():
-    # an interrupt inside the builder leaves the two batches kept; the next
-    # reader gets all four, the last two from a second builder
-    calls = []
-
-    def build():
-        calls.append(len(calls))
-        for k in range(4):
-            if calls == [0] and k == 2:
-                raise KeyboardInterrupt
-            yield (np.array([k]),)
-
-    plan = kernels._Plan(build)
-    seen = []
-    with pytest.raises(KeyboardInterrupt):
-        for (batch,) in plan:
-            seen.append(int(batch[0]))
-    assert seen == [0, 1]
-    assert [int(batch[0]) for (batch,) in plan] == [0, 1, 2, 3]
-    assert calls == [0, 1]
+    kept = list(kernels._plans.values())
+    assert kept and sum(nbytes for _, nbytes, _ in kept) <= 200 * 1024
+    assert all(sum(a.nbytes for a in _kept(batches)) == nbytes for batches, nbytes, _ in kept)
 
 
 @settings(max_examples=40, deadline=None)
@@ -950,7 +1116,7 @@ def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
     # the prefix filter runs no LAPACK Cholesky
     monkeypatch.setattr(kernels, "_cholesky_passes", None)
     monkeypatch.setattr(kernels, "_work", threading.local())
-    monkeypatch.setattr(kernels, "_plans", kernels._PlanCache())
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
     largest = []
     numpy_buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
 
