@@ -78,32 +78,39 @@ other buffer of a batch adds to the process's peak resident set.
 Decisions do not depend on the batching.
 
 Each filter comes in two parts, a plan and the arithmetic. The plan is
-the index arrays of its batches, and depends on the shape and the cap
-alone: for the subset filter, the offsets in the flat Gram matrix of
-each subset's minor; for the prefix filter, the prefix of each subset,
-the offsets of the rows g of each subset, and those of the blocks G_PP
-of each prefix. Its builder takes the subsets and prefixes from
-itertools.combinations, lays out the batches above, and gives the arrays
-the smallest unsigned type that holds their indices (2 bytes below 256
-columns). The arithmetic reads the Gram matrix through the plan,
-factors, and reads the columns of the subsets it fails back from their
-offsets. Plans stay in one table, `_plans`, by builder and every
-argument of the builder: cols, size, count and the cap in subsets (from
-GATHER_BYTES or PREFIX_BYTES). A kept plan is an immutable tuple of the
-read-only batches that one scan built, counted at the bytes of their
-arrays; the table holds at most PLAN_BYTES (4 MiB) of them and drops the
-least recently used first. A scan reads the kept batches and, unless the
-plan is whole, builds on past them with a fresh builder, which builds
-the kept batches again to skip them. When it ends, at the last batch, at
-a hit or on an exception, it keeps what it built if that is more than
-the table holds and fits in PLAN_BYTES, and it collects nothing past
-PLAN_BYTES. So a scan that stops early builds no more than before and
-keeps just that, and a plan too large to keep comes from its builder
-batch by batch. The arrays hold no data: each call builds the Gram
-matrix from `data` and reads it through the same indices a fresh plan
-would hold, so a kept plan cannot fall out of step with the data, and
-the decisions, witness and subset counts are those of a fresh plan. A
-process that scans many matrices of one shape builds each plan once.
+the index arrays of its batches, the whole batch sequence of one shape,
+and depends on the shape and the cap alone: for the subset filter, the
+offsets in the flat Gram matrix of each subset's minor; for the prefix
+filter, the prefix of each subset, the offsets of the rows g of each
+subset, and those of the blocks G_PP of each prefix. Its builder takes
+the subsets and prefixes from itertools.combinations, lays out the
+batches above, and gives the arrays the smallest unsigned type that
+holds their indices (2 bytes below 256 columns). The arithmetic reads the
+Gram matrix through the plan, factors, and reads the columns of the
+subsets it fails back from their offsets. Only the filters know `count`:
+each cuts the batch that reaches it and stops there. A scan cut by
+`count` so builds the rest of its last batch, at most one batch within
+its cap (no benchmark workload runs a cut scan). Plans stay in one
+table, `_plans`, by builder and every argument of the builder: cols,
+size and the cap in subsets (from GATHER_BYTES or PREFIX_BYTES), so one
+plan serves every count of a shape. A kept plan is an immutable tuple of
+read-only batches, counted at the bytes of their arrays; the table holds
+at most PLAN_BYTES (4 MiB) of them and drops the least recently used
+first. A scan reads the kept batches and, if its count goes further,
+builds on past them with a fresh builder, which builds the kept batches
+again to skip them. It keeps each batch as it builds it: while the
+arrays fit in PLAN_BYTES, its own tuple takes the place of a kept plan
+with fewer batches. A plan can outgrow PLAN_BYTES only after several
+batches; on its way it pushes least recently used plans out, each of
+which is built again once, on its next use, and then it is dropped from
+the table itself, and its scan keeps nothing more. So a scan that stops
+early keeps just the batches it built, and a plan too large to keep
+comes from its builder batch by batch. The arrays hold no data: each
+call builds the Gram matrix from `data` and reads it through the same
+indices a fresh plan would hold, so a kept plan cannot fall out of step
+with the data, and the decisions, witness and subset counts are those of
+a fresh plan. A process that scans many matrices of one shape builds
+each plan once.
 """
 
 from __future__ import annotations
@@ -179,11 +186,14 @@ def scan_chunk(
     arrays that depend on the shape alone, so they cannot fall out of
     step with the columns. Returns (position, indices) of the
     first rank-deficient subset, or (-1, None) if there is none in the
-    run. Raises ValueError when `count` runs past the last subset.
+    run (a `count` below 1 scans nothing). Raises ValueError when `count`
+    runs past the last subset.
     """
     rows, cols = data.shape
     if count > math.comb(cols, size):
         raise ValueError(f"count {count} exceeds the C({cols}, {size}) subsets")
+    if count < 1:
+        return -1, None
     dim = max(rows, size)
     per_batch = max(1, GATHER_BYTES // (dim * size * data.itemsize))
     # r * r, not r ** 2, which raises OverflowError for a huge float
@@ -214,16 +224,18 @@ def _cholesky_passes(minors: np.ndarray) -> np.ndarray:
 def _subset_failures(
     gram: np.ndarray, size: int, count: int, per_batch: int, delta: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, indices) of the subsets the subset filter fails, in order.
+    """(positions, indices) of the subsets the subset filter fails, in order, up to `count`.
 
     Batches of per_batch consecutive subsets come from the plan
     (`_subset_plan`), and their shifted minors are factored in one
-    stacked call.
+    stacked call. The batch that reaches `count` is cut there, and the
+    filter stops.
     """
     cols = gram.shape[0]
     entries = gram.ravel()
     done = 0
-    for (flat,) in _batches(_subset_plan, cols, size, count, per_batch):
+    for (flat,) in _batches(_subset_plan, cols, size, per_batch):
+        flat = flat[: count - done]
         minors = np.take(entries, flat)
         minors.reshape(len(flat), size * size)[:, :: size + 1] -= delta
         failing = np.flatnonzero(~_cholesky_passes(minors))
@@ -231,30 +243,32 @@ def _subset_failures(
             # row a of a minor starts at the offset of G[S[a], S[0]]
             yield done + failing, flat[failing, :, 0] // cols
         done += len(flat)
+        if done == count:
+            return
 
 
-def _subset_plan(cols: int, size: int, count: int, per_batch: int) -> Iterator[tuple[np.ndarray]]:
+def _subset_plan(cols: int, size: int, per_batch: int) -> Iterator[tuple[np.ndarray]]:
     """The subset filter's batches of per_batch subsets: the Gram offsets of their minors.
 
-    Entry [k, a, b] of a batch's (batch, size, size) array is the offset
-    of G[S[a], S[b]] in the flat Gram matrix, for its k-th subset S.
+    Every batch but the last holds per_batch subsets. Entry [k, a, b] of
+    a batch's (batch, size, size) array is the offset of G[S[a], S[b]] in
+    the flat Gram matrix, for its k-th subset S.
     """
     index = np.min_scalar_type(cols * cols - 1)
     subsets = combinations(range(cols), size)
-    done = 0
-    while done < count:
-        batch = min(per_batch, count - done)
+    total = math.comb(cols, size)
+    for done in range(0, total, per_batch):
+        batch = min(per_batch, total - done)
         idx = np.fromiter(
             chain.from_iterable(islice(subsets, batch)), dtype=index, count=batch * size
         ).reshape(batch, size)
         yield (idx[:, :, None] * cols + idx[:, None, :],)
-        done += batch
 
 
 def _prefix_failures(
     gram: np.ndarray, size: int, count: int, per_batch: int, delta: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, indices) of the subsets the prefix filter fails, in order.
+    """(positions, indices) of the subsets the prefix filter fails, in order, up to `count`.
 
     Batches of whole runs come from the plan (`_prefix_plan`). The blocks
     G_PP - delta*I of a batch are factored once, in one (size - 1,
@@ -263,7 +277,9 @@ def _prefix_failures(
     thread's work array: the rows g = G[P, j] of each go through the same
     steps, to l = L_PP^-1 g and the last pivot (1 - delta) - |l|^2. The
     failures go out in spans of at most per_batch subsets, at their flat
-    positions; nothing of the work array is read after a yield.
+    positions; nothing of the work array is read after a yield. The
+    subsets of the batch that reaches `count` are cut there (its blocks
+    are all factored), and the filter stops.
     """
     cols = gram.shape[0]
     steps = size - 1
@@ -272,7 +288,8 @@ def _prefix_failures(
     rows = steps * (steps + 3) // 2
     per_subsets = max(1, PREFIX_BYTES // (max(rows, 1) * gram.itemsize))
     done = 0
-    for owner, gidx, widx in _batches(_prefix_plan, cols, size, count, per_subsets):
+    for owner, gidx, widx in _batches(_prefix_plan, cols, size, per_subsets):
+        owner, gidx = owner[: count - done], gidx[:, : count - done]
         n = len(owner)
         # w[t, c] holds G[P[t], P[c]] for every prefix of the batch; row t
         # right of the diagonal becomes row t of L^-1 (G_PP - delta*I) =
@@ -311,19 +328,21 @@ def _prefix_failures(
             # row t of gidx holds the offsets of G[S[t], j]
             yield done + f, gidx[:, f].T // cols
         done += n
+        if done == count:
+            return
 
 
 def _prefix_plan(
-    cols: int, size: int, count: int, per_subsets: int
+    cols: int, size: int, per_subsets: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The prefix filter's batches of whole runs: (owner, gidx, widx) of each.
 
-    A batch takes whole runs, at least one and no more than `count` needs,
-    at most per_subsets subsets and per_subsets // (size - 1) prefixes.
-    Its k-th subset S is its prefix P = S[:-1], the owner[k]-th of the
-    batch, and a column j after it. gidx[t, k] is the offset of G[S[t], j]
-    in the flat Gram matrix, and widx[s, c, p] that of G[P[s], P[c]] for
-    the p-th prefix P of the batch.
+    A batch takes whole runs, at least one, at most per_subsets subsets
+    and per_subsets // (size - 1) prefixes. Its k-th subset S is its
+    prefix P = S[:-1], the owner[k]-th of the batch, and a column j after
+    it. gidx[t, k] is the offset of G[S[t], j] in the flat Gram matrix,
+    and widx[s, c, p] that of G[P[s], P[c]] for the p-th prefix P of the
+    batch.
     """
     steps = size - 1
     index = np.min_scalar_type(max(cols * cols, per_subsets) - 1)
@@ -333,12 +352,10 @@ def _prefix_plan(
     # prefixes taken from `prefixes` but not yet planned, and their runs
     pending = np.empty((0, steps), dtype=np.intp)
     runs = np.empty(0, dtype=np.intp)
-    done = 0
-    while done < count:
-        want = min(per_subsets, count - done)
-        if runs.sum() < want and left:
-            # every run holds at least one subset, so `want` prefixes do
-            take = min(left, want - len(pending))
+    while left or len(pending):
+        if runs.sum() < per_subsets and left:
+            # every run holds at least one subset, so per_subsets prefixes do
+            take = min(left, per_subsets - len(pending))
             left -= take
             taken = np.fromiter(
                 chain.from_iterable(islice(prefixes, take)), dtype=np.intp, count=take * steps
@@ -347,79 +364,64 @@ def _prefix_plan(
             # the run of prefix P holds its extensions P[-1] + 1, ..., cols - 1
             runs = cols - 1 - (pending[:, -1] if steps else np.full(len(pending), -1))
         ends = np.cumsum(runs)
-        batch = max(1, min(
-            int(np.searchsorted(ends, per_subsets, side="right")),
-            per_prefixes,
-            int(np.searchsorted(ends, count - done)) + 1,
-        ))
+        batch = max(1, min(int(np.searchsorted(ends, per_subsets, side="right")), per_prefixes))
         pre, pending = pending[:batch], pending[batch:]
-        run, runs = runs[:batch].copy(), runs[batch:]
+        run, runs = runs[:batch], runs[batch:]
         ends = ends[:batch]
-        n = min(int(ends[-1]), count - done)
-        run[-1] -= ends[-1] - n
+        n = int(ends[-1])
         # in C order: the gathers run several times slower on the
         # transposed view
         columns = np.ascontiguousarray(pre.T, dtype=index)
         owner = np.repeat(np.arange(batch, dtype=index), run)
         # the column j of each subset
-        ext = np.repeat(cols - ends, run)
-        ext += np.arange(n)
-        ext = ext.astype(index)
+        ext = (np.repeat(cols - ends, run) + np.arange(n)).astype(index)
         gidx = np.empty((size, n), dtype=index)
         np.take(columns, owner, axis=1, out=gidx[:steps])
         gidx[steps] = ext
         gidx *= cols
         gidx += ext
         yield owner, gidx, columns[:, None, :] * cols + columns
-        done += n
 
 
 def _batches(build: Callable, *args) -> Iterator[tuple[np.ndarray, ...]]:
     """The batches of build(*args): those kept in `_plans`, then a fresh builder's.
 
-    A reader yields the kept batches and, unless the plan is whole, builds
-    on past them. When it ends (at the last batch, when its consumer stops
-    early, or on an exception) it keeps what it built in place of the kept
-    plan, if that is more batches, or the whole plan, and their arrays fit
-    in PLAN_BYTES. It collects nothing once they do not.
+    A reader yields the kept batches and, when its consumer asks for
+    more, builds on past them. It keeps each batch as it builds it: it
+    extends its own tuple and, while their arrays fit in PLAN_BYTES, puts
+    that tuple in the table in place of a kept plan with fewer batches.
+    A plan that outgrows PLAN_BYTES is dropped from the table, and its
+    reader keeps nothing more.
     """
     key = (build, *args)
     with _lock:
-        kept, nbytes, whole = _plans.get(key, ((), 0, False))
-        if key in _plans:
+        built, nbytes = _plans.get(key, ((), 0))
+        if built:
             _plans.move_to_end(key)
-    yield from kept
-    if whole:
-        return
-    built = list(kept)
-    try:
-        for batch in islice(build(*args), len(kept), None):
-            for array in batch:
-                array.flags.writeable = False
-                nbytes += array.nbytes
-            if nbytes <= PLAN_BYTES:
-                built.append(batch)
-            else:
-                built.clear()
-            yield batch
-        whole = True
-    finally:
+    yield from built
+    for batch in islice(build(*args), len(built), None):
+        for array in batch:
+            array.flags.writeable = False
+            nbytes += array.nbytes
         if nbytes <= PLAN_BYTES:
-            plan = (tuple(built), nbytes, whole)
+            built += (batch,)
             with _lock:
-                current = _plans.get(key, ((), 0, False))
-                if len(built) > len(current[0]) or whole and not current[2]:
-                    _plans[key] = plan
+                if len(_plans.get(key, ((), 0))[0]) < len(built):
+                    _plans[key] = (built, nbytes)
                     _plans.move_to_end(key)
-                    while sum(entry[1] for entry in _plans.values()) > PLAN_BYTES:
+                    while sum(n for _, n in _plans.values()) > PLAN_BYTES:
                         _plans.popitem(last=False)
+        elif built:
+            built = ()
+            with _lock:
+                _plans.pop(key, None)
+        yield batch
 
 
-# Kept plans by builder and arguments, least recently used first: each an
-# immutable (batches, nbytes, whole), nbytes the bytes of its arrays and
-# whole true when it holds every batch. The lock guards the table alone.
-# It is reentrant because the garbage collector may close a reader left in
-# a reference cycle (by a kept traceback), and the reader then keeps its
-# plan, while this thread holds the lock.
+# Kept plans by builder and its arguments (cols, size and the cap), least
+# recently used first: each an immutable (batches, nbytes), nbytes the
+# bytes of their arrays. The lock guards the table alone and is never held
+# across a yield, so closing a reader runs nothing that takes it (the
+# garbage collector may close one while its thread holds the lock).
 _plans: OrderedDict[tuple, tuple] = OrderedDict()
-_lock = threading.RLock()
+_lock = threading.Lock()

@@ -226,18 +226,16 @@ def _record(cls: type, fields: dict[str, Codec]) -> Codec:
     return partial(_encode_fields, fields), lambda tree, key: cls(**_decode_fields(fields, tree))
 
 
-def _with_witness_check(codec: Codec) -> Codec:
-    """The spark section's codec, whose witness must hold exactly spark many columns."""
-    encode, decode = codec
-
-    def decode_checked(tree: Any, key: str) -> SparkReport:
-        spark = decode(tree, key)
-        # no length equals None (no exact spark) or math.inf
-        if spark.witness is not None and len(spark.witness) != spark.exact:
-            raise ReportParseError("witness: expected as many columns as a finite exact spark")
-        return spark
-
-    return encode, decode_checked
+def _check_witness(spark: SparkReport, matrix: MatrixMeta) -> None:
+    """A witness holds exactly spark many columns, each a column of the matrix."""
+    if spark.witness is None:
+        return
+    # no length equals None (no exact spark) or math.inf
+    if len(spark.witness) != spark.exact:
+        raise ReportParseError("witness: expected as many columns as a finite exact spark")
+    # the witness is strictly increasing, so its last column is its largest
+    if spark.witness[-1] >= matrix.cols:
+        raise ReportParseError(f"witness: expected column indices below cols = {matrix.cols}")
 
 
 def _finite_spark_tree(value: Any) -> bool:
@@ -291,7 +289,7 @@ _SECTIONS: dict[str, Codec] = {
         "top_coherences": _list_of(_FLOAT),
         "top_coherence_sum": _optional(_FLOAT),
     }),
-    "spark": _with_witness_check(_record(SparkReport, {
+    "spark": _record(SparkReport, {
         "mutual_coherence_bound": _optional(_FLOAT),
         "coherence_index_bound": _or(_int_from(2), INFINITY_TOKEN, math.inf),
         "exact": _optional(_EXACT_SPARK),
@@ -302,7 +300,7 @@ _SECTIONS: dict[str, Codec] = {
         "settled_by": _optional((_same, _checked(
             f"one of {list(SETTLED_BY)}", lambda v: v in SETTLED_BY
         ))),
-    })),
+    }),
     "certificate": _optional(_on_first_use(_certificate_codec)),
 }
 
@@ -332,8 +330,10 @@ def report_from_json(text: str) -> AnalysisReport:
         raise ReportParseError(f"unsupported schema_version {version!r}")
     try:
         tool = _req(tree, "tool")
+        sections = _decode_fields(_SECTIONS, tree)
+        _check_witness(sections["spark"], sections["matrix"])
         return AnalysisReport(
-            **_decode_fields(_SECTIONS, tree),
+            **sections,
             tool_name=_STR[1](_req(tool, "name"), "tool.name"),
             tool_version=_STR[1](_req(tool, "version"), "tool.version"),
         )

@@ -563,6 +563,8 @@ def test_report_parse_rejects_bad_input():
         ("spark", "witness", [0, 1]),
         ("spark", "witness", list(range(8))),
         ("spark", "witness", []),
+        # and name columns of the matrix: the spiked 6x7 has columns 0 to 6
+        ("spark", "witness", [*range(6), 7]),
     ):
         bad = copy.deepcopy(tree)
         bad[section][key] = value

@@ -463,11 +463,24 @@ def _kept(batches):
     return [array for batch in batches for array in batch]
 
 
+def _count_builders(monkeypatch):
+    """The names of the plan builders called from now on, in order."""
+    built = []
+    for name in ("_prefix_plan", "_subset_plan"):
+        def counting(*args, real=getattr(kernels, name), name=name):
+            built.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, name, counting)
+    return built
+
+
 @pytest.mark.parametrize("caps", [(1, 1), (GATHER_BYTES, PREFIX_BYTES)], ids=["1B", "default"])
 def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, caps):
     # both filters on every size of 4x12, on whole sizes and on counts that
     # stop part way through a run; the warm call reads the plan the cold
-    # one kept
+    # one kept and calls no builder
+    built = _count_builders(monkeypatch)
     monkeypatch.setattr(kernels, "GATHER_BYTES", caps[0])
     monkeypatch.setattr(kernels, "PREFIX_BYTES", caps[1])
     data = _planted(4, 12, 5, [1, 4, 7])
@@ -479,10 +492,12 @@ def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, caps):
             for tol_factor in (EPS, 1e-6, 1e-3, 0.3):
                 for cholesky_filter in (kernels._prefix_failures, kernels._subset_failures):
                     monkeypatch.setattr(kernels, "_plans", OrderedDict())
+                    built.clear()
                     cold = _spans(cholesky_filter, data, size, count, tol_factor)
                     (plan,) = kernels._plans.values()
-                    assert plan[2]
+                    assert len(built) == 1
                     assert _spans(cholesky_filter, data, size, count, tol_factor) == cold
+                    assert len(built) == 1
                     assert len(kernels._plans) == 1 and next(iter(kernels._plans.values())) is plan
                     assert all(
                         [subsets[p] for p in positions] == [tuple(i) for i in idx]
@@ -500,13 +515,7 @@ def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, caps):
 def test_a_changed_cap_builds_a_fresh_plan(monkeypatch):
     # a plan is kept by its caps: a scan after a cap changes builds the plan
     # of the new batches, and the plan of the old caps is still kept
-    built = []
-    for name in ("_prefix_plan", "_subset_plan"):
-        def counting(*args, real=getattr(kernels, name), name=name):
-            built.append(name)
-            return real(*args)
-
-        monkeypatch.setattr(kernels, name, counting)
+    built = _count_builders(monkeypatch)
     monkeypatch.setattr(kernels, "_plans", OrderedDict())
     # 24 >= 3 * 4 takes the prefix filter, 10 < 3 * 4 the subset filter
     cases = [
@@ -535,7 +544,7 @@ def test_kept_plans_are_read_only(monkeypatch):
     scan_chunk(_planted(4, 24, 1, [3, 7, 11, 20]), 4, math.comb(24, 4), EPS)
     scan_chunk(_planted(4, 10, 1, [1, 5, 8]), 4, math.comb(10, 4), EPS)
     plans = list(kernels._plans.values())
-    arrays = [array for batches, _, _ in plans for array in _kept(batches)]
+    arrays = [array for batches, _ in plans for array in _kept(batches)]
     assert len(plans) == 2 and len(arrays) > 2
     for array in arrays:
         assert not array.flags.writeable
@@ -555,8 +564,8 @@ def test_plan_cache_stays_within_plan_bytes(monkeypatch):
             scan_chunk(data, size, math.comb(cols, size), EPS)
             scanned.append((cols, size))
             kept = list(kernels._plans.values())
-            assert sum(nbytes for _, nbytes, _ in kept) <= 64 * 1024
-            for batches, nbytes, _ in kept:
+            assert sum(nbytes for _, nbytes in kept) <= 64 * 1024
+            for batches, nbytes in kept:
                 assert sum(a.nbytes for a in _kept(batches)) == nbytes
     assert 2 <= len(kept) < len(scanned)
     # in the order they were used; the size-4 plan of 3x32, whose first
@@ -588,12 +597,73 @@ def test_a_scan_that_stops_early_keeps_the_batches_it_built(monkeypatch):
     data = _unit(raw)
     answer = scan_chunk(data, 7, math.comb(18, 7), EPS)
     assert answer[0] >= 0
-    ((batches, nbytes, whole),) = kernels._plans.values()
-    assert len(built) == len(batches) == 1 and not whole
+    ((batches, nbytes),) = kernels._plans.values()
+    assert len(built) == len(batches) == 1
     assert nbytes == sum(a.nbytes for a in _kept(batches)) == 167 * 7 * 7 * 2 == 16_366
     assert all(a is b for a, b in zip(_kept(batches), _kept(built)))
     assert scan_chunk(data, 7, math.comb(18, 7), EPS) == answer
     assert len(built) == 1
+
+
+def test_one_plan_serves_every_count_of_a_shape(monkeypatch):
+    # a plan is keyed by its shape and cap, not by the count a scan takes:
+    # the size-5 probe of random 5x17 cut at a budget of 100 builds the one
+    # batch of the whole plan, and the full search reads that plan
+    built = _count_builders(monkeypatch)
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    matrix = random_matrix(5, 17, seed=12)
+    with pytest.raises(BudgetExceeded) as cut:
+        exact_spark(matrix, budget=100)
+    assert cut.value.subsets_examined == 100
+    ((key, plan),) = kernels._plans.items()
+    assert built == ["_prefix_plan"] and key[1:3] == (17, 5)
+    result = exact_spark(matrix)
+    assert (result.spark, result.settled_by, result.subsets_examined) == (6, "size_proof", 6189)
+    ((key_after, plan_after),) = kernels._plans.items()
+    assert key_after == key and plan_after is plan and built == ["_prefix_plan"]
+
+
+@pytest.mark.parametrize("cols", [8, 12], ids=["subset", "prefix"])
+def test_a_count_below_one_scans_nothing(monkeypatch, cols):
+    # 12 >= 3 * 4 takes the prefix filter, 8 < 3 * 4 the subset filter
+    built = _count_builders(monkeypatch)
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    data = _planted(4, cols, 1, [0, 1, 2, 3])
+    for count in (0, -1, -math.comb(cols, 4)):
+        assert scan_chunk(data, 4, count, EPS) == (-1, None)
+    assert not built and not kernels._plans
+    assert scan_chunk(data, 4, 1, EPS) == (0, (0, 1, 2, 3))
+
+
+def test_a_plan_that_outgrows_plan_bytes_drops_out_after_pushing_others_out(monkeypatch):
+    # a plan is kept batch by batch while it fits: on its way past
+    # PLAN_BYTES it pushes the least recently used plans out, and then it
+    # is dropped too. Each plan pushed out is built again on its next use
+    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    monkeypatch.setattr(kernels, "PLAN_BYTES", 350)
+    calls = []
+
+    def build(name, batches):
+        calls.append(name)
+        for _ in range(batches):
+            yield (np.zeros(100, dtype=np.uint8),)
+
+    for name in ("a", "b"):
+        assert len(list(kernels._batches(build, name, 1))) == 1
+    assert [key[1] for key in kernels._plans] == ["a", "b"]
+    tables = []
+    for _ in kernels._batches(build, "large", 10):
+        tables.append([(key[1], nbytes) for key, (_, nbytes) in kernels._plans.items()])
+    assert tables == [
+        [("a", 100), ("b", 100), ("large", 100)],
+        [("b", 100), ("large", 200)],
+        [("large", 300)],
+        *[[]] * 7,
+    ]
+    assert calls == ["a", "b", "large"]
+    assert len(list(islice(kernels._batches(build, "a", 1), 1))) == 1
+    assert len(list(islice(kernels._batches(build, "a", 1), 1))) == 1
+    assert calls == ["a", "b", "large", "a"]
 
 
 @pytest.mark.parametrize("cols", [10, 24], ids=["subset", "prefix"])
@@ -601,10 +671,11 @@ def test_a_reader_past_a_kept_partial_plan_extends_it(monkeypatch, cols):
     # small caps give size 4 many batches. A scan that hits at position 0
     # keeps the first batch; a scan whose hit is the last subset reads it,
     # builds on and keeps every batch, and a scan with no hit reads them
-    # and keeps the plan as whole. The plan holds the arrays of a cold
-    # plan, and each scan gives a cold plan's answer
+    # and calls no builder. The plan holds the arrays of a cold plan, and
+    # each scan gives a cold plan's answer
     monkeypatch.setattr(kernels, "GATHER_BYTES", 4 * 4 * 8 * 8)
     monkeypatch.setattr(kernels, "PREFIX_BYTES", 9 * 8 * 40)
+    built = _count_builders(monkeypatch)
     count = math.comb(cols, 4)
     scans = [
         (_planted(4, cols, 1, [0, 1, 2, 3]), (0, (0, 1, 2, 3))),
@@ -617,13 +688,14 @@ def test_a_reader_past_a_kept_partial_plan_extends_it(monkeypatch, cols):
     (key,) = kernels._plans
     fresh = _kept(key[0](*key[1:]))
     monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    built.clear()
     kept = []
     for data, answer in scans:
         assert scan_chunk(data, 4, count, EPS) == answer
         kept.append(kernels._plans[key])
-    assert len(kept[0][0]) == 1 and len(kept[1][0]) == len(kept[2][0]) > 2
-    assert [whole for _, _, whole in kept] == [False, False, True]
-    batches, nbytes, _ = kept[2]
+    assert len(kept[0][0]) == 1 and len(kept[1][0]) > 2
+    assert kept[2] is kept[1] and len(built) == 2
+    batches, nbytes = kept[2]
     assert nbytes == sum(a.nbytes for a in fresh) and len(_kept(batches)) == len(fresh)
     for array, cold in zip(_kept(batches), fresh):
         assert array.dtype == cold.dtype and np.array_equal(array, cold)
@@ -671,18 +743,22 @@ def test_a_builder_that_raises_keeps_the_batches_it_built(monkeypatch):
         for (batch,) in kernels._batches(build):
             seen.append(int(batch[0]))
     assert seen == [0, 1]
-    ((batches, nbytes, whole),) = kernels._plans.values()
-    assert [int(a[0]) for a in _kept(batches)] == [0, 1] and nbytes == 16 and not whole
+    ((batches, nbytes),) = kernels._plans.values()
+    assert [int(a[0]) for a in _kept(batches)] == [0, 1] and nbytes == 16
     assert [int(batch[0]) for (batch,) in kernels._batches(build)] == [0, 1, 2, 3]
     assert calls == [0, 1]
-    ((batches, nbytes, whole),) = kernels._plans.values()
-    assert [int(a[0]) for a in _kept(batches)] == [0, 1, 2, 3] and nbytes == 32 and whole
+    ((batches, nbytes),) = kernels._plans.values()
+    assert [int(a[0]) for a in _kept(batches)] == [0, 1, 2, 3] and nbytes == 32
+    # a reader that stops at the last batch, as a filter stops at its
+    # count, calls no builder
+    assert [int(batch[0]) for (batch,) in islice(kernels._batches(build), 4)] == [0, 1, 2, 3]
+    assert calls == [0, 1]
 
 
 def test_a_reader_the_garbage_collector_closes_inside_the_lock_keeps_its_plan(monkeypatch):
     # a reader left in a reference cycle is closed by the garbage
-    # collector, here while its thread holds the table's lock: it keeps the
-    # batch it built and does not wait on the lock forever
+    # collector, here while its thread holds the table's lock: the batch it
+    # built is kept, and closing it does not wait on the lock
     monkeypatch.setattr(kernels, "_plans", OrderedDict())
 
     def build():
@@ -703,8 +779,8 @@ def test_a_reader_the_garbage_collector_closes_inside_the_lock_keeps_its_plan(mo
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    ((batches, nbytes, whole),) = kernels._plans.values()
-    assert [int(a[0]) for a in _kept(batches)] == [0] and nbytes == 8 and not whole
+    ((batches, nbytes),) = kernels._plans.values()
+    assert [int(a[0]) for a in _kept(batches)] == [0] and nbytes == 8
 
 
 @pytest.mark.parametrize("longer_first", [True, False])
@@ -738,8 +814,8 @@ def test_readers_extending_one_partial_plan_keep_the_longer(monkeypatch, longer_
     go.set()
     thread.join(timeout=60)
     assert not thread.is_alive() and results == [list(range(second))]
-    ((batches, nbytes, whole),) = kernels._plans.values()
-    assert [int(a[0]) for a in _kept(batches)] == [0, 1, 2, 3] and nbytes == 32 and not whole
+    ((batches, nbytes),) = kernels._plans.values()
+    assert [int(a[0]) for a in _kept(batches)] == [0, 1, 2, 3] and nbytes == 32
 
 
 def test_threads_share_kept_plans(monkeypatch):
@@ -787,8 +863,8 @@ def test_threads_share_kept_plans(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert answers == [[answer] * 40 for answer in expected]
     kept = list(kernels._plans.values())
-    assert kept and sum(nbytes for _, nbytes, _ in kept) <= 200 * 1024
-    assert all(sum(a.nbytes for a in _kept(batches)) == nbytes for batches, nbytes, _ in kept)
+    assert kept and sum(nbytes for _, nbytes in kept) <= 200 * 1024
+    assert all(sum(a.nbytes for a in _kept(batches)) == nbytes for batches, nbytes in kept)
 
 
 @settings(max_examples=40, deadline=None)
