@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import NotUnderdetermined, TooFewColumns
 from .matrix import DenseMatrix, coherence_rounding
 
@@ -81,11 +80,8 @@ def smallest_qualifying_prefix(
     return i + 1 if i < n else math.inf
 
 
-def coherence_profile(
-    matrix: DenseMatrix,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> CoherenceProfile:
-    """The coherence profile; only the index (it depends on index_slack) is new work."""
+def coherence_profile(matrix: DenseMatrix) -> CoherenceProfile:
+    """The coherence profile; only the index (at the matrix's index_slack) is new work."""
     vals = pairwise_coherences(matrix)
     prefix = matrix.sorted_coherences[1]
     return CoherenceProfile(
@@ -94,7 +90,7 @@ def coherence_profile(
         prefix_sums=prefix,
         mutual_coherence=float(vals[0]),
         coherence_index=smallest_qualifying_prefix(
-            prefix, tolerances.index_slack, coherence_rounding(matrix.rows)
+            prefix, matrix.tolerances.index_slack, coherence_rounding(matrix.rows)
         ),
     )
 

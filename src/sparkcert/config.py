@@ -30,6 +30,10 @@ DEFAULT_SEARCH_BUDGET = 2_000_000
 class ToleranceConfig:
     """Numeric knobs for construction, rank tests, and certification.
 
+    A matrix is built at one config (build_matrix, the parsers,
+    random_matrix) and keeps it as DenseMatrix.tolerances; every
+    analysis of the matrix reads that one.
+
     zero_column_tol: columns with norm <= this are rejected at build time.
         The default is absolute, so a rejection depends on the scale of
         the data; it stays, as every report embeds it. Pass 0 for scale

@@ -116,12 +116,17 @@ class DenseMatrix:
     """A finite float64 matrix with rows >= 1, cols >= 1, and no zero columns.
 
     data is C-contiguous and marked read-only; column_norms[j] is the exact
-    rounded Euclidean norm of column j. As data cannot change, the sorted
-    coherences are cached on the instance (sorted_coherences).
+    rounded Euclidean norm of column j. tolerances are the ones the matrix
+    was built at: every analysis of it (the coherence index, the exact
+    search, a certificate, a report) reads them from here, so one report
+    states the tolerances behind each of its numbers. As data cannot
+    change, the sorted coherences are cached on the instance
+    (sorted_coherences).
     """
 
     data: np.ndarray
     column_norms: tuple[float, ...] = field(repr=False)
+    tolerances: ToleranceConfig
 
     @property
     def rows(self) -> int:
@@ -223,7 +228,7 @@ def build_matrix(
     values: Sequence[Sequence[float]] | np.ndarray,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DenseMatrix:
-    """Validate a 2-D array of numbers and wrap it as a DenseMatrix.
+    """Validate a 2-D array of numbers and wrap it as a DenseMatrix built at `tolerances`.
 
     Raises DimensionMismatch for non-2-D or empty input, NonFiniteEntry if
     any entry is NaN or infinite, and ZeroColumn (with the 0-based column
@@ -239,7 +244,7 @@ def build_matrix(
         if norm <= tolerances.zero_column_tol:
             raise ZeroColumn(j)
     arr.setflags(write=False)
-    return DenseMatrix(data=arr, column_norms=norms)
+    return DenseMatrix(data=arr, column_norms=norms, tolerances=tolerances)
 
 
 def unit_columns(matrix: DenseMatrix, indices: Sequence[int] | slice = slice(None)) -> np.ndarray:
@@ -249,8 +254,8 @@ def unit_columns(matrix: DenseMatrix, indices: Sequence[int] | slice = slice(Non
 
 
 def normalize_columns(matrix: DenseMatrix) -> DenseMatrix:
-    """Return a copy with every column scaled to unit Euclidean norm."""
-    return build_matrix(unit_columns(matrix))
+    """Return a copy, at the same tolerances, with every column scaled to unit Euclidean norm."""
+    return build_matrix(unit_columns(matrix), matrix.tolerances)
 
 
 def unit_gram(unit: np.ndarray) -> np.ndarray:

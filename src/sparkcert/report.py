@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 
 from ._version import __version__
 from .coherence import coherence_profile, top_coherence_sum
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
+from .config import ToleranceConfig
 from .errors import ReportParseError
 from .formats import format_float
 from .matrix import TOP_COHERENCES_SHOWN, DenseMatrix
@@ -76,12 +76,12 @@ def build_report(
     matrix: DenseMatrix,
     source: str,
     spark_report: SparkReport,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
+    *,
     certificate: UniquenessCertificate | None = None,
     seed: int | None = None,
 ) -> AnalysisReport:
-    """Assemble the full report for an analyzed matrix."""
-    profile = coherence_profile(matrix, tolerances)
+    """Assemble the full report for an analyzed matrix, stating its tolerances."""
+    profile = coherence_profile(matrix)
     wide_sum = top_coherence_sum(matrix) if matrix.rows < matrix.cols else None
     summary = CoherenceSummary(
         mutual_coherence=profile.mutual_coherence,
@@ -92,7 +92,7 @@ def build_report(
     return AnalysisReport(
         matrix=MatrixMeta(rows=matrix.rows, cols=matrix.cols, source=source),
         seed=seed,
-        tolerances=tolerances,
+        tolerances=matrix.tolerances,
         coherence=summary,
         spark=spark_report,
         certificate=certificate,
@@ -238,6 +238,12 @@ def _check_witness(spark: SparkReport, matrix: MatrixMeta) -> None:
         raise ReportParseError(f"witness: expected column indices below cols = {matrix.cols}")
 
 
+def _check_index_bound(spark: SparkReport, coherence: CoherenceSummary) -> None:
+    """The coherence-index bound is 1 + the coherence index, infinite with an infinite index."""
+    if spark.coherence_index_bound != 1 + coherence.coherence_index:
+        raise ReportParseError("coherence_index_bound: expected 1 + coherence.coherence_index")
+
+
 def _finite_spark_tree(value: Any) -> bool:
     return (isinstance(value, dict) and value.get("kind") == "finite"
             and _is_int(value.get("value")) and value["value"] >= 1)
@@ -332,6 +338,7 @@ def report_from_json(text: str) -> AnalysisReport:
         tool = _req(tree, "tool")
         sections = _decode_fields(_SECTIONS, tree)
         _check_witness(sections["spark"], sections["matrix"])
+        _check_index_bound(sections["spark"], sections["coherence"])
         return AnalysisReport(
             **sections,
             tool_name=_STR[1](_req(tool, "name"), "tool.name"),

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import coherence_profile, coherence_rounding, smallest_qualifying_prefix
-from .config import DEFAULT_TOLERANCES, EPS, ToleranceConfig, search_budget
+from .config import EPS, search_budget
 from .errors import BudgetExceeded, NotSquare, NotUnitDiagonal
 from .kernels import scan_chunk
 from .matrix import DenseMatrix, column_submatrix, unit_columns, unit_gram
@@ -167,17 +167,16 @@ def mutual_coherence_lower_bound(matrix: DenseMatrix) -> float | None:
     return 1.0 + 1.0 / min(1.0, coherence + coherence_rounding(matrix.rows))
 
 
-def coherence_index_lower_bound(
-    matrix: DenseMatrix,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> int | float:
+def coherence_index_lower_bound(matrix: DenseMatrix) -> int | float:
     """Improved spark lower bound 1 + coherence_index; math.inf with an infinite index.
+
+    The index is taken at the matrix's index_slack.
 
     When the full coherence sum stays below 1 every unit-diagonal Gram
     minor is strictly diagonally dominant, hence positive definite, so all
     columns are independent and the spark is infinite.
     """
-    return 1 + coherence_profile(matrix, tolerances).coherence_index
+    return 1 + coherence_profile(matrix).coherence_index
 
 
 def _first_unproven_size(matrix: DenseMatrix, tol_factor: float) -> int:
@@ -256,22 +255,23 @@ def _scan(
 
 def exact_spark(
     matrix: DenseMatrix,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
+    *,
     budget: int | None = None,
     workers: int = 1,
 ) -> SparkSearchResult:
     """Minimal dependent-subset search: a proof from the top, else the scan.
 
-    A proof from the top, chosen by shape, may settle the answer: full
-    rank, the size proof or the null vector, all at the one margin of
-    the module docstring's lemma. Otherwise sizes from
-    _first_unproven_size on are scanned, and within a size, subsets in
-    lexicographic order; the first dependent one wins, so the result is
-    deterministic and the witness is minimal. Either way spark and
-    witness are those of a scan from size 1. Raises BudgetExceeded once
-    `budget` subsets were examined without settling the answer. The
-    spark is math.inf when all columns are independent. The search runs
-    on one thread: `workers` must be >= 1 and is otherwise ignored.
+    The rank rule is the one at the matrix's rank_tol_factor. A proof from
+    the top, chosen by shape, may settle the answer: full rank, the size
+    proof or the null vector, all at the one margin of the module
+    docstring's lemma. Otherwise sizes from _first_unproven_size on are
+    scanned, and within a size, subsets in lexicographic order; the first
+    dependent one wins, so the result is deterministic and the witness is
+    minimal. Either way spark and witness are those of a scan from size 1.
+    Raises BudgetExceeded once `budget` subsets were examined without
+    settling the answer. The spark is math.inf when all columns are
+    independent. The search runs on one thread: `workers` must be >= 1 and
+    is otherwise ignored.
     """
     budget = search_budget(budget)
     if workers < 1:
@@ -281,7 +281,7 @@ def exact_spark(
     # column next to a long one would count as zero.
     data = unit_columns(matrix)
     rows, cols = data.shape
-    tol_factor = tolerances.rank_tol_factor
+    tol_factor = matrix.tolerances.rank_tol_factor
     margin = _margin(tol_factor, rows)
     if rows >= cols and scan_chunk(data, cols, 1, margin)[0] < 0:
         return SparkSearchResult(math.inf, None, 0, SETTLED_BY_FULL_RANK)
@@ -318,17 +318,17 @@ def exact_spark(
 
 def analyze_spark(
     matrix: DenseMatrix,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
+    *,
     compute_exact: bool = False,
     budget: int | None = None,
 ) -> SparkReport:
-    """Assemble the full spark report for a matrix with at least two columns.
+    """Assemble the full spark report for a matrix with at least two columns, at its tolerances.
 
     The bounds come first: they raise TooFewColumns for fewer columns
     before any search runs.
     """
     mutual_coherence_bound = mutual_coherence_lower_bound(matrix)
-    coherence_index_bound = coherence_index_lower_bound(matrix, tolerances)
+    coherence_index_bound = coherence_index_lower_bound(matrix)
     exact: int | float | None = None
     witness: tuple[int, ...] | None = None
     budget_hit = False
@@ -336,7 +336,7 @@ def analyze_spark(
     settled_by: str | None = None
     if compute_exact:
         try:
-            result = exact_spark(matrix, tolerances, budget)
+            result = exact_spark(matrix, budget=budget)
             exact = result.spark
             witness = result.witness
             subsets_examined = result.subsets_examined

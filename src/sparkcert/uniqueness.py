@@ -89,7 +89,7 @@ def certify(
     matrix: DenseMatrix,
     x: np.ndarray,
     b: np.ndarray,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
+    *,
     exact: int | float | None = None,
 ) -> UniquenessCertificate:
     """Certify whether x is the unique sparsest solution of A x = b.
@@ -101,13 +101,13 @@ def certify(
     math.inf) to unlock the strongest criterion; an infinite one passes
     outright. The verdict is the first criterion passed, else
     INCONCLUSIVE, or NOT_A_SOLUTION with nothing passed when the residual
-    exceeds residual_tol. Raises NormOverflow when A x - b leaves the
-    float64 range.
+    exceeds residual_tol. Every tolerance is the matrix's. Raises
+    NormOverflow when A x - b leaves the float64 range.
     """
     xv = _vector("x", x, matrix.cols)
     bv = _vector("b", b, matrix.rows)
 
-    sparsity = l0_norm(xv, tolerances)
+    sparsity = l0_norm(xv, matrix.tolerances)
     # finite inputs can still overflow the product; an overflowed residual
     # says nothing about whether x solves the system, so it is no verdict
     with np.errstate(over="ignore", invalid="ignore"):
@@ -118,7 +118,7 @@ def certify(
 
     # full column rank (an infinite spark) allows at most one solution at all
     spark_threshold = None if exact is None else exact / 2.0
-    index_threshold = coherence_index_lower_bound(matrix, tolerances) / 2.0
+    index_threshold = coherence_index_lower_bound(matrix) / 2.0
     coherence_bound = mutual_coherence_lower_bound(matrix)
     coherence_threshold = None if coherence_bound is None else coherence_bound / 2.0
     table = (
@@ -127,7 +127,7 @@ def certify(
         (CRITERION_COHERENCE, Verdict.UNIQUE_BY_COHERENCE, coherence_threshold),
     )
 
-    if residual > tolerances.residual_tol:
+    if residual > matrix.tolerances.residual_tol:
         passed, verdict = [], Verdict.NOT_A_SOLUTION
     else:
         passed = [row for row in table if row[2] is not None and sparsity < row[2]]
@@ -166,10 +166,10 @@ class OracleResult:
     supports_examined: int
 
 
-def _fits(residual: np.ndarray, tolerances: ToleranceConfig) -> bool:
-    """Whether |residual| <= residual_tol; one beyond the float64 range is not."""
+def _fits(residual: np.ndarray, matrix: DenseMatrix) -> bool:
+    """Whether |residual| <= the matrix's residual_tol; one beyond the float64 range is not."""
     try:
-        return euclidean_norm(residual) <= tolerances.residual_tol
+        return euclidean_norm(residual) <= matrix.tolerances.residual_tol
     except NormOverflow:
         return False
 
@@ -178,7 +178,7 @@ def sparsest_oracle(
     matrix: DenseMatrix,
     b: np.ndarray,
     k_max: int,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
+    *,
     budget: int | None = None,
 ) -> OracleResult:
     """Brute-force minimal-support solutions of A x = b, for validation.
@@ -188,8 +188,9 @@ def sparsest_oracle(
     <= residual_tol (one that overflows is rejected) and every coefficient
     exceeds zero_entry_tol in magnitude, so the reported sparsity is
     exactly the support size. Stops at the first size with any accepted
-    support and returns all accepted supports of that size. Raises
-    BudgetExceeded once `budget` supports were examined without one.
+    support and returns all accepted supports of that size. Both
+    tolerances are the matrix's. Raises BudgetExceeded once `budget`
+    supports were examined without one.
     """
     budget = search_budget(budget)
     bv = _vector("b", b, matrix.rows)
@@ -202,7 +203,7 @@ def sparsest_oracle(
         found: list[OracleSolution] = []
         if size == 0:
             examined += 1
-            if _fits(bv, tolerances):
+            if _fits(bv, matrix):
                 found.append(OracleSolution(support=(), coefficients=()))
         else:
             for support in combinations(range(matrix.cols), size):
@@ -214,14 +215,14 @@ def sparsest_oracle(
                 # an overflowing residual only shows that this is no solution
                 with np.errstate(over="ignore", invalid="ignore"):
                     residual = sub @ coef - bv
-                    if np.all(np.isfinite(residual)) and not _fits(residual, tolerances):
+                    if np.all(np.isfinite(residual)) and not _fits(residual, matrix):
                         # lstsq can miss an exact fit by a few ulps of b, more
                         # than residual_tol when b is large: refine once
                         coef = coef - np.linalg.lstsq(sub, residual, rcond=None)[0]
                         residual = sub @ coef - bv
-                if not _fits(residual, tolerances):
+                if not _fits(residual, matrix):
                     continue
-                if np.any(np.abs(coef) <= tolerances.zero_entry_tol):
+                if np.any(np.abs(coef) <= matrix.tolerances.zero_entry_tol):
                     continue
                 found.append(
                     OracleSolution(
@@ -237,5 +238,5 @@ def sparsest_oracle(
             )
     raise NoSolutionWithinKmax(
         f"no solution with support size <= {k_max} at residual_tol "
-        f"{tolerances.residual_tol}"
+        f"{matrix.tolerances.residual_tol}"
     )

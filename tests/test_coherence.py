@@ -110,9 +110,9 @@ def test_index_slack_loosens():
     m = build_matrix([[1.0, 0.0, 0.6], [0.0, 1.0, 0.8]])
     # coherences {0.6, 0.8, 0} -> top-1 sum 0.8 < 1, top-2 sum 1.4
     strict = coherence_profile(m)
-    loose = coherence_profile(m, ToleranceConfig(index_slack=0.25))
-    # both profiles read the one cached copy, yet each has its own index
-    assert loose.coherences is strict.coherences
+    loose = coherence_profile(build_matrix(m.data, ToleranceConfig(index_slack=0.25)))
+    # both profiles read the same coherences, yet each has its own index
+    assert loose.coherences.tobytes() == strict.coherences.tobytes()
     assert strict.coherence_index == 2
     assert loose.coherence_index == 1
     assert coherence_profile(m).coherence_index == 2
@@ -222,7 +222,7 @@ def selection_matrices(draw):
 
 def _with_every_pair(m):
     """A twin of m whose cached coherences are the full sort of every pair."""
-    twin = DenseMatrix(data=m.data, column_norms=m.column_norms)
+    twin = DenseMatrix(data=m.data, column_norms=m.column_norms, tolerances=m.tolerances)
     vars(twin)["sorted_coherences"] = full_coherence_pass(twin)
     return twin
 
@@ -238,9 +238,10 @@ def test_kept_coherences_answer_as_a_full_sort_does(matrix):
         assert got.tobytes() == want[:keep].tobytes()
     assert coherence_profile(matrix).mutual_coherence == coherence_profile(full).mutual_coherence
     for slack in (0.0, 1e-3, 0.5):
-        tolerances = ToleranceConfig(index_slack=slack)
-        assert (coherence_profile(matrix, tolerances).coherence_index
-                == coherence_profile(full, tolerances).coherence_index)
+        tolerances = ToleranceConfig(zero_column_tol=0.0, index_slack=slack)
+        at_slack = build_matrix(matrix.data, tolerances)
+        assert (coherence_profile(at_slack).coherence_index
+                == coherence_profile(_with_every_pair(at_slack)).coherence_index)
     for tol_factor in (EPS, 1e-9, 1e-3):
         assert (spark_module._first_unproven_size(matrix, tol_factor)
                 == spark_module._first_unproven_size(full, tol_factor))

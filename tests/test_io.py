@@ -442,11 +442,45 @@ def test_report_from_json_rejects_malformed_exact_spark(exact):
 def test_report_json_round_trip_integer_tolerances():
     tolerances = ToleranceConfig(zero_column_tol=0, residual_tol=1, index_slack=0)
     m = build_matrix(spiked_identity(4).data, tolerances)
-    report = build_report(m, "ints", analyze_spark(m, tolerances, compute_exact=True), tolerances)
+    report = build_report(m, "ints", analyze_spark(m, compute_exact=True))
     text = report_to_json(report)
     assert '"zero_column_tol": 0.0' in text
     assert '"residual_tol": 1.0' in text
     assert report_to_json(report_from_json(text)) == text
+
+
+def test_report_states_the_tolerances_of_its_matrix():
+    # the index, its bound, the certificate's threshold and the stated
+    # tolerances all come from the one config the matrix was built at
+    m = random_matrix(6, 12, seed=7, tolerances=ToleranceConfig(index_slack=0.5))
+    spark_report = analyze_spark(m, compute_exact=True)
+    x = np.zeros(12)
+    x[3] = 1.0
+    cert = certify(m, x, m.data @ x, exact=spark_report.exact)
+    report = build_report(m, "m.csv", spark_report, certificate=cert)
+    text = report_to_json(report)
+    tree = json.loads(text)
+    assert tree["tolerances"]["index_slack"] == 0.5
+    # at index_slack 0 the index is 2
+    assert tree["coherence"]["coherence_index"] == 1
+    assert analyze_spark(build_matrix(m.data)).coherence_index_bound == 3
+    assert tree["spark"]["coherence_index_bound"] == 1 + tree["coherence"]["coherence_index"]
+    assert cert.index_threshold == spark_report.coherence_index_bound / 2
+    assert report_from_json(text) == report
+
+
+def test_report_from_json_rejects_an_index_bound_off_the_index():
+    tree = json.loads((GOLDEN / "null_vector.json").read_text())
+    assert (tree["coherence"]["coherence_index"], tree["spark"]["coherence_index_bound"]) == (2, 3)
+    for index, bound in ((2, 4), (2, 2), (2, "infinity"), ("infinity", 3)):
+        bad = copy.deepcopy(tree)
+        bad["coherence"]["coherence_index"] = index
+        bad["spark"]["coherence_index_bound"] = bound
+        with pytest.raises(ReportParseError, match="coherence_index_bound: expected 1 "):
+            report_from_json(json.dumps(bad))
+    # an infinite index has an infinite bound
+    tree["coherence"]["coherence_index"] = tree["spark"]["coherence_index_bound"] = "infinity"
+    assert report_from_json(json.dumps(tree)).spark.coherence_index_bound == math.inf
 
 
 def test_tolerances_must_be_finite_and_non_negative():
@@ -463,11 +497,11 @@ def test_tolerances_must_be_finite_and_non_negative():
     tolerances = ToleranceConfig(
         residual_tol=huge, zero_entry_tol=huge, index_slack=huge, rank_tol_factor=huge
     )
-    m = spiked_identity(4)
-    spark_report = analyze_spark(m, tolerances, compute_exact=True)
+    m = build_matrix(spiked_identity(4).data, tolerances)
+    spark_report = analyze_spark(m, compute_exact=True)
     assert (spark_report.exact, spark_report.witness) == (1, (0,))
-    cert = certify(m, np.ones(5), np.zeros(4), tolerances, exact=spark_report.exact)
-    report = build_report(m, "huge", spark_report, tolerances, certificate=cert)
+    cert = certify(m, np.ones(5), np.zeros(4), exact=spark_report.exact)
+    report = build_report(m, "huge", spark_report, certificate=cert)
     text = report_to_json(report)
     assert report_from_json(text) == report
     assert '"residual_tol": 1.7976931348623157e+308' in text

@@ -265,7 +265,7 @@ def test_first_unproven_size_matches_the_per_size_test(matrix, tol_factor):
 def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
     # the reference scans the unit columns, as exact_spark does: with noise
     # near eps, raw and unit columns can fall on either side of the cutoff
-    tolerances = ToleranceConfig(rank_tol_factor=tol_factor)
+    matrix = build_matrix(matrix.data, ToleranceConfig(rank_tol_factor=tol_factor))
     data = unit_columns(matrix)
     spark, witness, examined = _brute_force(data, tol_factor)
     # the scan counts no subset of the sizes the coherence profile proves;
@@ -276,7 +276,7 @@ def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
     probe = _probe_cost(data, tol_factor) if first <= rows < cols - 1 else 0
     # workers is accepted and ignored: both counts give the same answer
     for workers in (1, 2):
-        result = exact_spark(matrix, tolerances, budget=10**9, workers=workers)
+        result = exact_spark(matrix, budget=10**9, workers=workers)
         assert result.spark == spark
         assert result.witness == witness
         assert (result.settled_by == "size_proof") == (probe is None)
@@ -293,10 +293,10 @@ def test_exact_spark_matches_brute_force(matrix, budget_cut, tol_factor):
         budget = max(1, min(budget_cut, examined))
         if budget < examined:
             with pytest.raises(BudgetExceeded) as info:
-                exact_spark(matrix, tolerances, budget=budget, workers=workers)
+                exact_spark(matrix, budget=budget, workers=workers)
             assert info.value.subsets_examined == budget
         else:
-            assert exact_spark(matrix, tolerances, budget=budget, workers=workers) == result
+            assert exact_spark(matrix, budget=budget, workers=workers) == result
 
 
 @settings(max_examples=40, deadline=None)
@@ -966,7 +966,8 @@ def test_proofs_match_the_scan(matrix, tol_factor):
     # whatever the size proof or the null-vector proof answers, the scan
     # from size 1 answers too
     data = _unit(matrix.data)
-    result = exact_spark(matrix, ToleranceConfig(rank_tol_factor=tol_factor), budget=10**9)
+    at_tol = build_matrix(matrix.data, ToleranceConfig(rank_tol_factor=tol_factor))
+    result = exact_spark(at_tol, budget=10**9)
     scanned = spark_module._scan(data, tol_factor, budget=10**9)
     assert (result.spark, result.witness) == (scanned.spark, scanned.witness)
 
@@ -1016,7 +1017,8 @@ def test_size_proof_needs_the_margin():
     s = np.linalg.svd(unit_columns(m)[:, :2], compute_uv=False)
 
     def settle(factor):
-        return exact_spark(m, ToleranceConfig(rank_tol_factor=s[1] / s[0] / 2 * factor))
+        tolerances = ToleranceConfig(rank_tol_factor=s[1] / s[0] / 2 * factor)
+        return exact_spark(build_matrix(m.data, tolerances))
 
     # probe 1 + pairs 6 + the first triple
     assert settle(1 - 1e-12) == SparkSearchResult(3, (0, 1, 2), 1 + 6 + 1, "search")

@@ -18,6 +18,7 @@ from sparkcert import (
     gram_matrix,
     normalize_columns,
     numerical_rank,
+    parse_csv,
     random_matrix,
     spiked_identity,
 )
@@ -278,6 +279,17 @@ def test_normalize_columns_hand_case():
     assert np.allclose(normed.data, [[1.0, s], [0.0, s]])
     for norm in normed.column_norms:
         assert abs(norm - 1.0) <= 1e-12
+
+
+def test_every_builder_keeps_its_tolerances():
+    tolerances = ToleranceConfig(zero_column_tol=0.0, index_slack=0.5)
+    m = build_matrix([[1e-170, 1.0], [1e-170, 0.0]], tolerances)
+    assert m.tolerances is tolerances
+    # normalize_columns builds its copy at the matrix's tolerances
+    assert normalize_columns(m).tolerances is tolerances
+    assert random_matrix(2, 3, seed=0, tolerances=tolerances).tolerances is tolerances
+    assert parse_csv("1,2\n3,4\n", tolerances).tolerances is tolerances
+    assert build_matrix([[1.0]]).tolerances == ToleranceConfig()
 
 
 def test_normalize_preserves_direction():

@@ -97,6 +97,33 @@ def test_names_and_submodules_resolve_on_first_use(monkeypatch):
         sparkcert.no_such_name
 
 
+def test_old_positional_arguments_raise_type_error():
+    # the tolerances are the matrix's, and what follows the inputs is
+    # keyword-only: a config, or a value, passed where a config used to go
+    # binds to no parameter, rather than to compute_exact or budget
+    m = sparkcert.spiked_identity(3)
+    tolerances = sparkcert.ToleranceConfig(rank_tol_factor=1e-3)
+    x, b = np.zeros(4), np.zeros(3)
+    spark_report = sparkcert.analyze_spark(m)
+    calls = [
+        lambda: sparkcert.coherence_profile(m, tolerances),
+        lambda: sparkcert.coherence_index_lower_bound(m, tolerances),
+        lambda: sparkcert.exact_spark(m, tolerances),
+        lambda: sparkcert.exact_spark(m, 100),
+        lambda: sparkcert.analyze_spark(m, tolerances),
+        lambda: sparkcert.analyze_spark(m, True),
+        lambda: sparkcert.certify(m, x, b, tolerances),
+        lambda: sparkcert.certify(m, x, b, 4),
+        lambda: sparkcert.sparsest_oracle(m, b, 1, tolerances),
+        lambda: sparkcert.sparsest_oracle(m, b, 1, 100),
+        lambda: sparkcert.build_report(m, "m", spark_report, tolerances),
+        lambda: sparkcert.build_report(m, "m", spark_report, None),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="positional argument"):
+            call()
+
+
 def test_readme_library_example_runs(capsys):
     library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     blocks = re.findall(r"```python\n(.*?)```", library, re.S)

@@ -92,7 +92,7 @@ def test_one_svd_settles_spiked_and_full_rank_tall():
     )
     # a rank cutoff coarse enough to defeat the margins leaves it to the scan
     coarse = ToleranceConfig(rank_tol_factor=1e-1)
-    assert exact_spark(spiked_identity(6), coarse).settled_by == "search"
+    assert exact_spark(build_matrix(spiked_identity(6).data, coarse)).settled_by == "search"
 
 
 def test_margin_proof_finds_a_column_light_in_the_null_vector():
@@ -112,7 +112,8 @@ def test_full_rank_proof_needs_the_margin():
     s = np.linalg.svd(unit_columns(m), compute_uv=False)
 
     def settle(factor):
-        return exact_spark(m, ToleranceConfig(rank_tol_factor=s[1] / s[0] / 2 * factor))
+        tolerances = ToleranceConfig(rank_tol_factor=s[1] / s[0] / 2 * factor)
+        return exact_spark(build_matrix(m.data, tolerances))
 
     assert settle(1 - 1e-12) == SparkSearchResult(math.inf, None, 1, "search")
     assert settle(1 - 1e-10) == SparkSearchResult(math.inf, None, 0, "full_rank")
@@ -181,9 +182,9 @@ def test_exact_spark_permutation_and_scaling_invariance():
         if seed == 0:
             scales = np.array([1e-150, 1e150] * 4)
         extreme = build_matrix(m.data * scales, keep_short)
-        result = exact_spark(extreme, keep_short)
+        result = exact_spark(extreme)
         assert result == exact_spark(m)
-        index_bound = coherence_index_lower_bound(extreme, keep_short)
+        index_bound = coherence_index_lower_bound(extreme)
         assert result.spark >= index_bound >= mutual_coherence_lower_bound(extreme)
 
 
