@@ -24,9 +24,15 @@ everything else, including every error.
 
 The writers render each double as format_float does: "%.17g", with ".0"
 appended to the finite integral values below 1e17, which "%.17g" writes
-with neither '.' nor 'e'. Each line (a CSV row, a Matrix Market column of
-entries, or a whole vector) is one % operation on Python floats, with
-"%.1f" for the integral entries, so the parsers return identical bits.
+with neither '.' nor 'e', so the parsers return identical bits. A write of
+fewer than RENDER_CHUNK entries renders each line (a CSV row, a Matrix
+Market column of entries, or a whole vector) with one % operation on
+Python floats, "%.1f" for the integral entries. A larger write goes to
+sparkcert._render, RENDER_CHUNK entries at a time, which gives the same
+bytes by numpy arithmetic with no rounding of its own: a non-integral
+entry with |x| >= 1e-4 takes its 17 digits from an error-free two-product
+with an exact power of ten, rounded half to even, an integral one below
+1e17 its int64 digits and ".0", and every other entry format_float.
 A writer rejects with DimensionMismatch the shapes its parser rejects.
 """
 
@@ -279,19 +285,39 @@ def format_float(value: float) -> str:
     return out
 
 
-def _format_lines(arr: np.ndarray, sep: str) -> list[str]:
-    """Each row of a 2-D array as format_float of its entries joined by sep.
+# Writes of at least this many entries go through _render, this many
+# entries at a time, and smaller ones take one % operation per line. On 2
+# vCPUs, 160x800 wrote fastest in chunks of 16,384, against 4,096 to
+# 65,536 or all at once, and a chunk's temporaries peak at 3.5 MB. A 6x12
+# `sparkcert gen` sent through _render took 21-25 ms more CPU and 0.8-0.9
+# MB more peak RSS, mostly to import it.
+RENDER_CHUNK = 16384
 
-    One % operation renders a row from Python floats, with "%.1f" where
-    the mask finds an entry that format_float gives a ".0" and "%.17g"
-    elsewhere. Rows with no such entry share one format string.
+
+def _format_lines(arr: np.ndarray, sep: str) -> str:
+    """Each row of a 2-D array as format_float of its entries joined by sep, one line each.
+
+    Below RENDER_CHUNK entries one % operation renders a row from Python
+    floats, with "%.1f" where the mask finds an entry that format_float
+    gives a ".0" and "%.17g" elsewhere. Rows with no such entry share one
+    format string.
     """
+    if arr.size >= RENDER_CHUNK:
+        from ._render import render
+
+        seps = np.full(arr.shape, ord(sep), np.uint8)
+        seps[:, -1] = ord("\n")
+        values, seps = arr.ravel(), seps.ravel()
+        return "".join(
+            render(values[i : i + RENDER_CHUNK], seps[i : i + RENDER_CHUNK])
+            for i in range(0, values.size, RENDER_CHUNK)
+        )
     with np.errstate(invalid="ignore"):
         integral = (np.abs(arr) < 1e17) & (arr == np.trunc(arr))
     formats = [sep.join(["%.17g"] * arr.shape[1])] * arr.shape[0]
     for i in np.flatnonzero(integral.any(axis=1)).tolist():
         formats[i] = sep.join(np.where(integral[i], "%.1f", "%.17g").tolist())
-    return [f % tuple(row) for f, row in zip(formats, arr.tolist())]
+    return "\n".join([f % tuple(row) for f, row in zip(formats, arr.tolist())]) + "\n"
 
 
 def write_csv(data: np.ndarray) -> str:
@@ -300,7 +326,7 @@ def write_csv(data: np.ndarray) -> str:
     Raises DimensionMismatch unless it has at least one row and one column.
     """
     arr = check_matrix_shape(np.asarray(data, dtype=np.float64))
-    return "\n".join(_format_lines(arr, ",")) + "\n"
+    return _format_lines(arr, ",")
 
 
 def write_matrix_market(data: np.ndarray) -> str:
@@ -311,8 +337,7 @@ def write_matrix_market(data: np.ndarray) -> str:
     arr = check_matrix_shape(np.asarray(data, dtype=np.float64))
     rows, cols = arr.shape
     # column-major entry order: one line of text per column
-    entries = _format_lines(arr.T, "\n")
-    return "\n".join(["%%MatrixMarket matrix array real general", f"{rows} {cols}", *entries]) + "\n"
+    return f"%%MatrixMarket matrix array real general\n{rows} {cols}\n" + _format_lines(arr.T, "\n")
 
 
 def write_vector(values: np.ndarray) -> str:
@@ -323,4 +348,4 @@ def write_vector(values: np.ndarray) -> str:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatch(f"expected a non-empty 1-D array, got shape {arr.shape}")
-    return _format_lines(arr.reshape(1, -1), "\n")[0] + "\n"
+    return _format_lines(arr.reshape(1, -1), "\n")

@@ -41,7 +41,7 @@ from sparkcert import (
     write_vector,
 )
 from sparkcert import cli
-from sparkcert.formats import _c_reader, decode_text, format_float, sniff_format
+from sparkcert.formats import RENDER_CHUNK, _c_reader, decode_text, format_float, sniff_format
 
 
 def test_parse_csv_identity():
@@ -349,6 +349,80 @@ def test_writers_match_a_per_entry_format_float_join(arr):
     rows, cols = arr.shape
     header = ["%%MatrixMarket matrix array real general", f"{rows} {cols}"]
     assert write_matrix_market(arr) == _joined(header + [format_float(v) for v in arr.T.ravel()])
+
+
+def _render_cases():
+    """Two arrays of three chunks and a quarter, for the writers' numpy path."""
+    powers = [float(f"1e{exp}") for exp in range(-4, 18)]
+    chosen = [
+        # every decimal exponent of the fixed-point range
+        *(float(f"{digits}e{exp}") for exp in range(-4, 16)
+          for digits in ("1.2345678901234567", "9.8765432109876543", "1.5", "7")),
+        # integers of 1 to 17 digits, 2**53 and its neighbours, 1e17 - 16
+        *(float(10 ** (d - 1) + 10 ** d // 3) for d in range(1, 18)),
+        2.0**53, math.nextafter(2.0**53, 0.0), math.nextafter(2.0**53, math.inf), 1e17 - 16,
+        # where a floating log10 misjudges the exponent
+        *(math.nextafter(p, toward) for p in powers for toward in (0.0, math.inf)),
+        *powers,
+        # 17th-digit ties, rounded half to even: ...62 and ...88
+        123456789012345.625, 123456789012345.875,
+    ]
+    chosen += [-v for v in chosen]
+    # entries that go to format_float itself
+    other = [9.9e-5, -1e-300, 5e-324, -2.2250738585072014e-308 / 3.0, 1e17, -3e300,
+             0.0, -0.0, math.inf, -math.inf, math.nan]
+    # random bit patterns with the binary exponent drawn from 2^-14 to 2^56,
+    # past both ends of the fixed-point range
+    rng = np.random.default_rng(37)
+    n = 3 * RENDER_CHUNK + RENDER_CHUNK // 4
+    bits = rng.integers(0, 2**63, size=(2, n), dtype=np.uint64) & np.uint64(2**52 - 1)
+    bits |= (rng.integers(1023 - 14, 1023 + 57, size=(2, n), dtype=np.uint64) << np.uint64(52))
+    bits |= rng.integers(0, 2, size=(2, n), dtype=np.uint64) << np.uint64(63)
+    arrays = bits.view(np.float64)
+    arrays[0, : len(chosen)] = chosen
+    edges = [0, n - 1, *(i * RENDER_CHUNK + d for i in (1, 2, 3) for d in (-1, 0))]
+    for row in arrays:
+        row[edges] = rng.choice(other, len(edges))
+    return arrays
+
+
+def test_writers_render_large_arrays_as_a_per_entry_format_float_join(monkeypatch):
+    # a write of RENDER_CHUNK entries or more goes through _render, a chunk
+    # at a time, and a smaller one through one % operation per line; both
+    # give the bytes of format_float of each entry
+    from sparkcert import _render
+
+    render, chunks = _render.render, []
+
+    def counted(values, seps):
+        chunks.append(values.size)
+        return render(values, seps)
+
+    monkeypatch.setattr(_render, "render", counted)
+    assert format_float(123456789012345.625) == "123456789012345.62"
+    assert format_float(123456789012345.875) == "123456789012345.88"
+    header = ["%%MatrixMarket matrix array real general"]
+    # lines are compared as lists, which pytest reports by the first one
+    # that differs, with no diff of megabytes of text
+    arrays = _render_cases()
+    for values in arrays:
+        text = [format_float(v) for v in values.tolist()]
+        rows = values.reshape(-1, 64)
+        csv = [",".join(text[i : i + 64]) for i in range(0, len(text), 64)]
+        assert write_csv(rows).split("\n") == [*csv, ""]
+        # column-major: the matrix whose columns run through values in order
+        columns = values.reshape(64, -1).T
+        assert write_matrix_market(columns).split("\n") == [*header, f"{len(rows)} 64", *text, ""]
+        assert write_vector(values).split("\n") == [*text, ""]
+    assert chunks == ([RENDER_CHUNK] * 3 + [RENDER_CHUNK // 4]) * 2 * 3
+    for size in (RENDER_CHUNK - 1, RENDER_CHUNK):
+        values = arrays[0, :size]
+        text = [format_float(v) for v in values.tolist()]
+        chunks.clear()
+        assert write_csv(values.reshape(1, -1)) == ",".join(text) + "\n"
+        assert write_matrix_market(values.reshape(-1, 1)).split("\n") == [*header, f"{size} 1", *text, ""]
+        assert write_vector(values).split("\n") == [*text, ""]
+        assert chunks == ([RENDER_CHUNK] * 3 if size == RENDER_CHUNK else [])
 
 
 @pytest.mark.parametrize("write", [write_csv, write_matrix_market], ids=["csv", "mm"])
