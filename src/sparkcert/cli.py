@@ -281,14 +281,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CliUsageError as exc:
+    except (CliUsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SparkCertError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

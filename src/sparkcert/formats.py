@@ -25,15 +25,14 @@ everything else, including every error.
 The writers render each double as format_float does: "%.17g", with ".0"
 appended to the finite integral values below 1e17, which "%.17g" writes
 with neither '.' nor 'e', so the parsers return identical bits. A write of
-fewer than RENDER_CHUNK entries renders each line (a CSV row, a Matrix
-Market column of entries, or a whole vector) with one % operation on
-Python floats, "%.1f" for the integral entries. A larger write goes to
-sparkcert._render, RENDER_CHUNK entries at a time, which gives the same
-bytes by numpy arithmetic with no rounding of its own: a non-integral
-entry with |x| >= 1e-4 takes its 17 digits from an error-free two-product
-with an exact power of ten, rounded half to even, an integral one below
-1e17 its int64 digits and ".0", and every other entry format_float.
-A writer rejects with DimensionMismatch the shapes its parser rejects.
+fewer than RENDER_CHUNK entries calls format_float on each entry and joins
+the results. A larger write goes to sparkcert._render, RENDER_CHUNK
+entries at a time, which gives the same bytes by numpy arithmetic with no
+rounding of its own: a non-integral entry with |x| >= 1e-4 takes its 17
+digits from an error-free two-product with an exact power of ten, rounded
+half to even, an integral one below 1e17 its int64 digits and ".0", and
+every other entry format_float. A writer rejects with DimensionMismatch
+the shapes its parser rejects.
 """
 
 from __future__ import annotations
@@ -286,10 +285,10 @@ def format_float(value: float) -> str:
 
 
 # Writes of at least this many entries go through _render, this many
-# entries at a time, and smaller ones take one % operation per line. On 2
-# vCPUs, 160x800 wrote fastest in chunks of 16,384, against 4,096 to
+# entries at a time, and smaller ones call format_float on each entry. On
+# 2 vCPUs, 160x800 wrote fastest in chunks of 16,384, against 4,096 to
 # 65,536 or all at once, and a chunk's temporaries peak at 3.5 MB. A 6x12
-# `sparkcert gen` sent through _render took 21-25 ms more CPU and 0.8-0.9
+# `sparkcert gen` sent through _render took 13-25 ms more CPU and 0.6-0.9
 # MB more peak RSS, mostly to import it.
 RENDER_CHUNK = 16384
 
@@ -297,10 +296,7 @@ RENDER_CHUNK = 16384
 def _format_lines(arr: np.ndarray, sep: str) -> str:
     """Each row of a 2-D array as format_float of its entries joined by sep, one line each.
 
-    Below RENDER_CHUNK entries one % operation renders a row from Python
-    floats, with "%.1f" where the mask finds an entry that format_float
-    gives a ".0" and "%.17g" elsewhere. Rows with no such entry share one
-    format string.
+    Below RENDER_CHUNK entries format_float renders each entry itself.
     """
     if arr.size >= RENDER_CHUNK:
         from ._render import render
@@ -312,12 +308,7 @@ def _format_lines(arr: np.ndarray, sep: str) -> str:
             render(values[i : i + RENDER_CHUNK], seps[i : i + RENDER_CHUNK])
             for i in range(0, values.size, RENDER_CHUNK)
         )
-    with np.errstate(invalid="ignore"):
-        integral = (np.abs(arr) < 1e17) & (arr == np.trunc(arr))
-    formats = [sep.join(["%.17g"] * arr.shape[1])] * arr.shape[0]
-    for i in np.flatnonzero(integral.any(axis=1)).tolist():
-        formats[i] = sep.join(np.where(integral[i], "%.1f", "%.17g").tolist())
-    return "\n".join([f % tuple(row) for f, row in zip(formats, arr.tolist())]) + "\n"
+    return "".join([sep.join(map(format_float, row)) + "\n" for row in arr.tolist()])
 
 
 def write_csv(data: np.ndarray) -> str:

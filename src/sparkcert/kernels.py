@@ -90,35 +90,34 @@ Gram matrix through the plan, factors, and reads the columns of the
 subsets it fails back from their offsets. Only the filters know `count`:
 each cuts the batch that reaches it and stops there. A scan cut by
 `count` so builds the rest of its last batch, at most one batch within
-its cap (no benchmark workload runs a cut scan). Plans stay in one
-table, `_plans`, by builder and every argument of the builder: cols,
-size and the cap in subsets (from GATHER_BYTES or PREFIX_BYTES), so one
-plan serves every count of a shape. A kept plan is an immutable tuple of
-read-only batches, counted at the bytes of their arrays; the table holds
-at most PLAN_BYTES (4 MiB) of them and drops the least recently used
-first. A scan reads the kept batches and, if its count goes further,
-builds on past them with a fresh builder, which builds the kept batches
-again to skip them. It keeps each batch as it builds it: while the
-arrays fit in PLAN_BYTES, its own tuple takes the place of a kept plan
-with fewer batches. A plan can outgrow PLAN_BYTES only after several
-batches; on its way it pushes least recently used plans out, each of
-which is built again once, on its next use, and then it is dropped from
-the table itself, and its scan keeps nothing more. So a scan that stops
-early keeps just the batches it built, and a plan too large to keep
-comes from its builder batch by batch. The arrays hold no data: each
-call builds the Gram matrix from `data` and reads it through the same
-indices a fresh plan would hold, so a kept plan cannot fall out of step
-with the data, and the decisions, witness and subset counts are those of
-a fresh plan. A process that scans many matrices of one shape builds
-each plan once.
+its cap (no benchmark workload runs a cut scan). The process keeps the
+first batch of each plan alone, in `_first_batch`, a functools.lru_cache of
+PLANS (16) entries keyed by builder and every argument of the builder:
+cols, size and the cap in subsets (from GATHER_BYTES or PREFIX_BYTES), so
+one kept batch serves every count of a shape. A kept batch is a tuple of
+read-only arrays. A first batch larger than PLAN_BYTES // PLANS (256 KiB)
+is kept as None and comes from the builder on every scan, so the kept
+arrays stay within PLAN_BYTES (4 MiB). A scan reads the kept first batch
+and, only if its count goes past it, starts a fresh builder, which builds
+the first batch again to skip it and builds every later batch on every
+scan. Each kernel call of the benchmark's exact searches reads one batch
+(10 shapes, 521,066 bytes of first batches). A process that repeats a
+shape of several batches builds them again each time: repeated random
+6x12 searches took 0.64 ms each against 0.39 ms with whole plans kept,
+and 7x14 2.9 against 1.7 ms, while 5x15, whose plan is one batch, read
+the same within noise (process time, medians of three runs of 200 on 2
+vCPUs). The arrays hold no data: each call builds the Gram matrix from
+`data` and reads it through the same indices a fresh plan would hold, so
+a kept batch cannot fall out of step with the data, and the decisions,
+witness and subset counts are those of a fresh plan.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from collections.abc import Callable, Iterator
+from functools import lru_cache
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -157,10 +156,13 @@ CHOLESKY_SHIFT = 1e-8
 # ms against 3.1-3.2 ms at 3.
 RUN_RATIO = 3
 
-# Bytes of the arrays of the plans that _plans keeps. The benchmark's exact
-# searches keep 10 plans, counted at 0.52 MB; planted 7x18's failing
-# size-7 probe keeps the first of its 191 batches, 16 kB.
+# Bytes of the first batches that _first_batch keeps, at most
+# PLAN_BYTES // PLANS = 256 KiB each. The benchmark's exact searches keep
+# 10, 521,066 bytes in all, the largest 176,952 bytes. PLANS must stay
+# above the shapes of a cycle of searches: the least recently used goes
+# first, so a cycle of more shapes would miss on every call.
 PLAN_BYTES = 4 * 1024 * 1024
+PLANS = 16
 
 # The prefix filter's work array, one per thread, kept between calls and
 # grown to the largest batch. A fresh array per batch goes back to the
@@ -384,44 +386,25 @@ def _prefix_plan(
 
 
 def _batches(build: Callable, *args) -> Iterator[tuple[np.ndarray, ...]]:
-    """The batches of build(*args): those kept in `_plans`, then a fresh builder's.
+    """The batches of build(*args): the kept first batch, then a fresh builder's.
 
-    A reader yields the kept batches and, when its consumer asks for
-    more, builds on past them. It keeps each batch as it builds it: it
-    extends its own tuple and, while their arrays fit in PLAN_BYTES, puts
-    that tuple in the table in place of a kept plan with fewer batches.
-    A plan that outgrows PLAN_BYTES is dropped from the table, and its
-    reader keeps nothing more.
+    The fresh builder starts only when the consumer asks for more than the
+    first batch, and builds that batch again to skip it.
     """
-    key = (build, *args)
-    with _lock:
-        built, nbytes = _plans.get(key, ((), 0))
-        if built:
-            _plans.move_to_end(key)
-    yield from built
-    for batch in islice(build(*args), len(built), None):
-        for array in batch:
-            array.flags.writeable = False
-            nbytes += array.nbytes
-        if nbytes <= PLAN_BYTES:
-            built += (batch,)
-            with _lock:
-                if len(_plans.get(key, ((), 0))[0]) < len(built):
-                    _plans[key] = (built, nbytes)
-                    _plans.move_to_end(key)
-                    while sum(n for _, n in _plans.values()) > PLAN_BYTES:
-                        _plans.popitem(last=False)
-        elif built:
-            built = ()
-            with _lock:
-                _plans.pop(key, None)
-        yield batch
+    first = _first_batch(build, *args)
+    if first is None:
+        yield from build(*args)
+        return
+    yield first
+    yield from islice(build(*args), 1, None)
 
 
-# Kept plans by builder and its arguments (cols, size and the cap), least
-# recently used first: each an immutable (batches, nbytes), nbytes the
-# bytes of their arrays. The lock guards the table alone and is never held
-# across a yield, so closing a reader runs nothing that takes it (the
-# garbage collector may close one while its thread holds the lock).
-_plans: OrderedDict[tuple, tuple] = OrderedDict()
-_lock = threading.Lock()
+@lru_cache(maxsize=PLANS)
+def _first_batch(build: Callable, *args) -> tuple[np.ndarray, ...] | None:
+    """The first batch of build(*args), read-only, or None when it passes PLAN_BYTES // PLANS."""
+    batch = next(build(*args))
+    if sum(array.nbytes for array in batch) > PLAN_BYTES // PLANS:
+        return None
+    for array in batch:
+        array.flags.writeable = False
+    return batch

@@ -1,10 +1,8 @@
-import gc
 import math
 import sys
 import threading
 import tracemalloc
-import weakref
-from collections import OrderedDict
+from functools import lru_cache
 from itertools import combinations, islice
 from unittest import mock
 
@@ -29,6 +27,7 @@ from sparkcert.kernels import (
     CHOLESKY_SHIFT,
     GATHER_BYTES,
     PLAN_BYTES,
+    PLANS,
     PREFIX_BYTES,
     RUN_RATIO,
     scan_chunk,
@@ -458,9 +457,18 @@ def _planted(rows, cols, seed, support):
     return _unit(raw)
 
 
-def _kept(batches):
-    """The arrays of kept batches, in order."""
-    return [array for batch in batches for array in batch]
+@pytest.fixture
+def first_batches():
+    """The first-batch cache, empty when the test starts and emptied when it ends."""
+    cache = kernels._first_batch
+    cache.cache_clear()
+    yield cache
+    cache.cache_clear()
+
+
+def _nbytes(batch):
+    """The bytes of the arrays of a kept batch."""
+    return sum(array.nbytes for array in batch)
 
 
 def _count_builders(monkeypatch):
@@ -475,11 +483,24 @@ def _count_builders(monkeypatch):
     return built
 
 
+def _record_first_batches(monkeypatch):
+    """The (arguments, result) of each _first_batch call from now on, in order."""
+    calls = []
+
+    def recording(*args, real=kernels._first_batch):
+        batch = real(*args)
+        calls.append((args, batch))
+        return batch
+
+    monkeypatch.setattr(kernels, "_first_batch", recording)
+    return calls
+
+
 @pytest.mark.parametrize("caps", [(1, 1), (GATHER_BYTES, PREFIX_BYTES)], ids=["1B", "default"])
-def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, caps):
+def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, first_batches, caps):
     # both filters on every size of 4x12, on whole sizes and on counts that
-    # stop part way through a run; the warm call reads the plan the cold
-    # one kept and calls no builder
+    # stop part way through a run; the warm call reads the first batch the
+    # cold one kept, and starts a builder only to go past it
     built = _count_builders(monkeypatch)
     monkeypatch.setattr(kernels, "GATHER_BYTES", caps[0])
     monkeypatch.setattr(kernels, "PREFIX_BYTES", caps[1])
@@ -491,19 +512,21 @@ def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, caps):
         for count in (len(subsets), mid):
             for tol_factor in (EPS, 1e-6, 1e-3, 0.3):
                 for cholesky_filter in (kernels._prefix_failures, kernels._subset_failures):
-                    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+                    first_batches.cache_clear()
                     built.clear()
                     cold = _spans(cholesky_filter, data, size, count, tol_factor)
-                    (plan,) = kernels._plans.values()
-                    assert len(built) == 1
+                    # the first batch, and a builder past it if the scan goes on
+                    cold_builds = len(built)
+                    assert cold_builds in (1, 2)
                     assert _spans(cholesky_filter, data, size, count, tol_factor) == cold
-                    assert len(built) == 1
-                    assert len(kernels._plans) == 1 and next(iter(kernels._plans.values())) is plan
+                    assert len(built) == 2 * cold_builds - 1
+                    info = first_batches.cache_info()
+                    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
                     assert all(
                         [subsets[p] for p in positions] == [tuple(i) for i in idx]
                         for positions, idx in cold
                     )
-                monkeypatch.setattr(kernels, "_plans", OrderedDict())
+                first_batches.cache_clear()
                 cold = scan_chunk(data, size, count, tol_factor)
                 assert scan_chunk(data, size, count, tol_factor) == cold
                 first = next(
@@ -512,11 +535,11 @@ def test_kept_plans_give_the_answers_of_fresh_ones(monkeypatch, caps):
                 assert cold == ((-1, None) if first is None else (first, subsets[first]))
 
 
-def test_a_changed_cap_builds_a_fresh_plan(monkeypatch):
-    # a plan is kept by its caps: a scan after a cap changes builds the plan
-    # of the new batches, and the plan of the old caps is still kept
+def test_a_changed_cap_builds_a_fresh_plan(monkeypatch, first_batches):
+    # a first batch is kept by its caps: a scan after a cap changes builds
+    # the batches of the new cap, and the first batch of the old caps is
+    # still kept
     built = _count_builders(monkeypatch)
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
     # 24 >= 3 * 4 takes the prefix filter, 10 < 3 * 4 the subset filter
     cases = [
         ("PREFIX_BYTES", "_prefix_plan", _planted(4, 24, 1, [3, 7, 11, 20])),
@@ -532,57 +555,83 @@ def test_a_changed_cap_builds_a_fresh_plan(monkeypatch):
         assert built == [builder]
         monkeypatch.setattr(kernels, cap, 1)
         assert scan_chunk(data, 4, count, EPS) == answer
-        assert built == [builder] * 2
+        # at a 1-byte cap the hit lies past the first batch: a second
+        # builder goes on from it
+        assert built == [builder] * 3
         monkeypatch.setattr(kernels, cap, default)
         assert scan_chunk(data, 4, count, EPS) == answer
-        assert built == [builder] * 2
-    assert len(kernels._plans) == 4
+        assert built == [builder] * 3
+    assert first_batches.cache_info().currsize == 4
 
 
-def test_kept_plans_are_read_only(monkeypatch):
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+def test_kept_plans_are_read_only(monkeypatch, first_batches):
+    kept = _record_first_batches(monkeypatch)
     scan_chunk(_planted(4, 24, 1, [3, 7, 11, 20]), 4, math.comb(24, 4), EPS)
     scan_chunk(_planted(4, 10, 1, [1, 5, 8]), 4, math.comb(10, 4), EPS)
-    plans = list(kernels._plans.values())
-    arrays = [array for batches, _ in plans for array in _kept(batches)]
-    assert len(plans) == 2 and len(arrays) > 2
+    arrays = [array for _, batch in kept for array in batch]
+    # the prefix filter's (owner, gidx, widx) and the subset filter's offsets
+    assert len(kept) == 2 and len(arrays) == 4
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array.flat[0] = 0
 
 
-def test_plan_cache_stays_within_plan_bytes(monkeypatch):
-    # every plan counts at the bytes of its arrays; the least recently used
-    # go first, and a plan larger than the cache is built and not kept
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
-    monkeypatch.setattr(kernels, "PLAN_BYTES", 64 * 1024)
+def test_plan_cache_stays_within_plan_bytes(monkeypatch, first_batches):
+    # the cache keeps at most PLANS first batches, each within
+    # PLAN_BYTES // PLANS, and drops the least recently used first
+    kept = _record_first_batches(monkeypatch)
     scanned = []
-    for cols in range(6, 33, 2):
+
+    def scan(cols, size):
         data = _unit(random_matrix(3, cols, seed=cols).data)
+        scan_chunk(data, size, math.comb(cols, size), EPS)
+
+    for cols in range(6, 33, 2):
         for size in (2, 3, 4):
-            scan_chunk(data, size, math.comb(cols, size), EPS)
+            scan(cols, size)
             scanned.append((cols, size))
-            kept = list(kernels._plans.values())
-            assert sum(nbytes for _, nbytes in kept) <= 64 * 1024
-            for batches, nbytes in kept:
-                assert sum(a.nbytes for a in _kept(batches)) == nbytes
-    assert 2 <= len(kept) < len(scanned)
-    # in the order they were used; the size-4 plan of 3x32, whose first
-    # batch alone is larger than the cache, is not kept
-    keys = [key[1:3] for key in kernels._plans]
-    assert keys == [shape for shape in scanned if shape in keys]
-    assert keys[-1] == (32, 3)
-    # a scan that reads the oldest kept plan makes it the most recent
-    cols, size = keys[0]
-    scan_chunk(_unit(random_matrix(3, cols, seed=cols).data), size, math.comb(cols, size), EPS)
-    assert [key[1:3] for key in kernels._plans] == [*keys[1:], keys[0]]
+            assert first_batches.cache_info().currsize == min(len(scanned), PLANS)
+    assert len(scanned) > PLANS and len(kept) == len(scanned)
+    assert all(batch is not None and _nbytes(batch) <= PLAN_BYTES // PLANS for _, batch in kept)
+    # the oldest kept shape is read, the one before it built again, and
+    # that pushes out the next oldest, not the one just read
+    oldest, dropped, next_oldest = scanned[-PLANS], scanned[-PLANS - 1], scanned[-PLANS + 1]
+    for shape, hit in [(oldest, True), (dropped, False), (oldest, True), (next_oldest, False)]:
+        before = first_batches.cache_info().hits
+        scan(*shape)
+        assert first_batches.cache_info().hits - before == hit
+    assert first_batches.cache_info().currsize == PLANS
 
 
-def test_a_scan_that_stops_early_keeps_the_batches_it_built(monkeypatch):
+@pytest.mark.parametrize("cols", [10, 24], ids=["subset", "prefix"])
+def test_an_oversized_first_batch_is_not_kept(monkeypatch, first_batches, cols):
+    # at a PLAN_BYTES of 32 KiB, 2 KiB a first batch, the one batch of
+    # 4x10's subset plan (210 minors, 3,360 one-byte offsets) and of 4x24's
+    # prefix plan (10,626 subsets) is not kept: every scan builds it, and gives the
+    # first subset that the SVD rule calls dependent
+    built = _count_builders(monkeypatch)
+    kept = _record_first_batches(monkeypatch)
+    monkeypatch.setattr(kernels, "PLAN_BYTES", 32 * 1024)
+    data = _planted(4, cols, 1, [1, 5, 8] if cols == 10 else [3, 7, 11, 20])
+    expected = next(
+        (k, subset)
+        for k, subset in enumerate(combinations(range(cols), 4))
+        if _dependent(data, subset, EPS)
+    )
+    for _ in range(3):
+        assert scan_chunk(data, 4, math.comb(cols, 4), EPS) == expected
+    assert [batch for _, batch in kept] == [None] * 3
+    # the first scan builds the batch to weigh it, then to scan it
+    builder = "_subset_plan" if cols == 10 else "_prefix_plan"
+    assert built == [builder] * 4
+    assert first_batches.cache_info().currsize == 1
+
+
+def test_a_scan_that_stops_early_keeps_the_batches_it_built(monkeypatch, first_batches):
     # planted 7x18's size-7 probe (C(18, 7) subsets, 167 to a batch of the
-    # subset filter) fails in its first batch: it keeps that batch alone,
-    # 167 minors of 7 x 7 two-byte offsets, and a second probe reads it
+    # subset filter) fails in its first batch: it keeps that batch, 167
+    # minors of 7 x 7 two-byte offsets, and a second probe reads it
     built = []
 
     def counting(*args, real=kernels._subset_plan):
@@ -591,91 +640,61 @@ def test_a_scan_that_stops_early_keeps_the_batches_it_built(monkeypatch):
             yield batch
 
     monkeypatch.setattr(kernels, "_subset_plan", counting)
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    kept = _record_first_batches(monkeypatch)
     raw = random_matrix(7, 18, seed=7).data.copy()
     raw[:, 13] = raw[:, [2, 3, 5, 6]] @ np.array([1.0, -2.0, 2.0, -1.0])
     data = _unit(raw)
     answer = scan_chunk(data, 7, math.comb(18, 7), EPS)
     assert answer[0] >= 0
-    ((batches, nbytes),) = kernels._plans.values()
-    assert len(built) == len(batches) == 1
-    assert nbytes == sum(a.nbytes for a in _kept(batches)) == 167 * 7 * 7 * 2 == 16_366
-    assert all(a is b for a, b in zip(_kept(batches), _kept(built)))
+    ((_, batch),) = kept
+    assert len(built) == 1 and batch is built[0]
+    assert _nbytes(batch) == 167 * 7 * 7 * 2 == 16_366
     assert scan_chunk(data, 7, math.comb(18, 7), EPS) == answer
-    assert len(built) == 1
+    assert len(built) == 1 and kept[1][1] is batch
 
 
-def test_one_plan_serves_every_count_of_a_shape(monkeypatch):
-    # a plan is keyed by its shape and cap, not by the count a scan takes:
-    # the size-5 probe of random 5x17 cut at a budget of 100 builds the one
-    # batch of the whole plan, and the full search reads that plan
+def test_one_plan_serves_every_count_of_a_shape(monkeypatch, first_batches):
+    # a first batch is keyed by its shape and cap, not by the count a scan
+    # takes: the size-5 probe of random 5x17 cut at a budget of 100 builds
+    # the one batch of the whole plan, and the full search reads it
     built = _count_builders(monkeypatch)
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    kept = _record_first_batches(monkeypatch)
     matrix = random_matrix(5, 17, seed=12)
     with pytest.raises(BudgetExceeded) as cut:
         exact_spark(matrix, budget=100)
     assert cut.value.subsets_examined == 100
-    ((key, plan),) = kernels._plans.items()
+    ((key, batch),) = kept
     assert built == ["_prefix_plan"] and key[1:3] == (17, 5)
     result = exact_spark(matrix)
     assert (result.spark, result.settled_by, result.subsets_examined) == (6, "size_proof", 6189)
-    ((key_after, plan_after),) = kernels._plans.items()
-    assert key_after == key and plan_after is plan and built == ["_prefix_plan"]
+    assert len(kept) > 1 and all(k == key and b is batch for k, b in kept)
+    assert built == ["_prefix_plan"] and first_batches.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("cols", [8, 12], ids=["subset", "prefix"])
-def test_a_count_below_one_scans_nothing(monkeypatch, cols):
+def test_a_count_below_one_scans_nothing(monkeypatch, first_batches, cols):
     # 12 >= 3 * 4 takes the prefix filter, 8 < 3 * 4 the subset filter
     built = _count_builders(monkeypatch)
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
     data = _planted(4, cols, 1, [0, 1, 2, 3])
     for count in (0, -1, -math.comb(cols, 4)):
         assert scan_chunk(data, 4, count, EPS) == (-1, None)
-    assert not built and not kernels._plans
+    assert not built and first_batches.cache_info().currsize == 0
     assert scan_chunk(data, 4, 1, EPS) == (0, (0, 1, 2, 3))
 
 
-def test_a_plan_that_outgrows_plan_bytes_drops_out_after_pushing_others_out(monkeypatch):
-    # a plan is kept batch by batch while it fits: on its way past
-    # PLAN_BYTES it pushes the least recently used plans out, and then it
-    # is dropped too. Each plan pushed out is built again on its next use
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
-    monkeypatch.setattr(kernels, "PLAN_BYTES", 350)
-    calls = []
-
-    def build(name, batches):
-        calls.append(name)
-        for _ in range(batches):
-            yield (np.zeros(100, dtype=np.uint8),)
-
-    for name in ("a", "b"):
-        assert len(list(kernels._batches(build, name, 1))) == 1
-    assert [key[1] for key in kernels._plans] == ["a", "b"]
-    tables = []
-    for _ in kernels._batches(build, "large", 10):
-        tables.append([(key[1], nbytes) for key, (_, nbytes) in kernels._plans.items()])
-    assert tables == [
-        [("a", 100), ("b", 100), ("large", 100)],
-        [("b", 100), ("large", 200)],
-        [("large", 300)],
-        *[[]] * 7,
-    ]
-    assert calls == ["a", "b", "large"]
-    assert len(list(islice(kernels._batches(build, "a", 1), 1))) == 1
-    assert len(list(islice(kernels._batches(build, "a", 1), 1))) == 1
-    assert calls == ["a", "b", "large", "a"]
-
-
 @pytest.mark.parametrize("cols", [10, 24], ids=["subset", "prefix"])
-def test_a_reader_past_a_kept_partial_plan_extends_it(monkeypatch, cols):
+def test_a_reader_past_the_first_batch_yields_the_fresh_builders_batches(
+    monkeypatch, first_batches, cols
+):
     # small caps give size 4 many batches. A scan that hits at position 0
-    # keeps the first batch; a scan whose hit is the last subset reads it,
-    # builds on and keeps every batch, and a scan with no hit reads them
-    # and calls no builder. The plan holds the arrays of a cold plan, and
-    # each scan gives a cold plan's answer
+    # reads the first batch alone; a scan whose hit is the last subset and
+    # one with no hit read the kept first batch and then a fresh builder's
+    # batches past it. Each gives its answer, and a reader yields the
+    # arrays of a fresh plan
     monkeypatch.setattr(kernels, "GATHER_BYTES", 4 * 4 * 8 * 8)
     monkeypatch.setattr(kernels, "PREFIX_BYTES", 9 * 8 * 40)
     built = _count_builders(monkeypatch)
+    kept = _record_first_batches(monkeypatch)
     count = math.comb(cols, 4)
     scans = [
         (_planted(4, cols, 1, [0, 1, 2, 3]), (0, (0, 1, 2, 3))),
@@ -683,147 +702,58 @@ def test_a_reader_past_a_kept_partial_plan_extends_it(monkeypatch, cols):
         (_unit(random_matrix(4, cols, seed=3).data), (-1, None)),
     ]
     for data, answer in scans:
-        monkeypatch.setattr(kernels, "_plans", OrderedDict())
         assert scan_chunk(data, 4, count, EPS) == answer
-    (key,) = kernels._plans
-    fresh = _kept(key[0](*key[1:]))
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
-    built.clear()
-    kept = []
-    for data, answer in scans:
-        assert scan_chunk(data, 4, count, EPS) == answer
-        kept.append(kernels._plans[key])
-    assert len(kept[0][0]) == 1 and len(kept[1][0]) > 2
-    assert kept[2] is kept[1] and len(built) == 2
-    batches, nbytes = kept[2]
-    assert nbytes == sum(a.nbytes for a in fresh) and len(_kept(batches)) == len(fresh)
-    for array, cold in zip(_kept(batches), fresh):
-        assert array.dtype == cold.dtype and np.array_equal(array, cold)
+    # the first batch once, then one builder for each scan past it
+    assert len(built) == 3 and first_batches.cache_info().currsize == 1
+    (key,) = {args for args, _ in kept}
+    fresh = list(key[0](*key[1:]))
+    read = list(kernels._batches(*key))
+    assert len(read) == len(fresh) > 2 and read[0] is kept[0][1]
+    for batch, cold in zip(read, fresh):
+        assert len(batch) == len(cold)
+        for array, cold_array in zip(batch, cold):
+            assert array.dtype == cold_array.dtype and np.array_equal(array, cold_array)
 
 
-def test_a_plan_larger_than_plan_bytes_is_never_collected_past_them(monkeypatch):
-    # a reader collects the batches it builds until they pass PLAN_BYTES,
-    # then drops them and keeps nothing; no more than PLAN_BYTES of them are
-    # alive at once besides the batch in hand
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
-    monkeypatch.setattr(kernels, "PLAN_BYTES", 350)
-    alive = []
-
-    def build():
-        for _ in range(10):
-            array = np.zeros(100, dtype=np.uint8)
-            alive.append(weakref.ref(array))
-            yield (array,)
-
-    collected = []
-    for (batch,) in kernels._batches(build):
-        collected.append(sum(100 for ref in alive[:-1] if ref() is not None))
-    assert collected == [0, 100, 200, 0, 0, 0, 0, 0, 0, 0]
-    assert not kernels._plans
-    # a real scan of a plan larger than the cache keeps nothing either
-    scan_chunk(_unit(random_matrix(4, 24, seed=1).data), 4, math.comb(24, 4), EPS)
-    assert not kernels._plans
-
-
-def test_a_builder_that_raises_keeps_the_batches_it_built(monkeypatch):
-    # an interrupt inside the builder after two batches keeps those two;
-    # the next reader gets all four, the last two from a second builder
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+def test_a_builder_that_raises_in_its_first_batch_keeps_nothing(first_batches):
+    # an interrupt inside the builder's first batch keeps nothing, and the
+    # next reader builds that batch again; one past the first batch leaves
+    # it kept, and the next reader gets it and a fresh builder's batches
     calls = []
+    raise_at = [0]
 
     def build():
         calls.append(len(calls))
         for k in range(4):
-            if calls == [0] and k == 2:
+            if k in raise_at:
                 raise KeyboardInterrupt
             yield (np.array([k], dtype=np.int64),)
 
+    with pytest.raises(KeyboardInterrupt):
+        list(kernels._batches(build))
+    assert calls == [0] and first_batches.cache_info().currsize == 0
+    raise_at[:] = [2]
     seen = []
     with pytest.raises(KeyboardInterrupt):
         for (batch,) in kernels._batches(build):
             seen.append(int(batch[0]))
-    assert seen == [0, 1]
-    ((batches, nbytes),) = kernels._plans.values()
-    assert [int(a[0]) for a in _kept(batches)] == [0, 1] and nbytes == 16
+    assert seen == [0, 1] and calls == [0, 1, 2]
+    assert first_batches.cache_info().currsize == 1
+    raise_at.clear()
     assert [int(batch[0]) for (batch,) in kernels._batches(build)] == [0, 1, 2, 3]
-    assert calls == [0, 1]
-    ((batches, nbytes),) = kernels._plans.values()
-    assert [int(a[0]) for a in _kept(batches)] == [0, 1, 2, 3] and nbytes == 32
-    # a reader that stops at the last batch, as a filter stops at its
+    assert calls == [0, 1, 2, 3]
+    # a reader that stops at the first batch, as a filter stops at its
     # count, calls no builder
-    assert [int(batch[0]) for (batch,) in islice(kernels._batches(build), 4)] == [0, 1, 2, 3]
-    assert calls == [0, 1]
+    assert [int(batch[0]) for (batch,) in islice(kernels._batches(build), 1)] == [0]
+    assert calls == [0, 1, 2, 3]
 
 
-def test_a_reader_the_garbage_collector_closes_inside_the_lock_keeps_its_plan(monkeypatch):
-    # a reader left in a reference cycle is closed by the garbage
-    # collector, here while its thread holds the table's lock: the batch it
-    # built is kept, and closing it does not wait on the lock
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
-
-    def build():
-        for k in range(3):
-            yield (np.array([k], dtype=np.int64),)
-
-    reader = kernels._batches(build)
-    next(reader)
-    cycle = [reader]
-    cycle.append(cycle)
-    del reader, cycle
-
-    def collect():
-        with kernels._lock:
-            gc.collect()
-
-    thread = threading.Thread(target=collect, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive()
-    ((batches, nbytes),) = kernels._plans.values()
-    assert [int(a[0]) for a in _kept(batches)] == [0] and nbytes == 8
-
-
-@pytest.mark.parametrize("longer_first", [True, False])
-def test_readers_extending_one_partial_plan_keep_the_longer(monkeypatch, longer_first):
-    # two threads read the same kept batch and build on past it, one to four
-    # batches and one to two; whichever ends last, the four are kept
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
-
-    def build():
-        for k in range(6):
-            yield (np.array([k], dtype=np.int64),)
-
-    def read(n, started=None, go=None):
-        reader = kernels._batches(build)
-        seen = [int(next(reader)[0][0])]
-        if started:
-            started.set()
-            assert go.wait(timeout=60)
-        seen += [int(batch[0][0]) for batch in islice(reader, n - 1)]
-        reader.close()
-        return seen
-
-    assert read(1) == [0]
-    started, go = threading.Event(), threading.Event()
-    first, second = (4, 2) if longer_first else (2, 4)
-    results = []
-    thread = threading.Thread(target=lambda: results.append(read(second, started, go)))
-    thread.start()
-    assert started.wait(timeout=60)
-    assert read(first) == list(range(first))
-    go.set()
-    thread.join(timeout=60)
-    assert not thread.is_alive() and results == [list(range(second))]
-    ((batches, nbytes),) = kernels._plans.values()
-    assert [int(a[0]) for a in _kept(batches)] == [0, 1, 2, 3] and nbytes == 32
-
-
-def test_threads_share_kept_plans(monkeypatch):
-    # four threads scan four shapes, each in its own order, from an empty
-    # cache so small that the two larger plans do not fit together: they
-    # build, read and drop the same plans at once. Every answer is the
-    # first subset that the SVD rule calls dependent, and every kept plan
-    # counts at its arrays
+def test_threads_share_kept_plans(monkeypatch, first_batches):
+    # four threads scan four shapes, each in its own order, through a cache
+    # of two first batches at a PLAN_BYTES that keeps some first batches
+    # and not others: they build, read and drop the same batches at once.
+    # Every answer is the first subset that the SVD rule calls dependent,
+    # and every kept batch stays within PLAN_BYTES // PLANS
     cases = [
         (_planted(4, 24, 2, [2, 9, 13, 21]), 4),
         (_planted(5, 17, 3, [1, 4, 6, 8, 16]), 5),
@@ -836,7 +766,15 @@ def test_threads_share_kept_plans(monkeypatch):
         expected.append(next(
             (k, subset) for k, subset in enumerate(subsets) if _dependent(data, subset, EPS)
         ))
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
+    returned = []
+
+    def first_batch(*args):
+        batch = first_batches.__wrapped__(*args)
+        returned.append(batch)
+        return batch
+
+    small = lru_cache(maxsize=2)(first_batch)
+    monkeypatch.setattr(kernels, "_first_batch", small)
     monkeypatch.setattr(kernels, "PLAN_BYTES", 200 * 1024)
     answers = [[] for _ in cases]
     lock = threading.Lock()
@@ -862,9 +800,9 @@ def test_threads_share_kept_plans(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert answers == [[answer] * 40 for answer in expected]
-    kept = list(kernels._plans.values())
-    assert kept and sum(nbytes for _, nbytes in kept) <= 200 * 1024
-    assert all(sum(a.nbytes for a in _kept(batches)) == nbytes for batches, nbytes in kept)
+    assert small.cache_info().currsize == 2 and len(returned) > len(cases)
+    assert None in returned and any(batch is not None for batch in returned)
+    assert all(batch is None or _nbytes(batch) <= 200 * 1024 // PLANS for batch in returned)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1175,7 +1113,7 @@ def test_cholesky_batches_stay_within_gather_bytes(monkeypatch):
     assert max(nbytes for _, nbytes in stacked) <= GATHER_BYTES
 
 
-def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
+def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch, first_batches):
     # size 5 of a 4x24 matrix takes the prefix filter: every subset fails
     # it (rank 4 < 5) and goes on to the SVD. The largest numpy buffer alive
     # at any line of the kernel, by tracemalloc, stays within PREFIX_BYTES,
@@ -1194,7 +1132,6 @@ def test_prefix_filter_arrays_stay_within_prefix_bytes(monkeypatch):
     # the prefix filter runs no LAPACK Cholesky
     monkeypatch.setattr(kernels, "_cholesky_passes", None)
     monkeypatch.setattr(kernels, "_work", threading.local())
-    monkeypatch.setattr(kernels, "_plans", OrderedDict())
     largest = []
     numpy_buffers = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
 
