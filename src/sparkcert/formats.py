@@ -12,15 +12,37 @@ with universal newlines, as open() decodes a file, less one leading
 byte-order mark (U+FEFF), which some editors write before the first line.
 
 Numbers follow float() syntax once str.strip() has removed the whitespace
-around them. Input is converted by one call to numpy's C reader, which
-accepts a subset of that syntax and gives identical values: CSV with no
-blank line among its rows, and vectors and Matrix Market bodies (the
-lines after the size line, whatever comment and blank lines come before
-it) whose lines hold no ',', '#', '%' or '\\r' and are not blank. Those
-entries go to the reader as one comma-joined line, which it reads with
-no per-line cost. A field with a non-ASCII character other than the
-whitespace around it, such as a Unicode digit, goes to float(), as does
-everything else, including every error.
+around them, and every path gives the bits of float() of each field.
+There are two reader paths, and RENDER_CHUNK entries is the gate between
+them, counted without splitting the text: for CSV, the first line's
+width times the line count; for Matrix Market, the size line; for a
+vector, the line count.
+
+- At or above it, sparkcert._read converts the input in numpy, with no
+  rounding of its own. It converts a plain field itself: -?[0-9]*[.]?[0-9]*
+  with at most 24 bytes after the sign, a significand M below 10^19 and
+  at most 22 digits after the point. For M <= 2^53 the quotient of two
+  exact doubles M / 10^f is correctly rounded; above it, the exact
+  residual of a Dekker two-product decides one step of at most an ulp.
+  Every other field goes to float(): one with an exponent or a '+', a
+  longer one, and the rare one that the residual leaves open (a tie, a
+  power of two, a step of two). It takes only a clean layout (ASCII, no
+  whitespace, comment or blank line, rectangular CSV rows, one entry per
+  Matrix Market body line) and declines every other input, at once where
+  the text ends with ',' or a blank line. It also declines an input where
+  over 1 in 16 of the first 1,024 fields go to float(), as numpy's C
+  reader converts such fields faster.
+- Below it, and wherever sparkcert._read declines, one call to numpy's
+  C reader converts the input. It accepts a subset of float() syntax and
+  gives identical values: CSV with no blank line among its rows, and
+  vectors and Matrix Market bodies (the lines after the size line,
+  whatever comment and blank lines come before it) whose lines hold no
+  ',', '#', '%' or '\\r' and are not blank. Those entries go to the
+  reader as one comma-joined line, which it reads with no per-line cost.
+  A field with a non-ASCII character other than the whitespace around
+  it, such as a Unicode digit, goes to float(), as does everything else.
+
+So every error, and its position, comes from the second path.
 
 The writers render each double as format_float does: "%.17g", with ".0"
 appended to the finite integral values below 1e17, which "%.17g" writes
@@ -62,6 +84,18 @@ _MM_HEADER = re.compile(
 # str.strip() keeps (exactly what \s matches) is not '%'. Each search is
 # linear, as [^\S\n]* stops at the end of its line.
 _MM_CONTENT_LINE = re.compile(r"^[^\S\n]*[^%\s]", re.MULTILINE)
+
+# Writes of at least this many entries go through sparkcert._render, this
+# many entries at a time, and inputs of at least this many entries through
+# sparkcert._read; smaller ones never import either module. On 2 vCPUs,
+# 160x800 wrote fastest in chunks of 16,384, against 4,096 to 65,536 or
+# all at once, and a chunk's temporaries peak at 3.5 MB. A 6x12 `sparkcert
+# gen` sent through _render took 13-25 ms more CPU and 0.6-0.9 MB more
+# peak RSS, mostly to import it. The reader shares the gate without a
+# measured crossover of its own: the inputs measured have under 700 or
+# 128,000 entries, so any gate between those reads them alike, and one
+# gate keeps small commands free of both imports.
+RENDER_CHUNK = 16384
 
 
 def decode_text(text: str | bytes) -> str:
@@ -154,12 +188,32 @@ def _one_per_line(text: str, start: int, count: int) -> np.ndarray | None:
     return None if values is None else values[0]
 
 
+def _read_large(text: str, start: int, width: int, count: int) -> np.ndarray | None:
+    """sparkcert._read of `count` fields, `width` to a line, from text[start:].
+
+    None below RENDER_CHUNK entries, where the module is not imported,
+    and wherever it declines.
+    """
+    if count < RENDER_CHUNK:
+        return None
+    from ._read import read
+
+    return read(text, start, width, count)
+
+
 def parse_csv(
     text: str | bytes,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> DenseMatrix:
     """Parse the CSV dialect into a validated DenseMatrix."""
     text = decode_text(text)
+    # the entry count: the first line's width times the line count
+    end = text.find("\n")
+    cols = text.count(",", 0, len(text) if end < 0 else end) + 1
+    rows = text.count("\n") + (not text.endswith("\n"))
+    values = _read_large(text, 0, cols, rows * cols)
+    if values is not None:
+        return build_matrix(values.reshape(rows, cols), tolerances)
     numbered = list(_lines(text, "#"))
     if not numbered:
         raise TruncatedData("no matrix rows found")
@@ -180,7 +234,10 @@ def parse_csv(
 def parse_vector(text: str | bytes) -> np.ndarray:
     """Parse a one-number-per-line vector file."""
     text = decode_text(text)
-    arr = _one_per_line(text, 0, text.count("\n") + 1 - text.endswith("\n"))
+    count = text.count("\n") + 1 - text.endswith("\n")
+    arr = _read_large(text, 0, 1, count)
+    if arr is None:
+        arr = _one_per_line(text, 0, count)
     if arr is None:
         entries = [line for _, line in _lines(text, "#")]
         if not entries:
@@ -237,7 +294,9 @@ def parse_matrix_market(
         raise MatrixParseError(f"line {size_lineno}: dimensions must be positive")
 
     needed = rows * cols
-    values = _one_per_line(text, start, needed)
+    values = _read_large(text, start, 1, needed)
+    if values is None:
+        values = _one_per_line(text, start, needed)
     if values is None:
         # float() of each line after the size line that is neither blank nor
         # a comment; line numbers are worked out again only for an error message
@@ -282,15 +341,6 @@ def format_float(value: float) -> str:
     if "e" not in out and "." not in out and "inf" not in out and "nan" not in out:
         out += ".0"
     return out
-
-
-# Writes of at least this many entries go through _render, this many
-# entries at a time, and smaller ones call format_float on each entry. On
-# 2 vCPUs, 160x800 wrote fastest in chunks of 16,384, against 4,096 to
-# 65,536 or all at once, and a chunk's temporaries peak at 3.5 MB. A 6x12
-# `sparkcert gen` sent through _render took 13-25 ms more CPU and 0.6-0.9
-# MB more peak RSS, mostly to import it.
-RENDER_CHUNK = 16384
 
 
 def _format_lines(arr: np.ndarray, sep: str) -> str:

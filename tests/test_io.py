@@ -1,8 +1,11 @@
+import contextlib
 import copy
 import dataclasses
+import decimal
 import json
 import math
 import pathlib
+import struct
 import sys
 import unicodedata
 
@@ -40,7 +43,7 @@ from sparkcert import (
     write_matrix_market,
     write_vector,
 )
-from sparkcert import cli
+from sparkcert import cli, formats
 from sparkcert.formats import RENDER_CHUNK, _c_reader, decode_text, format_float, sniff_format
 
 
@@ -425,6 +428,175 @@ def test_writers_render_large_arrays_as_a_per_entry_format_float_join(monkeypatc
         assert chunks == ([RENDER_CHUNK] * 3 if size == RENDER_CHUNK else [])
 
 
+@contextlib.contextmanager
+def _every_input_to_read():
+    """Send inputs of one entry or more to sparkcert._read, with no first-chunk rule.
+
+    The rule declines an input where many of the first fields go to
+    float(); without it, every field the reader can take is converted by
+    its own arithmetic or by float().
+    """
+    from sparkcert import _read
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "RENDER_CHUNK", 1)
+        patch.setattr(_read, "_SAMPLE", 0)
+        yield _read
+
+
+def _midpoint_field(x, digits, units, negative):
+    """The midpoint of x and the next double to `digits` digits, moved by `units` of the last."""
+    with decimal.localcontext() as context:
+        context.prec = 1200
+        middle = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+        unit = decimal.Decimal(1).scaleb(middle.adjusted() - digits + 1)
+        value = middle.quantize(unit) + units * unit
+    return ("-" if negative else "") + format(value, "f")
+
+
+def _decimal_field(sign, zeros, digits, point):
+    digits = "0" * zeros + digits
+    point = min(point, len(digits))
+    return sign + digits[:point] + "." + digits[point:] if point >= 0 else sign + digits
+
+
+_FIELD = st.one_of(
+    # format_float of random bit patterns
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+    .filter(math.isfinite)
+    .map(format_float),
+    # 1 to 25 digits, with or without sign, point and leading zeros
+    st.builds(
+        _decimal_field, st.sampled_from(["", "-"]), st.integers(0, 3),
+        st.text("0123456789", min_size=1, max_size=25), st.integers(-1, 25),
+    ),
+    # midpoints of adjacent doubles at 17 to 19 digits, and one unit either
+    # side, also below a power of two, where the doubles lie closer below
+    st.builds(
+        _midpoint_field,
+        st.floats(min_value=1e-6, max_value=1e19)
+        | st.integers(-19, 63).map(lambda k: math.nextafter(2.0**k, 0.0)),
+        st.integers(17, 19), st.integers(-1, 1), st.booleans(),
+    ),
+    # exponents and '+'
+    st.builds(
+        "{}{}{}{}".format, st.sampled_from(["", "-", "+"]),
+        st.builds(
+            _decimal_field, st.just(""), st.just(0), st.text("0123456789", min_size=1, max_size=18),
+            st.integers(-1, 18),
+        ),
+        st.sampled_from(["e", "E", "e+", "E-"]),
+        st.integers(0, 99),
+    ),
+    # 20 or more significant digits, and fields of 23 to 25 bytes
+    st.builds(_decimal_field, st.just(""), st.just(0), st.integers(10**19, 10**24).map(str),
+              st.integers(0, 25)),
+    st.builds(_decimal_field, st.sampled_from(["", "-"]), st.just(0),
+              st.text("0123456789", min_size=22, max_size=23), st.integers(0, 23)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_FIELD, min_size=1, max_size=40), st.integers(1, 4))
+@example(["9007199254740993", "0.30000000000000004", "-0.0", "5.", ".5", "123456789012345678.9"], 2)
+@example(["0.00048828124999999997", "268435455.99999998", "-4503599627370495.75"], 1)
+def test_reader_gives_the_bits_of_float(fields, width):
+    # rows of `width` fields, the last one padded with ones, then a row of
+    # ones, so that no column is zero
+    fields += ["1"] * (-len(fields) % width + width)
+    want = np.array([float(field) for field in fields])
+    tolerances = ToleranceConfig(zero_column_tol=0.0)
+    rows = [",".join(fields[i : i + width]) for i in range(0, len(fields), width)]
+    mm = _MM_HEADER + f"{len(fields)} 1\n" + _joined(fields)
+    with _every_input_to_read() as reader:
+        # the header puts the first field past the reader's first 24 bytes
+        got = reader.read(mm, mm.index("\n", len(_MM_HEADER)) + 1, 1, len(fields))
+        assert got is not None and got.tobytes() == want.tobytes()
+        assert parse_matrix_market(mm, tolerances).data.tobytes() == want.tobytes()
+        assert parse_csv(_joined(rows), tolerances).data.tobytes() == want.tobytes()
+        assert parse_vector(_joined(fields)).tobytes() == want.tobytes()
+
+
+def _outcome(parse, text):
+    try:
+        result = parse(text)
+    except SparkCertError as exc:
+        return type(exc), str(exc)
+    return getattr(result, "data", result).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["x1.5", "1_0", "nan", "-inf", " 1.5", "1.5 ", "1..2", "1.2.3", "--1", "1-2", "+-1", "1e",
+     "e5", "", ".", "-", "-.", "\u0661", "1,5", "0x1A"],
+)
+def test_reader_keeps_every_error_and_value(bad):
+    # one field in the first, middle and last place of 3x4 entries, the
+    # last also with no final newline
+    fields = [format_float(v) for v in random_matrix(3, 4, seed=41).data.ravel()]
+    for k in (0, 5, 11):
+        cells = fields[:k] + [bad] + fields[k + 1 :]
+        texts = [
+            (parse_csv, _joined(",".join(cells[i : i + 4]) for i in range(0, 12, 4))),
+            (parse_matrix_market, _MM_HEADER + "4 3\n" + _joined(cells)),
+            (parse_vector, _joined(cells)),
+        ]
+        if k == 11:
+            texts += [(parse, text[:-1]) for parse, text in texts]
+        for parse, text in texts:
+            with _every_input_to_read():
+                low = _outcome(parse, text)
+            assert low == _outcome(parse, text), (parse.__name__, k)
+
+
+def _csv_18e(values):
+    return _joined(",".join(f"{v:.18e}" for v in row) for row in values)
+
+
+@pytest.mark.parametrize(
+    "render, calls",
+    [
+        # a field after a last ',', or a blank last line, is declined before
+        # any field is converted
+        (lambda values: write_csv(values)[:-1] + ",", 0),
+        (lambda values: write_csv(values) + "\n", 0),
+        # %.18e, np.savetxt's default, sends every field to float(), which
+        # numpy's C reader does faster: declined after the first chunk
+        (_csv_18e, 1),
+    ],
+    ids=["last-comma", "blank-last-line", "%.18e"],
+)
+def test_reader_declines_early(render, calls, monkeypatch):
+    from sparkcert import _read
+
+    converted = []
+    convert = _read._convert
+    monkeypatch.setattr(_read, "_convert", lambda *args: converted.append(1) or convert(*args))
+    text = render(random_matrix(2, RENDER_CHUNK // 2, seed=42).data)
+    got = _outcome(parse_csv, text)
+    assert len(converted) == calls
+    monkeypatch.setattr(formats, "RENDER_CHUNK", math.inf)
+    assert got == _outcome(parse_csv, text)
+
+
+def test_reader_is_imported_at_its_gate_and_not_below(monkeypatch):
+    import sparkcert
+
+    values = random_matrix(1, RENDER_CHUNK, seed=40).data[0]
+    for parse, write, below, at in (
+        (parse_csv, write_csv, (1, RENDER_CHUNK - 1), (2, RENDER_CHUNK // 2)),
+        (parse_matrix_market, write_matrix_market, (RENDER_CHUNK - 1, 1), (RENDER_CHUNK, 1)),
+        (parse_vector, write_vector, (RENDER_CHUNK - 1,), (RENDER_CHUNK,)),
+    ):
+        monkeypatch.delitem(sys.modules, "sparkcert._read", raising=False)
+        monkeypatch.delattr(sparkcert, "_read", raising=False)
+        parse(write(values[: math.prod(below)].reshape(below)))
+        assert "sparkcert._read" not in sys.modules
+        parse(write(values.reshape(at)))
+        assert "sparkcert._read" in sys.modules
+
+
 @pytest.mark.parametrize("write", [write_csv, write_matrix_market], ids=["csv", "mm"])
 @pytest.mark.parametrize("shape", [(3,), (0, 3), (2, 0), (1, 1, 1), ()])
 def test_matrix_writers_reject_shapes_their_readers_reject(write, shape):
@@ -741,17 +913,18 @@ def test_bytes_parse_as_a_file_does(eol, tmp_path, monkeypatch, capsys):
         )
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.one_of(
-        st.binary(max_size=80),
-        st.text(max_size=80),
-        st.tuples(
-            st.sampled_from(["", _MM_HEADER, _MM_HEADER + "2 2\n", _MM_HEADER + "1 3\n"]),
-            st.text(alphabet="0123456789.,-+eE \n#%naif", max_size=80),
-        ).map("".join),
-    )
+_RAW_INPUTS = st.one_of(
+    st.binary(max_size=80),
+    st.text(max_size=80),
+    st.tuples(
+        st.sampled_from(["", _MM_HEADER, _MM_HEADER + "2 2\n", _MM_HEADER + "1 3\n"]),
+        st.text(alphabet="0123456789.,-+eE \n#%naif", max_size=80),
+    ).map("".join),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW_INPUTS)
 @example(b"1,2\n\xff,3\n")
 @example("1.5e308\n1.5e308\n")
 @example(_MM_HEADER + "2 1\n1.5e308\n1.5e308\n")
@@ -765,6 +938,16 @@ def test_parsers_raise_only_library_errors(raw):
             parse(raw)
         except SparkCertError:
             pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(_RAW_INPUTS)
+@example(_MM_HEADER + "3 1\n0.12345678901234567\n1e\n2\n")
+@example("1111111111,1111111111111,")
+def test_parsers_raise_only_library_errors_at_a_low_gate(raw):
+    # every input of 24 bytes or more goes to sparkcert._read first
+    with _every_input_to_read():
+        test_parsers_raise_only_library_errors.hypothesis.inner_test(raw)
 
 
 _GOOD_TOKEN = st.one_of(
@@ -809,14 +992,17 @@ def _file_lines(width):
     return st.lists(st.none() | row, min_size=1, max_size=6)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+_FILES = dict(
     lines=st.integers(min_value=1, max_value=4).flatmap(_file_lines),
     trailing=st.sampled_from(["", "\n", "\n\n \n"]),
     lead=st.lists(st.sampled_from(["% c", "", " \t", "%"]), max_size=2),
     size_pick=st.sampled_from([0, 0, 0, 1]),
     divisor_pick=st.integers(min_value=0, max_value=11),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_FILES)
 # a blank line and a comment: numpy's reader must not see a CSV with no data
 @example(lines=[[("", False)], None], trailing="", lead=[], size_pick=0, divisor_pick=0)
 def test_parsers_report_first_error_in_file_order(lines, trailing, lead, size_pick, divisor_pick):
@@ -873,6 +1059,19 @@ def test_parsers_report_first_error_in_file_order(lines, trailing, lead, size_pi
         mm_values = np.array([float(t.strip()) for _, t, _ in entries]).reshape(c, r).T
     mm_text = "\n".join([_MM_HEADER.strip(), *lead, f"{r} {c}", *mm_lines]) + trailing
     _expect(parse_matrix_market, mm_text, mm_error, mm_values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_FILES)
+def test_parsers_report_first_error_in_file_order_at_a_low_gate(
+    lines, trailing, lead, size_pick, divisor_pick
+):
+    # the same errors and bits when every input of 24 bytes or more goes to
+    # sparkcert._read first
+    with _every_input_to_read():
+        test_parsers_report_first_error_in_file_order.hypothesis.inner_test(
+            lines, trailing, lead, size_pick, divisor_pick
+        )
 
 
 _IDENTITY = build_matrix(np.eye(3))
